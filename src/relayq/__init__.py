@@ -26,7 +26,6 @@ from .model import (
     drift_vectors,
     is_stable,
     lambda_for_load,
-    load,
     transform_state,
     transition_distribution,
 )
@@ -48,7 +47,6 @@ __all__ = [
     "NumericsError",
     "UnsupportedParameterError",
     "GridError",
-    "load",
     "is_stable",
     "drift_vectors",
     "transform_state",

@@ -21,7 +21,7 @@ import numpy as np
 from . import compensation, measures, oracle, psa, simulator
 from .errors import GridError, NumericsError, RelayQError, StabilityError, UnsupportedParameterError
 from .grids import ProbabilityGrid
-from .model import ModelParams, is_stable, lambda_for_load, load
+from .model import ModelParams, is_stable, lambda_for_load
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -128,6 +128,26 @@ def _solve_grid(params: ModelParams, spec: RunSpec) -> ProbabilityGrid:
     raise UsageError(f"unknown method {spec.method!r}")
 
 
+def _simulation_tables(params: ModelParams, spec: RunSpec) -> dict:
+    """Tables of ``simulate`` and of ``solve --method sim``: estimates and empirical grid."""
+    sim = simulator.simulate(
+        params,
+        simulator.SimConfig(
+            seed=spec.seed,
+            warmup_slots=spec.warmup,
+            measure_slots=spec.slots,
+            replications=spec.reps,
+        ),
+    )
+    rows = [
+        {"name": "e_qsum", "value": sim.e_qsum, "ci_halfwidth": sim.e_qsum_ci},
+        {"name": "e_sojourn", "value": sim.e_sojourn, "ci_halfwidth": sim.e_sojourn_ci},
+        {"name": "correlation", "value": sim.correlation, "ci_halfwidth": sim.correlation_ci},
+        {"name": "overflow_mass", "value": sim.overflow_mass, "ci_halfwidth": None},
+    ]
+    return {"tables": {"measures": rows, "grid": _grid_rows(sim.empirical)}}
+
+
 def run(spec: RunSpec) -> dict:
     """Execute a RunSpec; returns {"tables": {name: [row dicts]}}."""
     if spec.command == "stability":
@@ -137,7 +157,7 @@ def run(spec: RunSpec) -> dict:
             {
                 "lambda": params.lam,
                 "a": params.a,
-                "load": load(params),
+                "load": params.rho,
                 "margin": rep.margin,
                 "verdict": "stable" if rep.stable else "unstable",
             }
@@ -149,22 +169,7 @@ def run(spec: RunSpec) -> dict:
         if spec.method == "psa" and abs(params.a - 0.5) > 1e-15:
             raise UsageError("method=psa supports a = 1/2 only")
         if spec.method == "sim":
-            sim = simulator.simulate(
-                params,
-                simulator.SimConfig(
-                    seed=spec.seed,
-                    warmup_slots=spec.warmup,
-                    measure_slots=spec.slots,
-                    replications=spec.reps,
-                ),
-            )
-            rows = [
-                {"name": "e_qsum", "value": sim.e_qsum, "ci_halfwidth": sim.e_qsum_ci},
-                {"name": "e_sojourn", "value": sim.e_sojourn, "ci_halfwidth": sim.e_sojourn_ci},
-                {"name": "correlation", "value": sim.correlation, "ci_halfwidth": sim.correlation_ci},
-                {"name": "overflow_mass", "value": sim.overflow_mass, "ci_halfwidth": None},
-            ]
-            return {"tables": {"measures": rows, "grid": _grid_rows(sim.empirical)}}
+            return _simulation_tables(params, spec)
         grid = _solve_grid(params, spec)
         report = measures.moments_from_transformed(grid, params)
         return {"tables": {"measures": _measure_rows(report), "grid": _grid_rows(grid)}}
@@ -250,23 +255,7 @@ def run(spec: RunSpec) -> dict:
         return {"tables": {"stability_interval": head, "vs_single_server": rows}}
 
     if spec.command == "simulate":
-        params = _resolve_params(spec)
-        sim = simulator.simulate(
-            params,
-            simulator.SimConfig(
-                seed=spec.seed,
-                warmup_slots=spec.warmup,
-                measure_slots=spec.slots,
-                replications=spec.reps,
-            ),
-        )
-        rows = [
-            {"name": "e_qsum", "value": sim.e_qsum, "ci_halfwidth": sim.e_qsum_ci},
-            {"name": "e_sojourn", "value": sim.e_sojourn, "ci_halfwidth": sim.e_sojourn_ci},
-            {"name": "correlation", "value": sim.correlation, "ci_halfwidth": sim.correlation_ci},
-            {"name": "overflow_mass", "value": sim.overflow_mass, "ci_halfwidth": None},
-        ]
-        return {"tables": {"measures": rows, "grid": _grid_rows(sim.empirical)}}
+        return _simulation_tables(_resolve_params(spec), spec)
 
     raise UsageError(f"unknown command {spec.command!r}")
 

@@ -8,6 +8,13 @@ delta plus the l in {0, 1} boundary coefficients) produces a geometrically
 convergent series of product-form terms. A direct linear solve of the balance
 equations on a small box around the origin supplies the states where the
 series converges slowly, and a single normalization finishes the job.
+
+The kernel and the boundary equations behind the coefficients are written
+in closed form here, because they are the method. The inner-box equations
+are not: they come from the chain's inflow operator
+(:func:`relayq.model.transformed_inflows`, built from the one-step law),
+and the series values on the states around the box feed them through the
+operator's tap block.
 """
 
 from __future__ import annotations
@@ -379,33 +386,23 @@ def _outer_values(series: CompensationSeries, n: int, T: int, B: int) -> np.ndar
 
 
 def _inner_box_system(params: ModelParams, B: int):
-    """Sparse balance-equation system on [0,B]^2 plus the out-of-box stencil taps."""
-    size = (B + 1) ** 2
-    idx = lambda k, l: k * (B + 1) + l
-    rows, cols, vals = [], [], []
-    taps = []  # (row, source_k, source_l, prob) with source outside the box
-    for k in range(B + 1):
-        for l in range(B + 1):
-            r = idx(k, l)
-            rows.append(r)
-            cols.append(r)
-            vals.append(1.0)
-            for k2, l2, pr in transformed_inflows((k, l), params):
-                if k2 <= B and l2 <= B:
-                    rows.append(r)
-                    cols.append(idx(k2, l2))
-                    vals.append(-pr)
-                else:
-                    taps.append((r, k2, l2, pr))
-    A = sp.csc_matrix(sp.coo_matrix((vals, (rows, cols)), shape=(size, size)))
+    """Balance equations on the inner box [0,B]^2 and their taps on the states around it.
+
+    Every source of an inner state lies in [0,B+1] x [0,B+2], the box of the
+    inflow operator Q. Returns the LU factors of A = I - Q[inner, inner], the
+    tap block Q[inner, outer], and the mask of inner states in that box
+    (flattened as k*(B+3)+l).
+    """
+    Q = transformed_inflows(params, B + 1, B + 2)
+    k, l = np.divmod(np.arange(Q.shape[0]), B + 3)
+    inner = (k <= B) & (l <= B)
+    Q = Q[inner]
+    A = sp.identity((B + 1) ** 2, format="csc") - Q[:, inner].tocsc()
     try:
         lu = spla.splu(A)
     except RuntimeError as exc:
         raise NumericsError(f"inner-box balance system is singular: {exc}") from exc
-    tap_rows = np.array([t[0] for t in taps], dtype=int)
-    tap_probs = np.array([t[3] for t in taps])
-    tap_states = [(t[1], t[2]) for t in taps]
-    return lu, tap_rows, tap_probs, tap_states
+    return lu, Q[:, ~inner], inner
 
 
 def solve(
@@ -434,37 +431,18 @@ def solve(
     # the box must always cover the three origin states solved via their own equations
     B = max(T // 2, 2)
 
-    lu, tap_rows, tap_probs, tap_states = _inner_box_system(params, B)
-    tap_k = np.array([s[0] for s in tap_states])
-    tap_l = np.array([s[1] for s in tap_states])
-
-    def tap_values(n: int) -> np.ndarray:
-        out = np.empty(len(tap_states))
-        hi = tap_l >= 2
-        if hi.any():
-            g = series.gammas
-            gk = np.power(g[: n + 2, None], tap_k[hi][None, :])
-            dl = np.power(series.deltas[: n + 1, None], tap_l[hi][None, :])
-            coef = series.d[: n + 1, None] * gk[: n + 1] + series.c[: n + 1, None] * gk[1 : n + 2]
-            out[hi] = (coef * dl).sum(axis=0)
-        lo = ~hi
-        if lo.any():
-            gk = np.power(series.gammas[: n + 1, None], tap_k[lo][None, :])
-            evecs = np.where(tap_l[lo][None, :] == 0, series.e0[: n + 1, None], series.e1[: n + 1, None])
-            out[lo] = (evecs * gk).sum(axis=0)
-        return out
+    lu, taps, inner = _inner_box_system(params, B)
 
     mass_history: list[float] = []
     converged = False
     grid_un = None
     n_used = series.n_terms
     for n in range(1, series.n_terms + 1):
-        outer = _outer_values(series, n, T, B)
-        rhs = np.zeros((B + 1) ** 2)
-        np.add.at(rhs, tap_rows, tap_probs * tap_values(n))
-        inner = lu.solve(rhs)
-        grid_un = outer.copy()
-        grid_un[: B + 1, : B + 1] = inner.reshape(B + 1, B + 1)
+        # the taps reach l = B+2, which exceeds T on the smallest grids
+        outer = _outer_values(series, n, max(T, B + 2), B)
+        rhs = taps @ outer[: B + 2, : B + 3].ravel()[~inner]
+        grid_un = outer[: T + 1, : T + 1].copy()
+        grid_un[: B + 1, : B + 1] = lu.solve(rhs).reshape(B + 1, B + 1)
         mass = float(grid_un.sum())
         mass_history.append(mass)
         if len(mass_history) >= 2:

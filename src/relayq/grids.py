@@ -62,24 +62,6 @@ class ProbabilityGrid:
         """Non-negative copy (for reporting; does not renormalize)."""
         return ProbabilityGrid(np.maximum(self.values, 0.0), self.coords)
 
-    def to_original(self) -> "ProbabilityGrid":
-        """Map a transformed-coordinate grid to (Q1, Q2) using symmetry.
-
-        The symmetric model splits off-diagonal mass evenly:
-        w[i, j] = pi[min, diff] / 2 for i != j and w[i, i] = pi[i, 0].
-        """
-        if self.coords != TRANSFORMED:
-            raise GridError("grid is already in original coordinates")
-        T = self.T
-        w = np.zeros_like(self.values)
-        for i in range(T + 1):
-            w[i, i] = self.values[i, 0]
-            for j in range(i + 1, T + 1):
-                half = self.values[i, j - i] / 2.0
-                w[i, j] = half
-                w[j, i] = half
-        return ProbabilityGrid(w, ORIGINAL)
-
     def to_transformed(self) -> "ProbabilityGrid":
         """Push an original-coordinate grid forward through (min, |diff|)."""
         if self.coords != TRANSFORMED:

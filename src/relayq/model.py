@@ -10,13 +10,22 @@ collide and both packets are retained.
 Two Markov chains describe the system: the original queue-length pair
 (Q1, Q2) on the quadrant, and the transformed chain
 (k, l) = (min(Q1, Q2), |Q1 - Q2|) that the analytic solvers work on.
+
+The one-step law of each chain is written once, per homogeneity region, in
+:func:`transition_distribution` and :func:`transformed_transition_distribution`.
+Every transition matrix on a finite box comes from :func:`box_matrix`: the
+oracle's truncated chains, the inflow operator :func:`transformed_inflows`
+behind the compensation solver's inner box, and the balance check
+:func:`balance_residuals`.
 """
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import GridError
 
@@ -25,13 +34,14 @@ __all__ = [
     "RegionStep",
     "DriftVectors",
     "StabilityReport",
-    "load",
     "is_stable",
     "drift_vectors",
     "classify_region",
     "transition_distribution",
     "transformed_transition_distribution",
     "transform_state",
+    "box_matrix",
+    "transformed_inflows",
     "balance_residuals",
     "lambda_for_load",
 ]
@@ -119,11 +129,6 @@ class DriftVectors:
 class StabilityReport:
     stable: bool
     margin: float  # lam - 2*a*abar; negative means stable
-
-
-def load(params: ModelParams) -> float:
-    """System load lam*(abar^2+a^2) / (2*lbar*abar*a)."""
-    return params.rho
 
 
 def is_stable(params: ModelParams) -> StabilityReport:
@@ -238,88 +243,90 @@ def transformed_transition_distribution(
             (1, -2, p.p_both), (0, 0, p.p_hold))
 
 
-# Offsets (dk, dl) from which some transformed-chain step can land on a state.
-_INFLOW_OFFSETS = (
-    (0, 0), (0, 1), (-1, 1), (-1, 2), (1, -1), (1, -2), (1, 0), (0, -1), (-1, 0),
-)
+def _original_representative(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Representative state of each state's region: O, Hp, Vp, D, H or V."""
+    return (np.minimum(i, 1) + ((i > j) & (j > 0)), np.minimum(j, 1) + ((j > i) & (i > 0)))
 
 
-def transformed_inflows(
-    state: tuple[int, int], params: ModelParams
-) -> tuple[tuple[int, int, float], ...]:
-    """Sources (k', l', prob) with a one-step transition into ``state``."""
-    k, l = state
-    out = []
-    for dk, dl in _INFLOW_OFFSETS:
-        k2, l2 = k - dk, l - dl
-        if k2 < 0 or l2 < 0:
-            continue
-        pr = 0.0
-        for sk, sl, q in transformed_transition_distribution((k2, l2), params):
-            if k2 + sk == k and l2 + sl == l:
-                pr += q
-        if pr > 0.0:
-            out.append((k2, l2, pr))
-    return tuple(out)
+def _transformed_representative(k: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Representative state of each state's region: k in {0, >=1} by l in {0, 1, >=2}."""
+    return np.minimum(k, 1), np.minimum(l, 2)
+
+
+_REPRESENTATIVES = {
+    transition_distribution: _original_representative,
+    transformed_transition_distribution: _transformed_representative,
+}
+
+
+def box_matrix(law, params: ModelParams, T_k: int, T_l: int) -> sp.csr_matrix:
+    """One-step matrix of ``law`` on the box [0,T_k] x [0,T_l], steps leaving it dropped.
+
+    ``law`` is :func:`transition_distribution` or
+    :func:`transformed_transition_distribution` (possibly wrapped). States are
+    flattened as k*(T_l+1)+l; rows of states next to the far edges are
+    substochastic. The law is called once per homogeneity region, at the
+    region's representative state, and its steps are applied to every state
+    of the region at once.
+    """
+    representative = _REPRESENTATIVES[inspect.unwrap(law)]
+    n_l = T_l + 1
+    k, l = np.divmod(np.arange((T_k + 1) * n_l), n_l)
+    rk, rl = representative(k, l)
+    region = rk * (int(rl.max()) + 1) + rl
+    rows, cols, probs = [], [], []
+    for code in np.unique(region):
+        src = np.flatnonzero(region == code)
+        steps = law((int(rk[src[0]]), int(rl[src[0]])), params)
+        if isinstance(steps, RegionStep):
+            steps = steps.steps
+        for dk, dl, prob in steps:
+            k2, l2 = k[src] + dk, l[src] + dl
+            inside = (k2 >= 0) & (k2 <= T_k) & (l2 >= 0) & (l2 <= T_l)
+            rows.append(src[inside])
+            cols.append(k2[inside] * n_l + l2[inside])
+            probs.append(np.full(len(rows[-1]), prob))
+    n = k.size
+    return sp.csr_matrix(
+        (np.concatenate(probs), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+    )
+
+
+def transformed_inflows(params: ModelParams, T_k: int, T_l: int) -> sp.csr_matrix:
+    """Inflow operator of the transformed chain on the box [0,T_k] x [0,T_l].
+
+    The transpose of :func:`box_matrix`: row s holds the one-step
+    probabilities into state s from every in-box source, so (Q @ pi)[s] is
+    the right-hand side of the balance equation of s.
+    """
+    return box_matrix(transformed_transition_distribution, params, T_k, T_l).T.tocsr()
 
 
 def balance_residuals(values: np.ndarray, params: ModelParams) -> np.ndarray:
     """Residual |pi - inflow| of the transformed-chain balance equations.
 
-    ``values`` is a (T+1)x(T+1) array over 0 <= k, l <= T. Entries whose
-    equation stencil reaches outside the array are NaN. An exact stationary
-    vector of the (untruncated) chain has residual ~ solver precision on
-    every non-NaN entry.
+    ``values`` is a (T+1)x(T+1) array over 0 <= k, l <= T. An entry is NaN
+    when some state that steps into it lies outside the array, so that its
+    equation cannot be evaluated. An exact stationary vector of the
+    (untruncated) chain has residual ~ solver precision on every non-NaN
+    entry.
     """
     pi = np.asarray(values, dtype=float)
     if pi.ndim != 2 or pi.shape[0] != pi.shape[1] or pi.shape[0] < 5:
         raise GridError("need a square grid of size at least 5x5")
-    T = pi.shape[0] - 1
-    p = params
-    res = np.full_like(pi, np.nan)
-
-    hold, fwd, dep, both, lone = p.p_hold, p.p_fwd, p.p_dep, p.p_both, p.p_lone
-    lb_ab = p.lbar * p.abar
-
-    # interior rows, Eq. for k>=1, l>=3 (stencil reaches k-1, k+1, l+2)
-    k = np.arange(1, T)
-    l = np.arange(3, T - 1)
-    if len(k) and len(l):
-        K, L = np.meshgrid(k, l, indexing="ij")
-        res[1:T, 3:T - 1] = pi[K, L] - (
-            pi[K, L] * hold + pi[K, L + 1] * dep + pi[K - 1, L + 1] * fwd
-            + pi[K - 1, L + 2] * both + pi[K + 1, L - 1] * dep
-        )
-    kk = np.arange(1, T)
-    if len(kk) and T >= 4:
-        # l = 0 row (diagonal states of the original chain)
-        res[1:T, 0] = pi[kk, 0] - (
-            pi[kk, 0] * hold + pi[kk, 1] * dep + pi[kk - 1, 1] * fwd + pi[kk - 1, 2] * both
-        )
-        # l = 1 row
-        res[1:T, 1] = pi[kk, 1] - (
-            pi[kk, 1] * (hold + both) + pi[kk, 2] * dep + pi[kk - 1, 2] * fwd
-            + pi[kk - 1, 3] * both + pi[kk, 0] * fwd + pi[kk + 1, 0] * 2 * dep
-        )
-        # l = 2 row
-        res[1:T, 2] = pi[kk, 2] - (
-            pi[kk, 2] * hold + pi[kk, 3] * dep + pi[kk - 1, 3] * fwd
-            + pi[kk - 1, 4] * both + pi[kk + 1, 0] * both + pi[kk + 1, 1] * dep
-        )
-    # k = 0 column
-    ll = np.arange(3, T)
-    res[0, 3:T] = pi[0, ll] - (
-        pi[0, ll] * (lb_ab + both) + pi[0, ll + 1] * lone + pi[1, ll - 1] * dep
-    )
-    res[0, 2] = pi[0, 2] - (
-        pi[0, 2] * (lb_ab + both) + pi[0, 3] * lone + pi[1, 1] * dep + pi[1, 0] * both
-    )
-    res[0, 1] = pi[0, 1] - (
-        pi[0, 1] * (lb_ab + 2 * both) + pi[0, 2] * lone + pi[1, 0] * 2 * dep
-        + pi[0, 0] * p.lam * p.abar
-    )
-    res[0, 0] = pi[0, 0] - (pi[0, 0] * (p.lbar + p.lam * p.a) + pi[0, 1] * lone)
-    return np.abs(res)
+    n = pi.shape[0]
+    # steps move k by at most 1 and l by at most 2: this box holds every source
+    box = (n + 1, n + 2)
+    Q = transformed_inflows(params, n, n + 1)
+    padded = np.zeros(box)
+    padded[:n, :n] = pi
+    beyond = np.ones(box)
+    beyond[:n, :n] = 0.0
+    inflow = (Q @ padded.ravel()).reshape(box)[:n, :n]
+    reach = (Q @ beyond.ravel()).reshape(box)[:n, :n]
+    res = np.abs(pi - inflow)
+    res[reach > 0.0] = np.nan
+    return res
 
 
 def max_interior_residual(values: np.ndarray, params: ModelParams) -> float:

@@ -1,9 +1,10 @@
 """Brute-force ground truth: truncated chains solved by GTH state reduction.
 
-The truncated chain redirects any step that would leave the box back into the
-current state (a self-loop), which keeps every row stochastic; the induced
-error is controlled by ``choose_truncation`` and shrinks geometrically with
-the box size.
+The truncated chain is the box matrix of either chain's one-step law
+(:func:`relayq.model.box_matrix`) with the mass of every step that would
+leave the box folded back into the current state (a self-loop), which keeps
+every row stochastic; the induced error is controlled by
+``choose_truncation`` and shrinks geometrically with the box size.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .errors import GridError, RelayQError, StabilityError
 from .grids import ORIGINAL, TRANSFORMED, ProbabilityGrid
 from .model import (
     ModelParams,
+    box_matrix,
     transformed_transition_distribution,
     transition_distribution,
 )
@@ -43,22 +45,10 @@ def build(params: ModelParams, T: int, variant: str = TRANSFORMED) -> TruncatedC
         raise GridError("truncation level must be at least 3")
     if variant not in (TRANSFORMED, ORIGINAL):
         raise RelayQError(f"unknown chain variant {variant!r}")
-    n = (T + 1) ** 2
-    P = np.zeros((n, n))
-    step_fn = (
-        transformed_transition_distribution
-        if variant == TRANSFORMED
-        else lambda s, p: transition_distribution(s, p).steps
-    )
-    for k in range(T + 1):
-        for l in range(T + 1):
-            row = k * (T + 1) + l
-            for dk, dl, pr in step_fn((k, l), params):
-                k2, l2 = k + dk, l + dl
-                if 0 <= k2 <= T and 0 <= l2 <= T:
-                    P[row, k2 * (T + 1) + l2] += pr
-                else:
-                    P[row, row] += pr  # reflect: suppress steps leaving the box
+    law = transformed_transition_distribution if variant == TRANSFORMED else transition_distribution
+    P = box_matrix(law, params, T, T).toarray()
+    # fold the mass of the dropped steps back into each row's self-loop
+    P[np.diag_indices_from(P)] += 1.0 - P.sum(axis=1)
     return TruncatedChain(T=T, variant=variant, matrix=P, params=params)
 
 

@@ -34,7 +34,6 @@ __all__ = [
     "PsaSolution",
     "theta_from_rho",
     "compute_coefficients",
-    "beta_coefficients",
     "evaluate",
     "solve",
 ]
@@ -201,11 +200,6 @@ def compute_coefficients(N_psa: int, T_psa: int, G: float) -> np.ndarray:
         if mask.any():
             u[n_idx[mask], K[mask], L[mask]] = slab[(K + L)[mask], K[mask]]
     return u
-
-
-def beta_coefficients(N: int, T: int) -> np.ndarray:
-    """Plain-load series coefficients beta(n, k, l) — the G = 0 instance."""
-    return compute_coefficients(N, T, 0.0)
 
 
 def evaluate(rho: float, solution: PsaSolution) -> ProbabilityGrid:

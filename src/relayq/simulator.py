@@ -18,7 +18,7 @@ from scipy import stats
 
 from .errors import RelayQError
 from .grids import TRANSFORMED, ProbabilityGrid
-from .model import ModelParams
+from .model import ModelParams, is_stable
 from .oracle import choose_truncation
 
 __all__ = ["SimConfig", "SimResult", "simulate", "estimate_stability_boundary", "step"]
@@ -133,8 +133,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     queue growth in the averages. Identical (params, config) pairs produce
     bitwise identical results.
     """
-    stab = params.lam - 2 * params.a * params.abar < 0
-    cap = 2 * choose_truncation(params, 1e-10) if stab else 100
+    cap = 2 * choose_truncation(params, 1e-10) if is_stable(params).stable else 100
 
     qsums, sojourns, correls = [], [], []
     counts = np.zeros((cap + 1, cap + 1), dtype=np.int64)

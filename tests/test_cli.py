@@ -102,6 +102,17 @@ def test_byte_identical_outputs(tmp_path, capsys):
     assert p1.read_bytes() == p2.read_bytes()
 
 
+def test_simulate_and_solve_sim_agree(capsys):
+    args = [
+        "--lambda", "0.3", "--a", "0.5", "--seed", "7",
+        "--warmup", "500", "--slots", "20000", "--reps", "2",
+    ]
+    code1, out1, _ = run_cli(["simulate", *args], capsys)
+    code2, out2, _ = run_cli(["solve", "--method", "sim", *args], capsys)
+    assert code1 == code2 == 0
+    assert out1 and out1.encode() == out2.encode()
+
+
 def _assert_json_and_csv_agree(args, tmp_path):
     pc, pj = tmp_path / "r.csv", tmp_path / "r.json"
     assert cli.main(args + ["--format", "csv", "--out", str(pc)]) == 0

@@ -4,7 +4,7 @@ import pytest
 from relayq import compensation as ca
 from relayq import oracle
 from relayq.errors import GridError, NumericsError, StabilityError
-from relayq.model import ModelParams, lambda_for_load
+from relayq.model import ModelParams, balance_residuals, lambda_for_load
 from conftest import maxnorm, random_stable_params
 
 
@@ -192,6 +192,61 @@ def test_horizontal_coefficients_restore_row_balance(base_params):
     # right-hand side is linear in c
     e0b, e1b, d1b = ca.horizontal_coefficients(g1, d0_root, d1_root, 2 * c1, p)
     assert np.allclose([e0b, e1b, d1b], [2 * e0, 2 * e1, 2 * d1], rtol=1e-12)
+
+
+# Closed forms against the transition table: balance_residuals derives every
+# balance equation from the chain's one-step law on a 13x13 grid.
+K, L = np.meshgrid(np.arange(13), np.arange(13), indexing="ij")
+
+
+def test_product_form_residual_is_the_kernel():
+    """gamma^k delta^l leaves |gamma^(k-1) delta^(l-1) kernel_residual| on
+    every interior state, for any (gamma, delta)."""
+    rng = np.random.default_rng(41)
+    interior = (K >= 1) & (L >= 3)
+    for p in random_stable_params(rng, 5):
+        for gamma, delta in rng.uniform(0.05, 0.95, size=(10, 2)):
+            res = balance_residuals(gamma**K * delta**L, p)
+            fits = interior & ~np.isnan(res)
+            assert fits.sum() == 11 * 8  # k in 1..11, l in 3..10
+            expected = np.abs(
+                gamma ** (K - 1.0) * delta ** (L - 1.0) * ca.kernel_residual(gamma, delta, p)
+            )
+            assert np.allclose(res[fits], expected[fits], rtol=1e-9, atol=1e-14)
+
+
+def test_vertical_pair_balances_column_in_table(base_params):
+    p = base_params
+    g0 = ca.initial_gamma(p)
+    d0 = ca.delta_root(g0, p)
+    g1 = ca.gamma_root(d0, p)
+    c1 = ca.vertical_coefficient(g0, g1, d0, 1.0, p)
+    res = balance_residuals((g0**K + c1 * g1**K) * d0**L, p)
+    column = (K == 0) & (L >= 3) & ~np.isnan(res)
+    assert column.sum() == 9  # l in 3..11
+    assert np.max(res[column]) < 1e-12
+
+
+def test_horizontal_terms_balance_rows_in_table(base_params):
+    p = base_params
+    g0 = ca.initial_gamma(p)
+    d0 = ca.delta_root(g0, p)
+    g1 = ca.gamma_root(d0, p)
+    c1 = ca.vertical_coefficient(g0, g1, d0, 1.0, p)
+    d1_root = ca.delta_root(g1, p)
+    e0, e1, d1 = ca.horizontal_coefficients(g1, d0, d1_root, c1, p)
+    e0_lead, e1_lead = ca.leading_boundary_coefficients(g0, d0, 1.0, p)
+    terms = (
+        (g0, e0_lead, e1_lead, d0**L),  # leading term d0 = 1
+        (g1, e0, e1, c1 * d0**L + d1 * d1_root**L),  # first horizontal repair
+    )
+    for gamma, b0, b1, pair in terms:
+        vals = np.where(L == 0, b0, np.where(L == 1, b1, pair)) * gamma**K
+        res = balance_residuals(vals, p)
+        fits = (K >= 1) & ~np.isnan(res)
+        # the l in {0, 1, 2} equations fit for k in 1..11, and for l = 0 at k = 12 too
+        assert fits[1:12, :3].all() and fits[12, 0]
+        assert np.max(res[fits]) < 1e-12
 
 
 def test_leading_boundary_coefficients_match_oracle(base_params):

@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+from relayq import oracle
 from relayq.errors import GridError
+from relayq.grids import ORIGINAL, TRANSFORMED
 from relayq.model import (
     ModelParams,
     balance_residuals,
+    box_matrix,
     classify_region,
     drift_vectors,
     is_stable,
     lambda_for_load,
-    load,
     max_interior_residual,
     transform_state,
     transformed_transition_distribution,
@@ -26,10 +29,10 @@ def test_params_reject_boundaries():
 
 
 def test_load_examples():
-    assert load(ModelParams(lam=0.3, a=0.5)) == pytest.approx(3 / 7, abs=1e-15)
-    assert load(ModelParams(lam=1e-12, a=0.37)) < 1e-9
+    assert ModelParams(lam=0.3, a=0.5).rho == pytest.approx(3 / 7, abs=1e-15)
+    assert ModelParams(lam=1e-12, a=0.37).rho < 1e-9
     # invert lam = rho/(1+rho) at a = 1/2 for rho = 0.1
-    assert load(ModelParams(lam=1 / 11, a=0.5)) == pytest.approx(0.1, abs=1e-15)
+    assert ModelParams(lam=1 / 11, a=0.5).rho == pytest.approx(0.1, abs=1e-15)
 
 
 def test_lambda_for_load_roundtrip():
@@ -38,7 +41,7 @@ def test_lambda_for_load_roundtrip():
         rho = rng.uniform(0.01, 0.99)
         a = rng.uniform(0.05, 0.95)
         lam = lambda_for_load(rho, a)
-        assert load(ModelParams(lam=lam, a=a)) == pytest.approx(rho, rel=1e-13)
+        assert ModelParams(lam=lam, a=a).rho == pytest.approx(rho, rel=1e-13)
 
 
 def test_is_stable_examples():
@@ -53,7 +56,7 @@ def test_is_stable_examples():
 def test_stability_matches_load_criterion():
     rng = np.random.default_rng(11)
     for p in random_params(rng, 1000):
-        assert is_stable(p).stable == (load(p) < 1.0)
+        assert is_stable(p).stable == (p.rho < 1.0)
 
 
 def test_drift_vectors():
@@ -166,3 +169,70 @@ def test_balance_residuals_oracle_grid(base_params, oracle_base):
 
 def test_balance_residuals_compensation_grid(params_rho04, ca_rho04):
     assert max_interior_residual(ca_rho04.grid.values, params_rho04) < 1e-9
+
+
+# (variant, law as passed to box_matrix, per-state steps (dk, dl, prob))
+LAWS = (
+    (ORIGINAL, transition_distribution, lambda s, p: transition_distribution(s, p).steps),
+    (TRANSFORMED, transformed_transition_distribution, transformed_transition_distribution),
+)
+
+
+def law_matrix(steps_at, p, T_k, T_l):
+    """Per-state reference for box_matrix: the law at every state of the box."""
+    n_l = T_l + 1
+    P = np.zeros(((T_k + 1) * n_l, (T_k + 1) * n_l))
+    for k in range(T_k + 1):
+        for l in range(n_l):
+            for dk, dl, pr in steps_at((k, l), p):
+                if 0 <= k + dk <= T_k and 0 <= l + dl <= T_l:
+                    P[k * n_l + l, (k + dk) * n_l + l + dl] += pr
+    return P
+
+
+def test_box_matrix_rows_are_the_law():
+    rng = np.random.default_rng(13)
+    for p in random_params(rng, 20):
+        for _, law, steps_at in LAWS:
+            for T_k, T_l in ((5, 7), (7, 5)):
+                P = box_matrix(law, p, T_k, T_l)
+                assert sp.issparse(P)
+                assert np.array_equal(P.toarray(), law_matrix(steps_at, p, T_k, T_l))
+
+
+def test_oracle_folds_dropped_steps_into_self_loops():
+    rng = np.random.default_rng(14)
+    T = 5
+    off_diagonal = ~np.eye((T + 1) ** 2, dtype=bool)
+    for p in random_params(rng, 20):
+        for variant, law, _ in LAWS:
+            M = oracle.build(p, T, variant).matrix
+            P = box_matrix(law, p, T, T).toarray()
+            assert np.allclose(M.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
+            assert np.array_equal(M[off_diagonal], P[off_diagonal])
+
+
+def test_balance_residuals_nan_exactly_where_a_source_is_outside():
+    """Brute force over every state near the grid: a grid state's residual is
+    NaN iff one of its sources lies outside, and |pi - inflow| otherwise."""
+    rng = np.random.default_rng(15)
+    n = 7
+    for p in random_params(rng, 5):
+        pi = rng.random((n, n))
+        res = balance_residuals(pi, p)
+        for k in range(n):
+            for l in range(n):
+                inflow, outside = 0.0, False
+                for k2 in range(max(k - 1, 0), k + 2):
+                    for l2 in range(max(l - 2, 0), l + 3):
+                        for dk, dl, pr in transformed_transition_distribution((k2, l2), p):
+                            if (k2 + dk, l2 + dl) != (k, l):
+                                continue
+                            if k2 < n and l2 < n:
+                                inflow += pi[k2, l2] * pr
+                            else:
+                                outside = True
+                if outside:
+                    assert np.isnan(res[k, l]), (k, l)
+                else:
+                    assert res[k, l] == pytest.approx(abs(pi[k, l] - inflow), abs=1e-15), (k, l)

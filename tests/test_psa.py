@@ -108,7 +108,6 @@ def test_plain_series_matches_accelerated_at_zero():
             for l in range(T + 1):
                 if n + k + l <= 8:
                     assert u0[n, k, l] == pytest.approx(ref[n, k, l], abs=1e-13), (n, k, l)
-    assert psa.beta_coefficients(3, 3) == pytest.approx(psa.compute_coefficients(3, 3, 0.0))
 
 
 class ReferenceMachine:
