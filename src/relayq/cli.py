@@ -128,6 +128,30 @@ def _solve_grid(params: ModelParams, spec: RunSpec) -> ProbabilityGrid:
     raise UsageError(f"unknown method {spec.method!r}")
 
 
+@dataclass(frozen=True)
+class _CaPsa:
+    """CA and PSA solutions of one parameter point, as ``compare`` and ``table1`` report them."""
+
+    ca_grid: ProbabilityGrid
+    psa_grid: ProbabilityGrid
+    psa_converged: bool
+    ca_measures: measures.MeasureReport
+    psa_measures: measures.MeasureReport
+
+
+def _solve_ca_and_psa(params: ModelParams, spec: RunSpec) -> _CaPsa:
+    ca_grid = compensation.solve(params, epsilon=spec.epsilon).grid
+    ps = psa.solve(params, G=spec.G, epsilon=spec.epsilon)
+    psa_grid = _psa_reporting_grid(ps)
+    return _CaPsa(
+        ca_grid=ca_grid,
+        psa_grid=psa_grid,
+        psa_converged=ps.diagnostics.converged,
+        ca_measures=measures.moments_from_transformed(ca_grid, params),
+        psa_measures=measures.moments_from_transformed(psa_grid, params),
+    )
+
+
 def _simulation_tables(params: ModelParams, spec: RunSpec) -> dict:
     """Tables of ``simulate`` and of ``solve --method sim``: estimates and empirical grid."""
     sim = simulator.simulate(
@@ -178,9 +202,7 @@ def run(spec: RunSpec) -> dict:
         params = _resolve_params(spec)
         if abs(params.a - 0.5) > 1e-15:
             raise UsageError("compare runs the power-series method and needs a = 1/2")
-        ca = compensation.solve(params, epsilon=spec.epsilon)
-        ps = psa.solve(params, G=spec.G, epsilon=spec.epsilon)
-        ps_grid = _psa_reporting_grid(ps)
+        both = _solve_ca_and_psa(params, spec)
         T_or = oracle.choose_truncation(params, min(spec.epsilon, 1e-10))
         orc = oracle.stationary(oracle.build(params, T_or))
 
@@ -188,12 +210,11 @@ def run(spec: RunSpec) -> dict:
             m = min(g1.T, g2.T)
             return float(np.max(np.abs(g1.values[: m + 1, : m + 1] - g2.values[: m + 1, : m + 1])))
 
-        m_ca = measures.moments_from_transformed(ca.grid, params)
-        m_ps = measures.moments_from_transformed(ps_grid, params)
+        m_ca, m_ps = both.ca_measures, both.psa_measures
         rows = [
-            {"name": "maxnorm_ca_oracle", "value": maxnorm(ca.grid, orc), "ci_halfwidth": None},
-            {"name": "maxnorm_psa_oracle", "value": maxnorm(ps_grid, orc), "ci_halfwidth": None},
-            {"name": "maxnorm_ca_psa", "value": maxnorm(ca.grid, ps_grid), "ci_halfwidth": None},
+            {"name": "maxnorm_ca_oracle", "value": maxnorm(both.ca_grid, orc), "ci_halfwidth": None},
+            {"name": "maxnorm_psa_oracle", "value": maxnorm(both.psa_grid, orc), "ci_halfwidth": None},
+            {"name": "maxnorm_ca_psa", "value": maxnorm(both.ca_grid, both.psa_grid), "ci_halfwidth": None},
             {"name": "abs_diff_e_sojourn", "value": abs(m_ca.e_sojourn - m_ps.e_sojourn), "ci_halfwidth": None},
             {
                 "name": "abs_diff_correlation",
@@ -206,11 +227,8 @@ def run(spec: RunSpec) -> dict:
     if spec.command == "table1":
         rows = []
         for rho in _TABLE1_LOADS:
-            params = ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5)
-            ca = compensation.solve(params, epsilon=spec.epsilon)
-            m_ca = measures.moments_from_transformed(ca.grid, params)
-            ps = psa.solve(params, G=spec.G, epsilon=spec.epsilon)
-            m_ps = measures.moments_from_transformed(_psa_reporting_grid(ps), params)
+            both = _solve_ca_and_psa(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5), spec)
+            m_ca, m_ps = both.ca_measures, both.psa_measures
             rows.append(
                 {
                     "rho": rho,
@@ -220,7 +238,7 @@ def run(spec: RunSpec) -> dict:
                     "correlation_ca": m_ca.correlation,
                     "correlation_psa": m_ps.correlation,
                     "abs_diff_correlation": abs(m_ca.correlation - m_ps.correlation),
-                    "psa_converged": ps.diagnostics.converged,
+                    "psa_converged": both.psa_converged,
                 }
             )
         return {"tables": {"table1": rows}}
@@ -273,24 +291,20 @@ def _to_csv(artifact: dict) -> str:
     return "\n".join(chunks) + "\n"
 
 
+def _json_scalar(obj):
+    """Plain Python value of a numpy scalar; ``json.dumps`` asks only for non-plain types."""
+    if isinstance(obj, np.bool_):
+        return bool(obj)
+    if isinstance(obj, np.integer):
+        return int(obj)
+    if isinstance(obj, np.floating):
+        return float(obj)
+    raise TypeError(f"cannot emit {type(obj).__name__} as JSON")
+
+
 def _to_json(artifact: dict) -> str:
     """JSON twin of ``_to_csv``; cells follow the types listed in ``_fmt``."""
-
-    def convert(obj):
-        if isinstance(obj, dict):
-            return {k: convert(v) for k, v in obj.items()}
-        if isinstance(obj, list):
-            return [convert(v) for v in obj]
-        if isinstance(obj, (np.floating, float)):
-            return float(obj)
-        # bool before int: Python's bool is an int subclass
-        if isinstance(obj, (bool, np.bool_)):
-            return bool(obj)
-        if isinstance(obj, (np.integer, int)):
-            return int(obj)
-        return obj
-
-    return json.dumps(convert(artifact["tables"]), indent=2, sort_keys=False) + "\n"
+    return json.dumps(artifact["tables"], indent=2, default=_json_scalar) + "\n"
 
 
 def emit(artifact: dict, spec: RunSpec) -> str:

@@ -5,9 +5,11 @@ whose parameters lie on a cubic kernel curve. Starting from gamma_0 = rho^2,
 alternately repairing the vertical-boundary error (which fixes a new gamma
 for the current delta) and the horizontal-boundary error (which fixes a new
 delta plus the l in {0, 1} boundary coefficients) produces a geometrically
-convergent series of product-form terms. A direct linear solve of the balance
-equations on a small box around the origin supplies the states where the
-series converges slowly, and a single normalization finishes the job.
+convergent series of product-form terms. The series gives every state
+outside the box [0,2]^2 at the origin; a direct linear solve of the balance
+equations on that box supplies (0,0), (0,1) and (0,2), which lie outside both
+series regimes, together with their neighbours, and a single normalization
+finishes the job.
 
 The kernel and the boundary equations behind the coefficients are written
 in closed form here, because they are the method. The inner-box equations
@@ -50,7 +52,9 @@ __all__ = [
 
 EPSILON_FLOOR = 1e-12  # 64-bit arithmetic cannot honour the 1e-30 regime
 
-_MAX_STOP_ITER = 200
+# side of the origin box [0,2]^2 solved from its own balance equations: it holds
+# (0,0), (0,1) and (0,2), the states outside both series regimes, and their neighbours
+INNER_BOX = 2
 
 
 @dataclass(frozen=True)
@@ -92,9 +96,7 @@ class CompensationResult:
     n_used: int
     epsilon_requested: float
     epsilon_used: float
-    converged: bool
-    mass_history: tuple[float, ...]
-    l2_seam_mismatch: float  # max |box solve - series form| on the l = 2 row
+    last_term_change: float  # share of the unnormalized mass the last series term moves
 
 
 def kernel_residual(gamma: float, delta: float, params: ModelParams) -> float:
@@ -351,9 +353,9 @@ def evaluate_series(k: int, l: int, series: CompensationSeries, n_terms: int | N
     """Unnormalized series value at a state in the explicit-form regimes.
 
     Valid for l >= 3 (pair form) and for l in {0, 1} with k >= 1 (boundary
-    form). Other states — the l = 2 row and the states near the origin — are
-    produced by the inner-box solve of :func:`solve`; asking for them here is
-    a domain error.
+    form); asking for any other state here is a domain error. :func:`solve`
+    also takes the l = 2 row for k > 2 from the pair form and solves the box
+    [0,2]^2 from its own balance equations.
     """
     n = series.n_terms if n_terms is None else n_terms
     if n > series.n_terms:
@@ -368,9 +370,9 @@ def evaluate_series(k: int, l: int, series: CompensationSeries, n_terms: int | N
 def _outer_values(series: CompensationSeries, n: int, T: int, B: int) -> np.ndarray:
     """Unnormalized values on [0,T]^2 with NaN on the inner box [0,B]^2.
 
-    The l = 2 column outside the box uses the pair form as well; its stated
-    range starts one row higher, and the mismatch against the inner-box solve
-    is reported as a diagnostic by the caller.
+    The l = 2 column outside the box uses the pair form as well, one row
+    below the range :func:`evaluate_series` states; the balance residual of
+    the finished grid covers that seam.
     """
     vals = np.full((T + 1, T + 1), np.nan)
     ks = np.arange(T + 1)
@@ -379,8 +381,6 @@ def _outer_values(series: CompensationSeries, n: int, T: int, B: int) -> np.ndar
     ks1 = np.arange(1, T + 1)
     vals[1:, 0] = _series_values_boundary(series, n, ks1, 0)
     vals[1:, 1] = _series_values_boundary(series, n, ks1, 1)
-    vals[0, 0] = np.nan
-    vals[0, 1] = np.nan
     vals[: B + 1, : B + 1] = np.nan
     return vals
 
@@ -408,65 +408,45 @@ def _inner_box_system(params: ModelParams, B: int):
 def solve(
     params: ModelParams, epsilon: float = 1e-12, *, T_min: int | None = None
 ) -> CompensationResult:
-    """Full compensation solve: series + inner-box closure + normalization.
+    """Full compensation solve: series + origin-box closure + normalization.
 
-    Iterates the series depth until the relative change of the unnormalized
-    total mass on the truncated grid drops below ``epsilon`` (clamped at the
-    64-bit floor). Returns the normalized grid and every sequence needed to
-    evaluate the expansion. ``T_min`` enlarges the grid beyond the
-    epsilon-derived truncation when a consumer needs more states (decay
-    diagnostics want a deep tail, for instance).
+    Every state outside the box [0,2]^2 takes the value of the full series
+    (all the terms the a-priori depth gives for ``epsilon``, clamped at the
+    64-bit floor); the box comes from its own balance equations. The series
+    counts as converged when its last term moves less than ``epsilon`` of the
+    unnormalized mass; otherwise :class:`NumericsError` is raised. Returns
+    the normalized grid and every sequence needed to evaluate the expansion.
+    ``T_min`` enlarges the grid beyond the epsilon-derived truncation when a
+    consumer needs more states (decay diagnostics want a deep tail, for
+    instance).
     """
     epsilon_requested = epsilon
     epsilon = max(epsilon, EPSILON_FLOOR)
-    rho = params.rho
-    if rho >= 1.0:
-        raise StabilityError(f"load {rho:.4f} >= 1; equilibrium does not exist")
-
     g0 = initial_gamma(params)
     # coefficient depth justified by the 0.4^i envelope of the root sequence
-    n_hard = max(int(math.ceil(math.log(epsilon) / math.log(0.4))) + 6, 8)
-    series = compute_series(params, n_hard)
+    series = compute_series(params, max(int(math.ceil(math.log(epsilon) / math.log(0.4))) + 6, 8))
+    n = series.n_terms
     T = max(int(math.ceil(math.log(epsilon) / math.log(g0))), 3, T_min or 3)
-    # the box must always cover the three origin states solved via their own equations
-    B = max(T // 2, 2)
-
+    B = INNER_BOX
     lu, taps, inner = _inner_box_system(params, B)
 
-    mass_history: list[float] = []
-    converged = False
-    grid_un = None
-    n_used = series.n_terms
-    for n in range(1, series.n_terms + 1):
+    def unnormalized_grid(n_terms: int) -> np.ndarray:
         # the taps reach l = B+2, which exceeds T on the smallest grids
-        outer = _outer_values(series, n, max(T, B + 2), B)
+        outer = _outer_values(series, n_terms, max(T, B + 2), B)
+        vals = outer[: T + 1, : T + 1].copy()
         rhs = taps @ outer[: B + 2, : B + 3].ravel()[~inner]
-        grid_un = outer[: T + 1, : T + 1].copy()
-        grid_un[: B + 1, : B + 1] = lu.solve(rhs).reshape(B + 1, B + 1)
-        mass = float(grid_un.sum())
-        mass_history.append(mass)
-        if len(mass_history) >= 2:
-            rel = abs(mass_history[-1] - mass_history[-2]) / abs(mass)
-            if rel < epsilon:
-                converged = True
-                n_used = n
-                break
-        if n >= _MAX_STOP_ITER:
-            break
-    if grid_un is None:
-        raise NumericsError("series iteration produced no grid")
-    if not converged:
-        last = (
-            abs(mass_history[-1] - mass_history[-2]) / abs(mass_history[-1])
-            if len(mass_history) >= 2
-            else float("nan")
-        )
+        vals[: B + 1, : B + 1] = lu.solve(rhs).reshape(B + 1, B + 1)
+        return vals
+
+    grid_un = unnormalized_grid(n)
+    total = float(grid_un.sum())
+    last_term_change = float(np.abs(grid_un - unnormalized_grid(n - 1)).sum()) / abs(total)
+    if not last_term_change < epsilon:
         raise NumericsError(
-            f"compensation stopping rule not met after {len(mass_history)} terms; "
-            f"last relative change {last:.3e}"
+            f"compensation series not converged at {n} terms: the last term moves "
+            f"{last_term_change:.3e} of the mass (epsilon {epsilon:.1e})"
         )
 
-    total = float(grid_un.sum())
     grid_vals = grid_un / total
     # round-off guard: the construction is sign-definite, anything below is noise
     floor = -1e-13 * float(grid_vals.max())
@@ -474,12 +454,6 @@ def solve(
         raise NumericsError(f"normalized grid has negative entry {grid_vals.min():.3e}")
     np.maximum(grid_vals, 0.0, out=grid_vals)
     grid_vals /= grid_vals.sum()
-
-    # diagnostic: the l = 2 row is produced by the box solve; compare with the
-    # pair-form series where both are available (outside states use the series)
-    ks_diag = np.arange(max(B // 2, 3), B + 1)
-    series_l2 = _series_values_l2plus(series, n_used, ks_diag, np.array([2]))[:, 0] / total
-    seam = float(np.max(np.abs(series_l2 - grid_vals[ks_diag, 2]))) if len(ks_diag) else 0.0
 
     series = replace(series, normalization=1.0 / total)
     grid = ProbabilityGrid(grid_vals, TRANSFORMED)
@@ -489,10 +463,8 @@ def solve(
         grid=grid,
         T=T,
         inner_box=B,
-        n_used=n_used,
+        n_used=n,
         epsilon_requested=epsilon_requested,
         epsilon_used=epsilon,
-        converged=converged,
-        mass_history=tuple(mass_history),
-        l2_seam_mismatch=seam,
+        last_term_change=last_term_change,
     )

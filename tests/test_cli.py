@@ -1,6 +1,7 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from relayq import cli
@@ -146,6 +147,22 @@ def test_json_and_csv_agree(tmp_path):
     )
     # vs-single-server: booleans, None cells and strings as well
     _assert_json_and_csv_agree(["vs-single-server", "--lambda", "0.2"], tmp_path)
+
+
+def test_json_cells_of_numpy_and_plain_types():
+    row = {
+        "flag": np.bool_(True),
+        "count": np.int64(3),
+        "single": np.float32(0.1),
+        "double": np.float64(0.1),
+        "missing": None,
+        "name": "x",
+    }
+    assert cli._to_json({"tables": {"mixed": [row]}}) == (
+        '{\n  "mixed": [\n    {\n      "flag": true,\n      "count": 3,\n'
+        '      "single": 0.10000000149011612,\n      "double": 0.1,\n'
+        '      "missing": null,\n      "name": "x"\n    }\n  ]\n}\n'
+    )
 
 
 def test_output_dir_env(tmp_path, capsys, monkeypatch):

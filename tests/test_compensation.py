@@ -4,7 +4,7 @@ import pytest
 from relayq import compensation as ca
 from relayq import oracle
 from relayq.errors import GridError, NumericsError, StabilityError
-from relayq.model import ModelParams, balance_residuals, lambda_for_load
+from relayq.model import ModelParams, balance_residuals, lambda_for_load, max_interior_residual
 from conftest import maxnorm, random_stable_params
 
 
@@ -350,8 +350,27 @@ def test_solve_grid_contract(ca_rho04):
     grid = ca_rho04.grid
     assert grid.total() == pytest.approx(1.0, abs=1e-12)
     assert grid.values.min() >= 0.0
-    assert ca_rho04.converged
-    assert ca_rho04.l2_seam_mismatch < 1e-9
+    assert ca_rho04.last_term_change < 1e-12
+
+
+def test_solve_raises_when_last_term_moves_mass(monkeypatch, params_rho04):
+    """A series cut at one term moves about 1e-3 of the mass with its last term."""
+    full = ca.compute_series
+    monkeypatch.setattr(ca, "compute_series", lambda params, n_terms: full(params, 1))
+    with pytest.raises(NumericsError, match="not converged at 1 terms"):
+        ca.solve(params_rho04)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("rho", [0.9, 0.95, 0.97])
+def test_solve_balances_at_high_load(rho, a):
+    params = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    res = ca.solve(params)
+    assert res.grid.total() == pytest.approx(1.0, abs=1e-12)
+    assert res.grid.values.min() >= 0.0
+    assert max_interior_residual(res.grid.values, params) < 1e-15
+    assert res.inner_box == 2
+    assert res.last_term_change < res.epsilon_used
 
 
 def test_solve_truncation_formula(params_rho04, ca_rho04):
