@@ -80,8 +80,8 @@ def _fmt(x) -> str:
 def _resolve_params(spec: RunSpec) -> ModelParams:
     if (spec.lam is None) == (spec.rho is None):
         raise UsageError("provide exactly one of --lambda or --rho")
-    lam = spec.lam if spec.lam is not None else lambda_for_load(spec.rho, spec.a)
     try:
+        lam = spec.lam if spec.lam is not None else lambda_for_load(spec.rho, spec.a)
         return ModelParams(lam=lam, a=spec.a)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
@@ -154,15 +154,16 @@ def _solve_ca_and_psa(params: ModelParams, spec: RunSpec) -> _CaPsa:
 
 def _simulation_tables(params: ModelParams, spec: RunSpec) -> dict:
     """Tables of ``simulate`` and of ``solve --method sim``: estimates and empirical grid."""
-    sim = simulator.simulate(
-        params,
-        simulator.SimConfig(
+    try:
+        config = simulator.SimConfig(
             seed=spec.seed,
             warmup_slots=spec.warmup,
             measure_slots=spec.slots,
             replications=spec.reps,
-        ),
-    )
+        )
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
+    sim = simulator.simulate(params, config)
     rows = [
         {"name": "e_qsum", "value": sim.e_qsum, "ci_halfwidth": sim.e_qsum_ci},
         {"name": "e_sojourn", "value": sim.e_sojourn, "ci_halfwidth": sim.e_sojourn_ci},
@@ -174,6 +175,8 @@ def _simulation_tables(params: ModelParams, spec: RunSpec) -> dict:
 
 def run(spec: RunSpec) -> dict:
     """Execute a RunSpec; returns {"tables": {name: [row dicts]}}."""
+    if spec.G < 0:
+        raise UsageError(f"--G must be >= 0, got {spec.G}")
     if spec.command == "stability":
         params = _resolve_params(spec)
         rep = is_stable(params)
@@ -257,8 +260,9 @@ def run(spec: RunSpec) -> dict:
     if spec.command == "vs-single-server":
         if spec.lam is None:
             raise UsageError("vs-single-server needs --lambda")
+        lam = _resolve_params(spec).lam
         a_grid = tuple(np.round(np.arange(0.05, 1.0, 0.05), 10))
-        comp = measures.single_server_comparison(spec.lam, a_grid, epsilon=spec.epsilon)
+        comp = measures.single_server_comparison(lam, a_grid, epsilon=spec.epsilon)
         rows = [
             {
                 "a": r.a,

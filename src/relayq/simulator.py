@@ -6,6 +6,12 @@ relay that is non-empty after the arrival attempts transmission with
 probability ``a``; a lone attempt departs, two attempts collide and nothing
 departs. The state is recorded at slot boundaries, matching the equilibrium
 distribution the analytic solvers compute.
+
+The slot walk is sequential by nature: join-the-shortest-queue keeps the
+chain near the boundary, where each slot's step depends on the state, so
+there are no long i.i.d. stretches to vectorize. ``_paths`` therefore walks
+each chunk of draws on plain Python values, and the bookkeeping (grid counts,
+overflow, moment sums) is done once per chunk with numpy.
 """
 
 from __future__ import annotations
@@ -34,6 +40,8 @@ class SimConfig:
     replications: int = 10
 
     def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.measure_slots < 1:
             raise ValueError("measure_slots must be >= 1")
         if self.replications < 1:
@@ -45,9 +53,9 @@ class SimConfig:
 @dataclass(frozen=True)
 class SimResult:
     e_qsum: float
-    e_qsum_ci: float
+    e_qsum_ci: float | None  # None with one replication, where the half-width is undefined
     e_sojourn: float
-    e_sojourn_ci: float
+    e_sojourn_ci: float | None
     correlation: float | None
     correlation_ci: float | None
     empirical: ProbabilityGrid  # transformed coordinates, overflow excluded
@@ -87,43 +95,72 @@ def _replication_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, r)))
 
 
+def _paths(lam: float, a: float, slots: int, rng: np.random.Generator, q1: int = 0, q2: int = 0):
+    """Walk ``slots`` slots from (q1, q2), one ``rng.random((4, n))`` draw per chunk.
+
+    Yields, per chunk of at most ``_CHUNK`` slots, the lists of q1 and of q2
+    at the start of each slot. The loop body is ``step`` inlined on plain
+    Python values; ``step`` stays the reference it is tested against.
+    """
+    below = np.array([[lam], [0.5], [a], [a]])
+    done = 0
+    while done < slots:
+        n = min(_CHUNK, slots - done)
+        draws = rng.random((4, n)) < below  # arrival, tie to q1, attempt 1, attempt 2
+        path1: list[int] = []
+        path2: list[int] = []
+        rec1, rec2 = path1.append, path2.append
+        for arrival, tie_to_q1, att1, att2 in zip(*draws.tolist()):
+            rec1(q1)
+            rec2(q2)
+            if arrival:
+                if q1 < q2 or (tie_to_q1 and q1 == q2):
+                    q1 += 1
+                else:
+                    q2 += 1
+            if att1 and q1:
+                if not (att2 and q2):
+                    q1 -= 1
+            elif att2 and q2:
+                q2 -= 1
+        yield path1, path2
+        done += n
+
+
 def _run_one(params: ModelParams, config: SimConfig, r: int, cap: int):
     rng = _replication_rng(config.seed, r)
-    lam, a = params.lam, params.a
-    q1 = q2 = 0
-    n_total = config.warmup_slots + config.measure_slots
-    counts = np.zeros((cap + 1, cap + 1), dtype=np.int64)
+    width = cap + 1
+    counts = np.zeros(width * width, dtype=np.int64)
     overflow = 0
     s1 = s2 = s11 = s22 = s12 = 0.0
-    measured = 0
-    done = 0
-    while done < n_total:
-        n = min(_CHUNK, n_total - done)
-        u = rng.random((4, n))
-        arr = u[0] < lam
-        tie = u[1] < 0.5
-        at1 = u[2] < a
-        at2 = u[3] < a
-        for t in range(n):
-            slot = done + t
-            if slot >= config.warmup_slots:
-                # record the state seen at the slot boundary
-                k, l = (q1, q2 - q1) if q1 <= q2 else (q2, q1 - q2)
-                if k <= cap and l <= cap:
-                    counts[k, l] += 1
-                else:
-                    overflow += 1
-                s1 += q1
-                s2 += q2
-                s11 += q1 * q1
-                s22 += q2 * q2
-                s12 += q1 * q2
-                measured += 1
-            q1, q2 = step(q1, q2, arr[t], tie[t], at1[t], at2[t])
-        done += n
-    m = float(measured)
+    skip = config.warmup_slots
+    n_total = config.warmup_slots + config.measure_slots
+    for path1, path2 in _paths(params.lam, params.a, n_total, rng):
+        if skip >= len(path1):
+            skip -= len(path1)
+            continue
+        # the state seen at each measured slot boundary
+        q1 = np.array(path1[skip:], dtype=np.int64)
+        q2 = np.array(path2[skip:], dtype=np.int64)
+        skip = 0
+        k = np.minimum(q1, q2)
+        l = np.abs(q1 - q2)
+        inside = (k <= cap) & (l <= cap)
+        cells = (k * width + l)[inside]
+        counts += np.bincount(cells, minlength=width * width)
+        overflow += len(q1) - len(cells)
+        # float64 sums of non-negative integers are exact below 2**53, so the
+        # order of summation cannot change them; floats cannot wrap either
+        f1 = q1.astype(np.float64)
+        f2 = q2.astype(np.float64)
+        s1 += float(f1.sum())
+        s2 += float(f2.sum())
+        s11 += float((f1 * f1).sum())
+        s22 += float((f2 * f2).sum())
+        s12 += float((f1 * f2).sum())
+    m = float(config.measure_slots)
     mom = dict(q1=s1 / m, q2=s2 / m, q11=s11 / m, q22=s22 / m, q12=s12 / m)
-    return counts, overflow, mom
+    return counts.reshape(width, width), overflow, mom
 
 
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
@@ -151,11 +188,11 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         denom = math.sqrt(var1 * var2) if var1 > 0 and var2 > 0 else 0.0
         correls.append(cov / denom if denom > 0 else None)
 
-    def mean_ci(xs: list[float]) -> tuple[float, float]:
+    def mean_ci(xs: list[float]) -> tuple[float, float | None]:
         arr = np.asarray(xs, dtype=float)
         mean = float(arr.mean())
         if len(arr) < 2:
-            return mean, float("inf")
+            return mean, None
         half = float(
             stats.t.ppf(0.975, len(arr) - 1) * arr.std(ddof=1) / math.sqrt(len(arr))
         )
@@ -187,22 +224,13 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
 
 def _growth_slope(lam: float, a: float, slots: int, rng: np.random.Generator) -> float:
     """Least-squares slope of the total queue length sampled along one run."""
-    q1 = q2 = 0
     sample_every = 50
-    samples = []
+    samples: list[int] = []
     done = 0
-    while done < slots:
-        n = min(_CHUNK, slots - done)
-        u = rng.random((4, n))
-        arr = u[0] < lam
-        tie = u[1] < 0.5
-        at1 = u[2] < a
-        at2 = u[3] < a
-        for t in range(n):
-            if (done + t) % sample_every == 0:
-                samples.append(q1 + q2)
-            q1, q2 = step(q1, q2, arr[t], tie[t], at1[t], at2[t])
-        done += n
+    for path1, path2 in _paths(lam, a, slots, rng):
+        first = -done % sample_every
+        samples += [x + y for x, y in zip(path1[first::sample_every], path2[first::sample_every])]
+        done += len(path1)
     y = np.asarray(samples, dtype=float)
     x = np.arange(len(y), dtype=float) * sample_every
     slope = np.polyfit(x, y, 1)[0]

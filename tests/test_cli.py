@@ -59,6 +59,24 @@ def test_usage_errors(capsys):
     assert cli.main(["solve", "--method", "bogus", "--rho", "0.4"]) == 2
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["simulate", "--lambda", "0.3", "--slots", "0"],
+        ["simulate", "--lambda", "0.3", "--reps", "0"],
+        ["simulate", "--lambda", "0.3", "--warmup", "-5"],
+        ["simulate", "--lambda", "0.3", "--seed", "-1"],
+        ["solve", "--rho", "-0.1"],
+        ["vs-single-server", "--lambda", "0"],
+        ["solve", "--method", "psa", "--rho", "0.4", "--G", "-1"],
+    ],
+)
+def test_bad_values_are_usage_errors(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert "usage error" in err
+
+
 def test_stability_exit_code(capsys):
     code, _, err = run_cli(["solve", "--lambda", "0.6", "--a", "0.5"], capsys)
     assert code == 3
@@ -147,6 +165,19 @@ def test_json_and_csv_agree(tmp_path):
     )
     # vs-single-server: booleans, None cells and strings as well
     _assert_json_and_csv_agree(["vs-single-server", "--lambda", "0.2"], tmp_path)
+
+
+def test_single_replication_json_is_strict(capsys):
+    def reject(name):
+        raise ValueError(f"non-standard JSON constant {name}")
+
+    code, out, _ = run_cli(
+        ["simulate", "--lambda", "0.3", "--slots", "2000", "--reps", "1", "--format", "json"], capsys
+    )
+    assert code == 0
+    rows = {r["name"]: r for r in json.loads(out, parse_constant=reject)["measures"]}
+    assert rows["e_qsum"]["ci_halfwidth"] is None
+    assert rows["e_sojourn"]["ci_halfwidth"] is None
 
 
 def test_json_cells_of_numpy_and_plain_types():

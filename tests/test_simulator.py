@@ -39,6 +39,79 @@ def test_step_label_swap_symmetry():
         assert fwd == (mirrored[1], mirrored[0])
 
 
+def _step_path(lam, a, slots, rng, q1, q2):
+    """The reference: the same draws, one ``rng.random((4, n))`` per chunk, fed to ``step``."""
+    path = []
+    done = 0
+    while done < slots:
+        n = min(simulator._CHUNK, slots - done)
+        u = rng.random((4, n))
+        for t in range(n):
+            path.append((q1, q2))
+            q1, q2 = step(q1, q2, u[0, t] < lam, u[1, t] < 0.5, u[2, t] < a, u[3, t] < a)
+        done += n
+    return path
+
+
+@pytest.mark.parametrize(
+    "lam, start",
+    [(0.3, (0, 0)), (0.3, (2, 2)), (0.3, (3, 1)), (0.3, (0, 5)), (0.6, (0, 0))],
+)
+def test_paths_follow_step(monkeypatch, lam, start):
+    # a small chunk puts several chunk boundaries, and a short last chunk, in the run
+    monkeypatch.setattr(simulator, "_CHUNK", 4096)
+    slots = 20_000
+    got = [
+        state
+        for path1, path2 in simulator._paths(lam, 0.5, slots, np.random.default_rng(41), *start)
+        for state in zip(path1, path2)
+    ]
+    assert got == _step_path(lam, 0.5, slots, np.random.default_rng(41), *start)
+
+
+def test_sample_path_pinned():
+    """Pinned values of one sample path: a kernel change that moves the draws
+    or the dynamics moves them."""
+    res = simulate(
+        ModelParams(lam=0.3, a=0.5),
+        SimConfig(seed=7, warmup_slots=500, measure_slots=20_000, replications=2),
+    )
+    assert res.per_replication_qsum == (0.7205999999999999, 0.7174499999999999)
+    assert res.overflow_mass == 0.0
+    assert res.empirical.values.sum() == 0.9999999999999999
+
+
+def test_chunk_bookkeeping(monkeypatch):
+    """Counts, overflow and moments of a made-up path: warm-up across a chunk
+    boundary, states on and just past the grid cap, and q^2 summed over one
+    chunk past 2**63, where an int64 sum would wrap."""
+    cap, far = 10, 30_000_000
+    edge = [(10, 20), (20, 10), (11, 11), (3, 14)]  # (k, l) = (10, 10) twice, then two outside
+    chunk = [(0, 0)] + [(far, 0)] * (simulator._CHUNK - 5) + edge
+    measured = chunk[1:]
+
+    def made_up_paths(lam, a, slots, rng):
+        yield [5] * simulator._CHUNK, [5] * simulator._CHUNK
+        yield [q1 for q1, _ in chunk], [q2 for _, q2 in chunk]
+
+    monkeypatch.setattr(simulator, "_paths", made_up_paths)
+    config = SimConfig(
+        seed=0, warmup_slots=simulator._CHUNK + 1, measure_slots=len(measured), replications=1
+    )
+    counts, overflow, mom = simulator._run_one(ModelParams(lam=0.3, a=0.5), config, 0, cap)
+    assert counts[10, 10] == 2 and counts.sum() == 2
+    assert overflow == len(measured) - 2
+    n = len(measured)
+    exact = dict(
+        q1=sum(q1 for q1, _ in measured) / n,
+        q2=sum(q2 for _, q2 in measured) / n,
+        q11=sum(q1 * q1 for q1, _ in measured) / n,
+        q22=sum(q2 * q2 for _, q2 in measured) / n,
+        q12=sum(q1 * q2 for q1, q2 in measured) / n,
+    )
+    assert mom == pytest.approx(exact, rel=1e-12)
+
+
 def test_determinism(base_params):
     r1 = simulate(base_params, small_config())
     r2 = simulate(base_params, small_config())
