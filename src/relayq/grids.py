@@ -65,10 +65,8 @@ class ProbabilityGrid:
     def to_transformed(self) -> "ProbabilityGrid":
         """Push an original-coordinate grid forward through (min, |diff|)."""
         if self.coords != TRANSFORMED:
-            T = self.T
+            i, j = np.indices(self.values.shape)
             pi = np.zeros_like(self.values)
-            for i in range(T + 1):
-                for j in range(T + 1):
-                    pi[min(i, j), abs(i - j)] += self.values[i, j]
+            np.add.at(pi, (np.minimum(i, j), np.abs(i - j)), self.values)
             return ProbabilityGrid(pi, TRANSFORMED)
         return self

@@ -25,7 +25,17 @@ from .model import (
     transition_distribution,
 )
 
-__all__ = ["TruncatedChain", "build", "stationary", "choose_truncation", "gth_stationary"]
+__all__ = [
+    "MAX_STATES",
+    "TruncatedChain",
+    "build",
+    "stationary",
+    "choose_truncation",
+    "gth_stationary",
+]
+
+# largest box the dense matrix and O(n^3) GTH may take: T = 50, a 54 MB matrix
+MAX_STATES = 2601
 
 
 @dataclass(frozen=True)
@@ -45,6 +55,11 @@ def build(params: ModelParams, T: int, variant: str = TRANSFORMED) -> TruncatedC
         raise GridError("truncation level must be at least 3")
     if variant not in (TRANSFORMED, ORIGINAL):
         raise RelayQError(f"unknown chain variant {variant!r}")
+    if (T + 1) ** 2 > MAX_STATES:
+        raise GridError(
+            f"truncated chain at T = {T} has {(T + 1) ** 2} states, above the dense "
+            f"oracle's limit of {MAX_STATES}; use --method ca at this load"
+        )
     law = transformed_transition_distribution if variant == TRANSFORMED else transition_distribution
     P = box_matrix(law, params, T, T).toarray()
     # fold the mass of the dropped steps back into each row's self-loop

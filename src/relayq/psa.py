@@ -48,8 +48,8 @@ def theta_from_rho(rho: float, G: float) -> float:
     """Accelerated series variable (1+G)*rho / (1+G*rho); G = 0 is identity."""
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must be in [0,1), got {rho}")
-    if G < 0.0:
-        raise ValueError(f"acceleration parameter must be >= 0, got {G}")
+    if not (math.isfinite(G) and G >= 0.0):
+        raise ValueError(f"acceleration parameter must be finite and >= 0, got {G}")
     return (1.0 + G) * rho / (1.0 + G * rho)
 
 

@@ -69,6 +69,14 @@ def test_usage_errors(capsys):
         ["solve", "--rho", "-0.1"],
         ["vs-single-server", "--lambda", "0"],
         ["solve", "--method", "psa", "--rho", "0.4", "--G", "-1"],
+        ["solve", "--method", "oracle", "--rho", "0.4", "--epsilon", "0"],
+        ["compare", "--rho", "0.4", "--epsilon", "0"],
+        ["solve", "--rho", "0.4", "--epsilon", "nan"],
+        ["solve", "--method", "psa", "--rho", "0.4", "--epsilon", "nan"],
+        ["solve", "--rho", "0.4", "--epsilon", "-1"],
+        ["decay", "--rho", "0.4", "--epsilon", "inf"],
+        ["solve", "--method", "psa", "--rho", "0.4", "--G", "nan"],
+        ["solve", "--method", "psa", "--rho", "0.4", "--G", "inf"],
     ],
 )
 def test_bad_values_are_usage_errors(args, capsys):

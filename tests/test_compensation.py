@@ -362,6 +362,30 @@ def test_solve_raises_when_last_term_moves_mass(monkeypatch, params_rho04):
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("rho", [0.1, 0.7, 0.97])
+def test_depth_rule_reproduces_deep_series(monkeypatch, rho, a):
+    """The depth from the ratio limit gives the grid a 37-term series gives."""
+    params = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    res = ca.solve(params)
+    full = ca.compute_series
+    monkeypatch.setattr(ca, "compute_series", lambda params, n_terms: full(params, 37))
+    deep = ca.solve(params)
+    assert deep.n_used == 37 > res.n_used
+    assert np.max(np.abs(res.grid.values - deep.grid.values)) <= 1e-15 * deep.grid.values.max()
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("rho", [1e-3, 1e-4, 1e-6])
+def test_solve_at_light_load(rho, a):
+    params = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    res = ca.solve(params)
+    reference = oracle.stationary(oracle.build(params, 12))
+    assert maxnorm(res.grid, reference) < 1e-14
+    deep = ca.solve(params, T_min=6)
+    assert max_interior_residual(deep.grid.values, params) < 1e-15
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5])
 @pytest.mark.parametrize("rho", [0.9, 0.95, 0.97])
 def test_solve_balances_at_high_load(rho, a):
     params = ModelParams(lam=lambda_for_load(rho, a), a=a)

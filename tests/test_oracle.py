@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -19,6 +21,21 @@ def test_rows_sum_to_one():
 def test_small_truncation_rejected(base_params):
     with pytest.raises(GridError):
         oracle.build(base_params, 2)
+
+
+def test_oversized_box_rejected_before_allocation(base_params, monkeypatch):
+    class Built(Exception):
+        pass
+
+    def no_matrix(*args, **kwargs):
+        raise Built
+
+    monkeypatch.setattr(oracle, "box_matrix", no_matrix)
+    T = math.isqrt(oracle.MAX_STATES) - 1
+    with pytest.raises(Built):
+        oracle.build(base_params, T)  # at the limit the matrix is built
+    with pytest.raises(GridError, match=rf"{oracle.MAX_STATES}.*--method ca"):
+        oracle.build(base_params, T + 1)
 
 
 def test_interior_rows_match_angle_law(base_params):

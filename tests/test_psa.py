@@ -21,6 +21,9 @@ def test_theta_from_rho():
         psa.theta_from_rho(1.0, 1.0)
     with pytest.raises(ValueError):
         psa.theta_from_rho(0.5, -1.0)
+    for G in (float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            psa.theta_from_rho(0.5, G)
 
 
 def test_normalization_seed():
