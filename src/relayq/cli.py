@@ -1,11 +1,23 @@
 """Command-line front end.
 
-Subcommands: stability, solve, compare, table1, decay, vs-single-server,
-simulate. Parameters are given either as an arrival probability (--lambda)
-or as a load (--rho, converted in closed form given --a). Results are
-emitted as CSV (default) or JSON with bit-stable formatting; the exit code
-distinguishes usage errors (2), unstable parameter points (3), and numerical
-failures (4).
+Parameters are given either as an arrival probability (--lambda) or as a
+load (--rho, converted in closed form given --a). Results are emitted as CSV
+(default) or JSON with bit-stable formatting; the exit code distinguishes
+usage errors (2), unstable parameter points (3), and numerical failures (4).
+
+Each subcommand takes --format and --out, and besides them only the options
+it reads:
+
+- stability: --lambda, --rho, --a
+- solve: --lambda, --rho, --a, --method, --epsilon, --G, --seed, --warmup,
+  --slots, --reps (which of them matter depends on --method)
+- compare: --lambda, --rho, --a, --epsilon, --G
+- table1: --epsilon, --G
+- decay: --lambda, --rho, --a, --epsilon
+- vs-single-server: --lambda (which it needs), --epsilon
+- simulate: --lambda, --rho, --a, --seed, --warmup, --slots, --reps
+
+Every default is a field default of :class:`RunSpec`.
 """
 
 from __future__ import annotations
@@ -22,7 +34,7 @@ import numpy as np
 from . import compensation, measures, oracle, psa, simulator
 from .errors import GridError, NumericsError, RelayQError, StabilityError, UnsupportedParameterError
 from .grids import ProbabilityGrid
-from .model import ModelParams, is_stable, lambda_for_load
+from .model import EPSILON_FLOOR, ModelParams, is_stable, lambda_for_load
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -196,8 +208,6 @@ def run(spec: RunSpec) -> dict:
 
     if spec.command == "solve":
         params = _resolve_params(spec)
-        if spec.method == "psa" and abs(params.a - 0.5) > 1e-15:
-            raise UsageError("method=psa supports a = 1/2 only")
         if spec.method == "sim":
             return _simulation_tables(params, spec)
         grid = _solve_grid(params, spec)
@@ -262,8 +272,6 @@ def run(spec: RunSpec) -> dict:
         return {"tables": {"decay": rows}}
 
     if spec.command == "vs-single-server":
-        if spec.lam is None:
-            raise UsageError("vs-single-server needs --lambda")
         lam = _resolve_params(spec).lam
         a_grid = tuple(np.round(np.arange(0.05, 1.0, 0.05), 10))
         comp = measures.single_server_comparison(lam, a_grid, epsilon=spec.epsilon)
@@ -328,6 +336,25 @@ def emit(artifact: dict, spec: RunSpec) -> str:
     return text
 
 
+# every option a subcommand may take; no default here, absent options keep RunSpec's
+_OPTIONS = {
+    "--lambda": dict(dest="lam", type=float, help="arrival probability per slot"),
+    "--rho": dict(type=float, help="system load (alternative to --lambda)"),
+    "--a": dict(type=float, help="per-relay transmission attempt probability"),
+    "--method": dict(choices=("ca", "psa", "oracle", "sim")),
+    "--epsilon": dict(type=float, help=f"precision target (clamped at {EPSILON_FLOOR:g})"),
+    "--G": dict(type=float, help="series acceleration parameter"),
+    "--seed": dict(type=int),
+    "--warmup": dict(type=int),
+    "--slots": dict(type=int),
+    "--reps": dict(type=int),
+    "--format": dict(dest="fmt", choices=("csv", "json")),
+    "--out": dict(help=f"output path (relative paths join ${OUTPUT_DIR_ENV} when set)"),
+}
+_PARAMS = ("--lambda", "--rho", "--a")
+_SIM = ("--seed", "--warmup", "--slots", "--reps")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="relayq",
@@ -336,37 +363,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, *, needs_params=True, needs_method=False, needs_sim=False):
-        if needs_params:
-            p.add_argument("--lambda", dest="lam", type=float, default=None,
-                           help="arrival probability per slot")
-            p.add_argument("--rho", type=float, default=None,
-                           help="system load (alternative to --lambda)")
-            p.add_argument("--a", type=float, default=0.5,
-                           help="per-relay transmission attempt probability")
-        if needs_method:
-            p.add_argument("--method", choices=("ca", "psa", "oracle", "sim"), default="ca")
-        p.add_argument("--epsilon", type=float, default=1e-12,
-                       help="precision target (clamped at 1e-12)")
-        p.add_argument("--G", type=float, default=1.0, help="series acceleration parameter")
-        if needs_sim:
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--warmup", type=int, default=10_000)
-            p.add_argument("--slots", type=int, default=1_000_000)
-            p.add_argument("--reps", type=int, default=10)
-        p.add_argument("--format", dest="fmt", choices=("csv", "json"), default="csv")
-        p.add_argument("--out", type=str, default=None,
-                       help=f"output path (relative paths join ${OUTPUT_DIR_ENV} when set)")
+    def command(name, help_text, *flags):
+        p = sub.add_parser(name, help=help_text, argument_default=argparse.SUPPRESS)
+        for flag in (*flags, "--format", "--out"):
+            p.add_argument(flag, **_OPTIONS[flag])
 
-    add_common(sub.add_parser("stability", help="load, margin and verdict"))
-    add_common(sub.add_parser("solve", help="equilibrium grid plus measures"),
-               needs_method=True, needs_sim=True)
-    add_common(sub.add_parser("compare", help="cross-method distances"))
-    add_common(sub.add_parser("table1", help="sojourn/correlation sweep over loads"),
-               needs_params=False)
-    add_common(sub.add_parser("decay", help="geometric decay diagnostics"))
-    add_common(sub.add_parser("vs-single-server", help="two relays vs one server"))
-    add_common(sub.add_parser("simulate", help="Monte Carlo estimates"), needs_sim=True)
+    command("stability", "load, margin and verdict", *_PARAMS)
+    command("solve", "equilibrium grid plus measures", *_PARAMS, "--method", "--epsilon", "--G", *_SIM)
+    command("compare", "cross-method distances", *_PARAMS, "--epsilon", "--G")
+    command("table1", "sojourn/correlation sweep over loads", "--epsilon", "--G")
+    command("decay", "geometric decay diagnostics", *_PARAMS, "--epsilon")
+    command("vs-single-server", "two relays vs one server", "--lambda", "--epsilon")
+    command("simulate", "Monte Carlo estimates", *_PARAMS, *_SIM)
     return parser
 
 
@@ -376,27 +384,10 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
-    spec = RunSpec(
-        command=args.command,
-        lam=getattr(args, "lam", None),
-        rho=getattr(args, "rho", None),
-        a=getattr(args, "a", 0.5),
-        method=getattr(args, "method", "ca"),
-        epsilon=args.epsilon,
-        G=args.G,
-        seed=getattr(args, "seed", 0),
-        warmup=getattr(args, "warmup", 10_000),
-        slots=getattr(args, "slots", 1_000_000),
-        reps=getattr(args, "reps", 10),
-        fmt=args.fmt,
-        out=args.out,
-    )
+    spec = RunSpec(**vars(args))
     try:
         artifact = run(spec)
-    except UsageError as exc:
-        print(f"usage error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except UnsupportedParameterError as exc:
+    except (UsageError, UnsupportedParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StabilityError as exc:

@@ -38,7 +38,7 @@ import scipy.sparse.linalg as spla
 
 from .errors import GridError, NumericsError, StabilityError
 from .grids import TRANSFORMED, ProbabilityGrid
-from .model import ModelParams, transformed_inflows
+from .model import EPSILON_FLOOR, ModelParams, grid_truncation, transformed_inflows
 
 __all__ = [
     "CompensationSeries",
@@ -56,8 +56,6 @@ __all__ = [
     "asymptotic_ratios",
     "solve",
 ]
-
-EPSILON_FLOOR = 1e-12  # 64-bit arithmetic cannot honour the 1e-30 regime
 
 # side of the origin box [0,2]^2 solved from its own balance equations: it holds
 # (0,0), (0,1) and (0,2), the states outside both series regimes, and their neighbours
@@ -418,11 +416,10 @@ def solve(
     """
     epsilon_requested = epsilon
     epsilon = max(epsilon, EPSILON_FLOOR)
-    g0 = initial_gamma(params)
+    T = max(grid_truncation(initial_gamma(params), epsilon), T_min or 3)
     w, w_hat = asymptotic_ratios(params)
     series = compute_series(params, max(math.ceil(math.log(epsilon) / math.log(w / w_hat)), 1))
     n = series.n_terms
-    T = max(int(math.ceil(math.log(epsilon) / math.log(g0))), 3, T_min or 3)
     B = INNER_BOX
     lu, taps, inner = _inner_box_system(params, B)
 

@@ -18,7 +18,8 @@ from .errors import GridError, StabilityError
 from .grids import TRANSFORMED, ProbabilityGrid
 from .model import ModelParams
 from . import compensation
-from .oracle import gth_stationary
+# not called here: benchmarks/tracing.py, its only user, patches measures.gth_stationary
+from .oracle import gth_stationary  # noqa: F401
 
 __all__ = [
     "MeasureReport",
@@ -131,8 +132,11 @@ def single_server_mean_queue(lam: float, a: float, epsilon: float = 1e-14) -> fl
 
     Same early-arrival timing, arrival probability lam, one relay attempting
     with probability a (a lone relay never collides). Computed from its own
-    truncated birth-death chain rather than a textbook formula, so the slot
-    conventions stay aligned with the two-relay model.
+    birth-death chain rather than a textbook formula, so the slot conventions
+    stay aligned with the two-relay model: the chain is truncated at the
+    first T >= 10 with r^T <= epsilon (reflecting at T), where r is the ratio
+    of its up and down steps, and detailed balance gives the truncated
+    chain's stationary law pi(q) proportional to r^q exactly, in O(T).
     """
     if not lam < a:
         raise StabilityError(f"single-server system unstable: lam={lam} >= a={a}")
@@ -140,17 +144,9 @@ def single_server_mean_queue(lam: float, a: float, epsilon: float = 1e-14) -> fl
     down = (1.0 - lam) * a        # departure without replacement
     r = up / down                 # geometric load of the birth-death chain
     T = max(int(math.ceil(math.log(epsilon) / math.log(r))), 10) if r > 0 else 10
-    P = np.zeros((T + 1, T + 1))
-    for q in range(T + 1):
-        if q < T:
-            P[q, q + 1] = up
-        else:
-            P[q, q] += up  # reflect at the truncation edge
-        if q > 0:
-            P[q, q - 1] = down
-        P[q, q] += 1.0 - up - (down if q > 0 else 0.0)
-    pi = gth_stationary(P)
-    return float(pi @ np.arange(T + 1))
+    q = np.arange(T + 1)
+    pi = r**q
+    return float(pi @ q / pi.sum())
 
 
 def jsrq_stability_interval(lam: float) -> tuple[float, float]:

@@ -22,6 +22,7 @@ behind the compensation solver's inner box, and the balance check
 from __future__ import annotations
 
 import inspect
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,7 +45,11 @@ __all__ = [
     "transformed_inflows",
     "balance_residuals",
     "lambda_for_load",
+    "EPSILON_FLOOR",
+    "grid_truncation",
 ]
+
+EPSILON_FLOOR = 1e-12  # CA and PSA precision floor: 64-bit arithmetic cannot honour less
 
 
 @dataclass(frozen=True)
@@ -144,6 +149,15 @@ def lambda_for_load(rho: float, a: float) -> float:
     ab = 1.0 - a
     c = 2 * rho * ab * a
     return c / (ab * ab + a * a + c)
+
+
+def grid_truncation(decay: float, epsilon: float) -> int:
+    """Side T = max(ceil(log(epsilon) / log(decay)), 3) of the CA and PSA grids.
+
+    ``decay`` is rho^2, the geometric decay rate of the minimum queue, so the
+    first state beyond the grid is about ``epsilon`` of the origin's mass.
+    """
+    return max(math.ceil(math.log(epsilon) / math.log(decay)), 3)
 
 
 def drift_vectors(params: ModelParams) -> DriftVectors:

@@ -27,7 +27,7 @@ from scipy.signal import lfilter
 
 from .errors import StabilityError, UnsupportedParameterError
 from .grids import TRANSFORMED, ProbabilityGrid
-from .model import ModelParams
+from .model import EPSILON_FLOOR, ModelParams, grid_truncation
 
 __all__ = [
     "PsaDiagnostics",
@@ -38,7 +38,6 @@ __all__ = [
     "solve",
 ]
 
-EPSILON_FLOOR = 1e-12
 MAX_OUTER_ITERATIONS = 500
 _DIVERGENCE_PATIENCE = 10
 _IMPROVEMENT_PATIENCE = 50
@@ -168,15 +167,16 @@ class _LevelMachine:
         return cur
 
 
-def _block_from_slab(slab: np.ndarray, m: int, T: int) -> np.ndarray:
-    """Grid-block view u(m-k-l, k, l) for k, l <= T (zeros where k+l > m)."""
-    Tc = min(T, m)
-    K, L = np.meshgrid(np.arange(Tc + 1), np.arange(Tc + 1), indexing="ij")
-    block = np.zeros((T + 1, T + 1))
-    vals = slab[K + L, K]
-    vals[K + L > m] = 0.0
-    block[: Tc + 1, : Tc + 1] = vals
-    return block
+def _levels(G: float, max_level: int, T: int):
+    """Yield the levels m = 0..max_level as T-boxes block[k, l] = u(m-k-l, k, l).
+
+    Entries with k + l > m read slab rows that level m never wrote, so they
+    are zero.
+    """
+    machine = _LevelMachine(G, max_level)
+    K, L = np.indices((T + 1, T + 1))
+    for m in range(max_level + 1):
+        yield machine.advance(m)[K + L, K]
 
 
 def compute_coefficients(N_psa: int, T_psa: int, G: float) -> np.ndarray:
@@ -189,17 +189,24 @@ def compute_coefficients(N_psa: int, T_psa: int, G: float) -> np.ndarray:
         raise ValueError("truncations must be non-negative")
     if G < 0:
         raise ValueError("acceleration parameter must be >= 0")
-    M = N_psa + 2 * T_psa
-    machine = _LevelMachine(G, M)
     u = np.zeros((N_psa + 1, T_psa + 1, T_psa + 1))
-    K, L = np.meshgrid(np.arange(T_psa + 1), np.arange(T_psa + 1), indexing="ij")
-    for m in range(M + 1):
-        slab = machine.advance(m)
+    K, L = np.indices((T_psa + 1, T_psa + 1))
+    for m, block in enumerate(_levels(G, N_psa + 2 * T_psa, T_psa)):
         n_idx = m - K - L
         mask = (n_idx >= 0) & (n_idx <= N_psa)
-        if mask.any():
-            u[n_idx[mask], K[mask], L[mask]] = slab[(K + L)[mask], K[mask]]
+        u[n_idx[mask], K[mask], L[mask]] = block[mask]
     return u
+
+
+def _reconstruct(u: np.ndarray, theta: float) -> ProbabilityGrid:
+    """The grid sum_n theta^(n+k+l) u(n,k,l) of coefficients u at series variable theta."""
+    N, T = u.shape[0] - 1, u.shape[1] - 1
+    tpow = theta ** np.arange(N + 2 * T + 1)
+    K, L = np.indices((T + 1, T + 1))
+    vals = np.zeros((T + 1, T + 1))
+    for n in range(N + 1):
+        vals += tpow[n + K + L] * u[n]
+    return ProbabilityGrid(vals, TRANSFORMED)
 
 
 def evaluate(rho: float, solution: PsaSolution) -> ProbabilityGrid:
@@ -208,18 +215,7 @@ def evaluate(rho: float, solution: PsaSolution) -> ProbabilityGrid:
     The coefficients do not depend on the load, so a single solution can be
     re-evaluated across loads (within the series' convergence range).
     """
-    theta = theta_from_rho(rho, solution.G)
-    N, T = solution.N_psa, solution.T_psa
-    tpow = theta ** np.arange(N + 2 * T + 1)
-    K, L = np.meshgrid(np.arange(T + 1), np.arange(T + 1), indexing="ij")
-    vals = np.zeros((T + 1, T + 1))
-    for n in range(N + 1):
-        vals += tpow[n + K + L] * solution.u[n]
-    return ProbabilityGrid(vals, TRANSFORMED)
-
-
-def _truncation(rho: float, epsilon: float) -> int:
-    return max(int(math.ceil(math.log(epsilon) / math.log(rho * rho))), 3)
+    return _reconstruct(solution.u, theta_from_rho(rho, solution.G))
 
 
 def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSolution:
@@ -241,12 +237,11 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
         raise StabilityError(f"load {rho:.4f} >= 1; equilibrium does not exist")
     epsilon = max(epsilon, EPSILON_FLOOR)
     theta = theta_from_rho(rho, G)
-    T = _truncation(rho, epsilon)
+    T = grid_truncation(rho * rho, epsilon)
 
     # pass A: per-depth mass increments dS_n, monitored as levels complete
     cap = MAX_OUTER_ITERATIONS
     M_max = cap + 2 * T
-    machine = _LevelMachine(G, M_max)
     dS = np.zeros(cap + 1)
     rel_hist: list[float] = []
     best_n = 0
@@ -258,11 +253,9 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     stop_reason = "cap"
     converged = False
     n_final = cap
-    K, L = np.meshgrid(np.arange(T + 1), np.arange(T + 1), indexing="ij")
+    K, L = np.indices((T + 1, T + 1))
     s_flat = (K + L).ravel()
-    for m in range(M_max + 1):
-        slab = machine.advance(m)
-        block = _block_from_slab(slab, m, T)
+    for m, block in enumerate(_levels(G, M_max, T)):
         diag_sums = np.bincount(s_flat, weights=block.ravel(), minlength=2 * T + 1)
         s_lo = max(m - cap, 0)
         s_hi = min(2 * T, m)
@@ -311,27 +304,17 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
 
     # pass B: recompute the slabs, capturing the coefficient box up to n_final
     u = compute_coefficients(n_final, T, G)
-    sol = PsaSolution(
-        G=G,
-        theta=theta,
-        u=u,
-        N_psa=n_final,
-        T_psa=T,
-        grid=ProbabilityGrid(np.zeros((T + 1, T + 1)), TRANSFORMED),
-        diagnostics=PsaDiagnostics(
-            converged=converged,
-            achieved_rel_change=best_rel,
-            stop_reason=stop_reason,
-            rel_change_history=tuple(rel_hist),
-        ),
-    )
-    grid = evaluate(rho, sol)
     return PsaSolution(
         G=G,
         theta=theta,
         u=u,
         N_psa=n_final,
         T_psa=T,
-        grid=grid,
-        diagnostics=sol.diagnostics,
+        grid=_reconstruct(u, theta),
+        diagnostics=PsaDiagnostics(
+            converged=converged,
+            achieved_rel_change=best_rel,
+            stop_reason=stop_reason,
+            rel_change_history=tuple(rel_hist),
+        ),
     )

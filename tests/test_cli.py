@@ -1,3 +1,5 @@
+import argparse
+import dataclasses
 import json
 import os
 
@@ -83,6 +85,52 @@ def test_bad_values_are_usage_errors(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 2
     assert "usage error" in err
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["stability", "--rho", "0.4", "--G", "1"],
+        ["decay", "--rho", "0.4", "--G", "2"],
+        ["vs-single-server", "--lambda", "0.2", "--a", "0.3"],
+        ["vs-single-server", "--rho", "0.4"],
+        ["simulate", "--lambda", "0.3", "--epsilon", "1e-6"],
+    ],
+)
+def test_subcommands_reject_options_they_do_not_read(args, capsys):
+    code, _, err = run_cli(args, capsys)
+    assert code == 2
+    assert "unrecognized arguments" in err
+
+
+# the shortest command line each subcommand accepts
+_MINIMAL_ARGV = {
+    "stability": ["--rho", "0.4"],
+    "solve": ["--rho", "0.4"],
+    "compare": ["--rho", "0.4"],
+    "table1": [],
+    "decay": ["--rho", "0.4"],
+    "vs-single-server": ["--lambda", "0.2"],
+    "simulate": ["--lambda", "0.3"],
+}
+
+
+def test_parser_dests_are_runspec_fields(capsys, monkeypatch):
+    defaults = {f.name: f.default for f in dataclasses.fields(cli.RunSpec)}
+    (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(_MINIMAL_ARGV)
+    specs = []
+    monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or {"tables": {}})
+    for name, parser in subparsers.choices.items():
+        options = [a for a in parser._actions if a.dest != "help"]
+        assert {a.dest for a in options} <= set(defaults)
+        argv = _MINIMAL_ARGV[name]
+        assert cli.main([name, *argv]) == 0
+        given = {"command"} | {a.dest for a in options if set(a.option_strings) & set(argv)}
+        spec = dataclasses.asdict(specs[-1])
+        assert {f: spec[f] for f in spec if f not in given} == {
+            f: defaults[f] for f in defaults if f not in given
+        }
 
 
 def test_stability_exit_code(capsys):

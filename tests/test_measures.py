@@ -112,6 +112,14 @@ def test_single_server_geometric_check():
     assert measures.single_server_mean_queue(lam, a) == pytest.approx(expected, rel=1e-10)
 
 
+@pytest.mark.parametrize("lam", [0.249, 0.2499])
+def test_single_server_near_saturation(lam):
+    # just below a = 1/4 the truncated chain has 6,037 and 60,435 states
+    a = 0.25
+    r = lam * (1 - a) / ((1 - lam) * a)
+    assert measures.single_server_mean_queue(lam, a) == pytest.approx(r / (1 - r), rel=1e-10)
+
+
 def test_comparison_crossing_and_ordering():
     comp = measures.single_server_comparison(0.3, (0.3, 0.4, 0.5, 0.7), epsilon=1e-12)
     rows = {round(r.a, 2): r for r in comp.rows}
