@@ -272,6 +272,8 @@ def run(spec: RunSpec) -> dict:
         return {"tables": {"decay": rows}}
 
     if spec.command == "vs-single-server":
+        if spec.lam is None:
+            raise UsageError("vs-single-server needs --lambda")
         lam = _resolve_params(spec).lam
         a_grid = tuple(np.round(np.arange(0.05, 1.0, 0.05), 10))
         comp = measures.single_server_comparison(lam, a_grid, epsilon=spec.epsilon)

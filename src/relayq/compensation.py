@@ -445,11 +445,9 @@ def solve(
     floor = -1e-13 * float(grid_vals.max())
     if float(grid_vals.min()) < floor:
         raise NumericsError(f"normalized grid has negative entry {grid_vals.min():.3e}")
-    np.maximum(grid_vals, 0.0, out=grid_vals)
-    grid_vals /= grid_vals.sum()
 
     series = replace(series, normalization=1.0 / total)
-    grid = ProbabilityGrid(grid_vals, TRANSFORMED)
+    grid = ProbabilityGrid(grid_vals, TRANSFORMED).clipped().normalized()
     grid.validate(sum_tol=1e-12, neg_tol=0.0)
     return CompensationResult(
         series=series,

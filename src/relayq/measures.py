@@ -58,7 +58,7 @@ def _check_normalized(grid: ProbabilityGrid, tol: float = 1e-6) -> np.ndarray:
     tot = grid.total()
     if abs(tot - 1.0) > tol:
         raise GridError(f"grid is not normalized: mass {tot!r}")
-    return np.maximum(grid.values, 0.0) / np.maximum(grid.values, 0.0).sum()
+    return grid.clipped().normalized().values
 
 
 def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> MeasureReport:

@@ -5,22 +5,27 @@ The truncated chain is the box matrix of either chain's one-step law
 leave the box folded back into the current state (a self-loop), which keeps
 every row stochastic; the induced error is controlled by
 ``choose_truncation`` and shrinks geometrically with the box size.
+
+In the flattened order k*(T+1)+l every nonzero lies within bw = T+1 of the
+diagonal (bw = T for the transformed chain). GTH elimination keeps its
+fill-in inside that band, so a solve of n states costs O(n*bw^2), and it is
+also the reducibility check: it fails exactly when a state cannot reach 0.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
+# not called here: benchmarks/tracing.py, its only user, patches oracle.connected_components
+from scipy.sparse.csgraph import connected_components  # noqa: F401
 
 from .errors import GridError, RelayQError, StabilityError
 from .grids import ORIGINAL, TRANSFORMED, ProbabilityGrid
 from .model import (
     ModelParams,
     box_matrix,
+    grid_truncation,
     transformed_transition_distribution,
     transition_distribution,
 )
@@ -34,7 +39,7 @@ __all__ = [
     "gth_stationary",
 ]
 
-# largest box the dense matrix and O(n^3) GTH may take: T = 50, a 54 MB matrix
+# largest box the dense matrix may take: T = 50, 54 MB for the matrix and as much for GTH's copy
 MAX_STATES = 2601
 
 
@@ -67,69 +72,63 @@ def build(params: ModelParams, T: int, variant: str = TRANSFORMED) -> TruncatedC
     return TruncatedChain(T=T, variant=variant, matrix=P, params=params)
 
 
+class _Unreachable(RelayQError):
+    """GTH met the state with index ``state``, which cannot reach state 0."""
+
+    def __init__(self, state: int) -> None:
+        super().__init__(f"state {state} cannot reach state 0 (reducible chain)")
+        self.state = state
+
+
 def gth_stationary(P: np.ndarray) -> np.ndarray:
     """Stationary vector of a row-stochastic matrix by GTH state reduction.
 
     Subtraction-free elimination gives componentwise accurate results even for
-    badly conditioned chains; cost is O(n^3) dense.
+    badly conditioned chains. Eliminating state s touches only the window
+    [s - bw, s), where bw is the largest |row - col| over the nonzeros of P:
+    fill-in never leaves that band, so the cost is O(n*bw^2).
+
+    The chain must have one closed class holding state 0, that is, every
+    state must reach state 0; otherwise a ``RelayQError`` names the index of
+    a state that cannot. The lowest-indexed such state reaches only states
+    above it, so its censored row is exactly 0.0 below the diagonal and the
+    elimination stops there if not before, while no pivot is zero when every
+    state reaches 0.
     """
     A = np.array(P, dtype=float)
     n = A.shape[0]
+    rows, cols = np.nonzero(A)
+    bw = int(np.abs(rows - cols).max(initial=0))
     departing = np.zeros(n)
     for s in range(n - 1, 0, -1):
-        tot = A[s, :s].sum()
+        w = slice(max(s - bw, 0), s)
+        tot = A[s, w].sum()
         if tot <= 0.0:
-            raise RelayQError(f"state {s} cannot reach lower-indexed states (reducible chain)")
+            raise _Unreachable(s)
         departing[s] = tot
-        A[s, :s] /= tot
-        A[:s, :s] += np.outer(A[:s, s], A[s, :s])
+        A[s, w] /= tot
+        A[w, w] += np.outer(A[w, s], A[s, w])
     pi = np.zeros(n)
     pi[0] = 1.0
     for s in range(1, n):
-        pi[s] = (pi[:s] @ A[:s, s]) / departing[s]
+        w = slice(max(s - bw, 0), s)
+        pi[s] = (pi[w] @ A[w, s]) / departing[s]
     return pi / pi.sum()
-
-
-def _check_unichain(chain: TruncatedChain) -> None:
-    """Require a single closed communicating class (containing the origin).
-
-    The square box leaves a transient wedge in the transformed chain: corner
-    states with large k+l are only entered from outside the box, so they
-    drain into the main class and carry stationary mass zero. That is fine
-    for the solve; two *closed* classes (or an origin outside the closed
-    class) would not be.
-    """
-    support = sp.csr_matrix(chain.matrix > 0)
-    ncomp, labels = connected_components(support, directed=True, connection="strong")
-    if ncomp == 1:
-        return
-    # a component is closed iff no edge leaves it
-    rows, cols = support.nonzero()
-    leaves = np.zeros(ncomp, dtype=bool)
-    cross = labels[rows] != labels[cols]
-    np.logical_or.at(leaves, labels[rows[cross]], True)
-    closed = np.flatnonzero(~leaves)
-    T = chain.T
-    if len(closed) != 1:
-        comp = closed[-1] if len(closed) else 0
-        bad = int(np.argmax(labels == comp))
-        raise RelayQError(
-            f"truncated chain has {len(closed)} closed classes: state "
-            f"({bad // (T + 1)}, {bad % (T + 1)}) cannot reach the origin's class"
-        )
-    if labels[0] != closed[0]:
-        raise RelayQError("origin state (0, 0) is not in the closed communicating class")
 
 
 def stationary(chain: TruncatedChain) -> ProbabilityGrid:
     """Stationary distribution of the truncated chain as a grid."""
-    _check_unichain(chain)
-    pi = gth_stationary(chain.matrix)
+    try:
+        pi = gth_stationary(chain.matrix)
+    except _Unreachable as exc:
+        k, l = divmod(exc.state, chain.T + 1)
+        raise RelayQError(
+            f"truncated chain is reducible: state ({k}, {l}) cannot reach the origin (0, 0)"
+        ) from None
     resid = float(np.max(np.abs(pi @ chain.matrix - pi)))
     if resid > 1e-12:
         raise RelayQError(f"stationary solve residual {resid:.3e} exceeds 1e-12")
-    grid = ProbabilityGrid(pi.reshape(chain.T + 1, chain.T + 1), coords=chain.variant)
-    return grid
+    return ProbabilityGrid(pi.reshape(chain.T + 1, chain.T + 1), coords=chain.variant)
 
 
 def choose_truncation(params: ModelParams, epsilon: float) -> int:
@@ -141,5 +140,4 @@ def choose_truncation(params: ModelParams, epsilon: float) -> int:
     rho = params.rho
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")
-    T = math.ceil(math.log(epsilon * (1 - rho * rho)) / (2 * math.log(rho)))
-    return max(T, 3)
+    return grid_truncation(rho * rho, epsilon * (1 - rho * rho))

@@ -103,6 +103,13 @@ def test_subcommands_reject_options_they_do_not_read(args, capsys):
     assert "unrecognized arguments" in err
 
 
+def test_vs_single_server_names_only_lambda(capsys):
+    code, _, err = run_cli(["vs-single-server"], capsys)
+    assert code == 2
+    assert "--lambda" in err
+    assert "--rho" not in err
+
+
 # the shortest command line each subcommand accepts
 _MINIMAL_ARGV = {
     "stability": ["--rho", "0.4"],

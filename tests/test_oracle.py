@@ -107,6 +107,55 @@ def test_reducible_chain_reports_state(base_params):
         oracle.stationary(oracle.TruncatedChain(4, TRANSFORMED, bad, base_params))
 
 
+def _dense_gth(P):
+    """GTH elimination over every lower state, without a band window."""
+    A = np.array(P, dtype=float)
+    n = A.shape[0]
+    departing = np.zeros(n)
+    for s in range(n - 1, 0, -1):
+        departing[s] = A[s, :s].sum()
+        A[s, :s] /= departing[s]
+        A[:s, :s] += np.outer(A[:s, s], A[s, :s])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for s in range(1, n):
+        pi[s] = (pi[:s] @ A[:s, s]) / departing[s]
+    return pi / pi.sum()
+
+
+def _corner_matrix(n, rng):
+    """Stochastic birth-death matrix plus one step from the last state to state 0."""
+    P = np.zeros((n, n))
+    i = np.arange(n)
+    P[i, i] = rng.uniform(0.1, 1.0, n)
+    P[i[1:], i[:-1]] = rng.uniform(0.1, 1.0, n - 1)
+    P[i[:-1], i[1:]] = rng.uniform(0.1, 1.0, n - 1)
+    P[n - 1, 0] = 0.3
+    return P / P.sum(axis=1, keepdims=True)
+
+
+def test_banded_gth_matches_dense_elimination(base_params):
+    matrices = [
+        oracle.build(base_params, T, variant).matrix
+        for T in (5, 13, 20)
+        for variant in (TRANSFORMED, ORIGINAL)
+    ]
+    matrices.append(_corner_matrix(12, np.random.default_rng(5)))
+    for P in matrices:
+        np.testing.assert_allclose(oracle.gth_stationary(P), _dense_gth(P), rtol=1e-14, atol=0)
+
+
+def test_chain_that_never_enters_origin_reports_state(base_params):
+    ch = oracle.build(base_params, 6)
+    bad = ch.matrix.copy()
+    into_origin = np.flatnonzero(bad[1:, 0]) + 1
+    assert into_origin.size
+    bad[into_origin, into_origin] += bad[into_origin, 0]
+    bad[into_origin, 0] = 0.0
+    with pytest.raises(RelayQError, match=r"\(\d+, \d+\)"):
+        oracle.stationary(oracle.TruncatedChain(6, TRANSFORMED, bad, base_params))
+
+
 def test_choose_truncation():
     p = ModelParams(lam=lambda_for_load(0.4, 0.5), a=0.5)
     assert oracle.choose_truncation(p, 1e-10) == 13
