@@ -47,9 +47,9 @@ class MeasureReport:
 class DecayDiagnostics:
     expected: float                      # rho^2
     fixed_l_profiles: dict[int, np.ndarray]
-    fixed_l_estimates: dict[int, float]  # ratio near the truncation edge
+    fixed_l_estimates: dict[int, float | None]  # ratio near the truncation edge
     marginal_profile: np.ndarray
-    marginal_estimate: float
+    marginal_estimate: float | None  # None where the tail has no mass to divide by
 
 
 def _check_normalized(grid: ProbabilityGrid, tol: float = 1e-6) -> np.ndarray:
@@ -59,6 +59,13 @@ def _check_normalized(grid: ProbabilityGrid, tol: float = 1e-6) -> np.ndarray:
     if abs(tot - 1.0) > tol:
         raise GridError(f"grid is not normalized: mass {tot!r}")
     return grid.clipped().normalized().values
+
+
+def _tail_ratio(values: np.ndarray, k: int) -> float | None:
+    """values[k+1] / values[k], or None unless both entries are positive."""
+    if values[k] > 0 and values[k + 1] > 0:
+        return float(values[k + 1] / values[k])
+    return None
 
 
 def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> MeasureReport:
@@ -77,13 +84,8 @@ def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> Meas
 
     decay = marginal = None
     if T >= 6:
-        row = pi[:, 0]
-        k_probe = T - 3
-        if row[k_probe] > 0 and row[k_probe + 1] > 0:
-            decay = float(row[k_probe + 1] / row[k_probe])
-        marg = pi.sum(axis=1)
-        if marg[k_probe] > 0 and marg[k_probe + 1] > 0:
-            marginal = float(marg[k_probe + 1] / marg[k_probe])
+        decay = _tail_ratio(pi[:, 0], T - 3)
+        marginal = _tail_ratio(pi.sum(axis=1), T - 3)
     return MeasureReport(
         e_qsum=e_qsum,
         e_sojourn=e_soj,
@@ -100,7 +102,7 @@ def decay_diagnostics(
 
     Both converge to rho^2 as k grows; the estimates are taken a few states
     inside the truncation edge where the limit has set in but edge effects
-    have not.
+    have not. An estimate is None where the tail there carries no mass.
     """
     pi = _check_normalized(grid)
     T = grid.T
@@ -114,7 +116,7 @@ def decay_diagnostics(
         with np.errstate(divide="ignore", invalid="ignore"):
             prof = col[1:] / col[:-1]
         profiles[l] = prof
-        estimates[l] = float(prof[k_probe])
+        estimates[l] = _tail_ratio(col, k_probe)
     marg = pi.sum(axis=1)
     with np.errstate(divide="ignore", invalid="ignore"):
         marg_prof = marg[1:] / marg[:-1]
@@ -123,7 +125,7 @@ def decay_diagnostics(
         fixed_l_profiles=profiles,
         fixed_l_estimates=estimates,
         marginal_profile=marg_prof,
-        marginal_estimate=float(marg_prof[k_probe]),
+        marginal_estimate=_tail_ratio(marg, k_probe),
     )
 
 

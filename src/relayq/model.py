@@ -11,17 +11,19 @@ Two Markov chains describe the system: the original queue-length pair
 (Q1, Q2) on the quadrant, and the transformed chain
 (k, l) = (min(Q1, Q2), |Q1 - Q2|) that the analytic solvers work on.
 
-The one-step law of each chain is written once, per homogeneity region, in
-:func:`transition_distribution` and :func:`transformed_transition_distribution`.
-Every transition matrix on a finite box comes from :func:`box_matrix`: the
-oracle's truncated chains, the inflow operator :func:`transformed_inflows`
-behind the compensation solver's inner box, and the balance check
-:func:`balance_residuals`.
+There is one slot rule, :func:`step`, and both one-step laws are computed
+from it: :func:`transition_distribution` sums the rule over the slot's 16
+draws, and :func:`transformed_transition_distribution` pushes that law
+through :func:`transform_state`. Every transition matrix on a finite box
+comes from :func:`box_matrix`: the oracle's truncated chains, the inflow
+operator :func:`transformed_inflows` behind the compensation solver's inner
+box, and the balance check :func:`balance_residuals`.
 """
 
 from __future__ import annotations
 
 import inspect
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -38,6 +40,7 @@ __all__ = [
     "is_stable",
     "drift_vectors",
     "classify_region",
+    "step",
     "transition_distribution",
     "transformed_transition_distribution",
     "transform_state",
@@ -84,7 +87,8 @@ class ModelParams:
         """System load; the chain is positive recurrent iff rho < 1."""
         return self.lam * (self.abar**2 + self.a**2) / (2 * self.lbar * self.abar * self.a)
 
-    # Recurring one-slot event probabilities (both relays busy unless noted).
+    # One-slot event probabilities with both relays busy, as they appear in
+    # the compensation solver's closed forms.
     @property
     def p_fwd(self) -> float:
         """Arrival and no departure: lam*(abar^2 + a^2)."""
@@ -99,11 +103,6 @@ class ModelParams:
     def p_both(self) -> float:
         """Arrival and one departure from a given relay: lam*a*abar."""
         return self.lam * self.a * self.abar
-
-    @property
-    def p_lone(self) -> float:
-        """No arrival, a lone busy relay departs: lbar*a."""
-        return self.lbar * self.a
 
     @property
     def p_hold(self) -> float:
@@ -191,35 +190,54 @@ def classify_region(i: int, j: int) -> str:
     return "H" if i > j else "V"
 
 
+def step(q1: int, q2: int, arrival: bool, tie_to_q1: bool, att1: bool, att2: bool) -> tuple[int, int]:
+    """One slot of the early-arrival dynamics from state (q1, q2): the slot rule.
+
+    ``att1``/``att2`` are the per-relay attempt draws; they only matter for a
+    relay that is non-empty after the arrival is placed.
+    """
+    if arrival:
+        if q1 < q2:
+            q1 += 1
+        elif q2 < q1:
+            q2 += 1
+        elif tie_to_q1:
+            q1 += 1
+        else:
+            q2 += 1
+    t1 = att1 and q1 > 0
+    t2 = att2 and q2 > 0
+    if t1 and not t2:
+        q1 -= 1
+    elif t2 and not t1:
+        q2 -= 1
+    return q1, q2
+
+
+def _grouped(moves) -> tuple[tuple[int, int, float], ...]:
+    """(dx, dy, prob) triples with the probabilities of equal moves added."""
+    law: dict[tuple[int, int], float] = {}
+    for dx, dy, prob in moves:
+        law[dx, dy] = law.get((dx, dy), 0.0) + prob
+    return tuple((dx, dy, prob) for (dx, dy), prob in law.items())
+
+
 def transition_distribution(state: tuple[int, int], params: ModelParams) -> RegionStep:
     """One-step law of the original chain (Q1, Q2) at ``state``.
 
-    Destinations stay componentwise non-negative by construction; the step
-    probabilities of each region sum to one.
+    :func:`step` applied to each of the slot's 16 draws — arrival (lam or
+    1-lam), tie coin (1/2), two attempts (a or 1-a) — weighted by the draw's
+    probability, with equal moves added together.
     """
     i, j = state
-    region = classify_region(i, j)
     p = params
-    if region == "O":
-        steps = ((0, 1, p.lam * p.abar / 2), (1, 0, p.lam * p.abar / 2),
-                 (0, 0, p.lbar + p.lam * p.a))
-    elif region == "Hp":
-        steps = ((0, 1, p.p_fwd), (-1, 0, p.p_lone), (-1, 1, p.p_both),
-                 (0, 0, p.lbar * p.abar + p.p_both))
-    elif region == "Vp":
-        steps = ((1, 0, p.p_fwd), (0, -1, p.p_lone), (1, -1, p.p_both),
-                 (0, 0, p.lbar * p.abar + p.p_both))
-    elif region == "D":
-        steps = ((1, 0, p.p_fwd / 2), (0, 1, p.p_fwd / 2), (0, -1, p.p_dep),
-                 (-1, 0, p.p_dep), (1, -1, p.p_both / 2), (-1, 1, p.p_both / 2),
-                 (0, 0, p.p_hold))
-    elif region == "H":
-        steps = ((0, 1, p.p_fwd), (0, -1, p.p_dep), (-1, 0, p.p_dep),
-                 (-1, 1, p.p_both), (0, 0, p.p_hold))
-    else:  # V
-        steps = ((1, 0, p.p_fwd), (0, -1, p.p_dep), (-1, 0, p.p_dep),
-                 (1, -1, p.p_both), (0, 0, p.p_hold))
-    return RegionStep(region=region, steps=steps)
+    moves = []
+    for arrival, tie_to_q1, att1, att2 in itertools.product((True, False), repeat=4):
+        prob = ((p.lam if arrival else p.lbar) * 0.5
+                * (p.a if att1 else p.abar) * (p.a if att2 else p.abar))
+        i2, j2 = step(i, j, arrival, tie_to_q1, att1, att2)
+        moves.append((i2 - i, j2 - j, prob))
+    return RegionStep(region=classify_region(i, j), steps=_grouped(moves))
 
 
 def transform_state(i: int, j: int) -> tuple[int, int]:
@@ -234,27 +252,15 @@ def transformed_transition_distribution(
 
     Lumping the original chain over the (i, j) <-> (j, i) symmetry gives a
     Markov chain on the quadrant whose balance equations are the ones the
-    analytic solvers consume. Steps are (dk, dl, prob).
+    analytic solvers consume: the original law at (k, k+l), each destination
+    pushed through :func:`transform_state`. Steps are (dk, dl, prob).
     """
     k, l = state
-    p = params
-    if k == 0 and l == 0:
-        return ((0, 1, p.lam * p.abar), (0, 0, p.lbar + p.lam * p.a))
-    if k == 0 and l == 1:
-        return ((0, -1, p.p_lone), (1, -1, p.p_fwd),
-                (0, 0, p.lbar * p.abar + 2 * p.p_both))
-    if k == 0:  # l >= 2
-        return ((0, -1, p.p_lone), (1, -1, p.p_fwd), (1, -2, p.p_both),
-                (0, 0, p.lbar * p.abar + p.p_both))
-    if l == 0:  # diagonal states
-        return ((0, 1, p.p_fwd), (-1, 1, 2 * p.p_dep), (-1, 2, p.p_both),
-                (0, 0, p.p_hold))
-    if l == 1:
-        return ((1, -1, p.p_fwd), (0, -1, p.p_dep), (-1, 1, p.p_dep),
-                (0, 0, p.p_hold + p.p_both))
-    # k >= 1, l >= 2
-    return ((1, -1, p.p_fwd), (0, -1, p.p_dep), (-1, 1, p.p_dep),
-            (1, -2, p.p_both), (0, 0, p.p_hold))
+    moves = []
+    for di, dj, prob in transition_distribution((k, k + l), params).steps:
+        k2, l2 = transform_state(k + di, k + l + dj)
+        moves.append((k2 - k, l2 - l, prob))
+    return _grouped(moves)
 
 
 def _original_representative(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

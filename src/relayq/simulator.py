@@ -5,7 +5,9 @@ shorter queue at the start of the slot — fair coin on a tie — then every
 relay that is non-empty after the arrival attempts transmission with
 probability ``a``; a lone attempt departs, two attempts collide and nothing
 departs. The state is recorded at slot boundaries, matching the equilibrium
-distribution the analytic solvers compute.
+distribution the analytic solvers compute. The slot rule itself, ``step``,
+lives in :mod:`relayq.model`, where both one-step laws are computed from it;
+it is re-exported here.
 
 The slot walk is sequential by nature: join-the-shortest-queue keeps the
 chain near the boundary, where each slot's step depends on the state, so
@@ -24,7 +26,7 @@ from scipy import stats
 
 from .errors import RelayQError
 from .grids import TRANSFORMED, ProbabilityGrid
-from .model import ModelParams, is_stable
+from .model import ModelParams, is_stable, step
 from .oracle import choose_truncation
 
 __all__ = ["SimConfig", "SimResult", "simulate", "estimate_stability_boundary", "step"]
@@ -62,31 +64,6 @@ class SimResult:
     overflow_mass: float
     grid_cap: int
     per_replication_qsum: tuple[float, ...]
-
-
-def step(q1: int, q2: int, arrival: bool, tie_to_q1: bool, att1: bool, att2: bool) -> tuple[int, int]:
-    """One slot of the early-arrival dynamics from state (q1, q2).
-
-    ``att1``/``att2`` are the per-relay attempt draws; they only matter for a
-    relay that is non-empty after the arrival is placed. Exposed so the slot
-    mechanics can be exercised (and label-swapped) directly in tests.
-    """
-    if arrival:
-        if q1 < q2:
-            q1 += 1
-        elif q2 < q1:
-            q2 += 1
-        elif tie_to_q1:
-            q1 += 1
-        else:
-            q2 += 1
-    t1 = att1 and q1 > 0
-    t2 = att2 and q2 > 0
-    if t1 and not t2:
-        q1 -= 1
-    elif t2 and not t1:
-        q2 -= 1
-    return q1, q2
 
 
 def _replication_rng(seed: int, r: int) -> np.random.Generator:

@@ -230,17 +230,43 @@ def test_json_and_csv_agree(tmp_path):
     _assert_json_and_csv_agree(["vs-single-server", "--lambda", "0.2"], tmp_path)
 
 
-def test_single_replication_json_is_strict(capsys):
-    def reject(name):
-        raise ValueError(f"non-standard JSON constant {name}")
+def _reject_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
 
+
+def test_single_replication_json_is_strict(capsys):
     code, out, _ = run_cli(
         ["simulate", "--lambda", "0.3", "--slots", "2000", "--reps", "1", "--format", "json"], capsys
     )
     assert code == 0
-    rows = {r["name"]: r for r in json.loads(out, parse_constant=reject)["measures"]}
+    rows = {r["name"]: r for r in json.loads(out, parse_constant=_reject_constant)["measures"]}
     assert rows["e_qsum"]["ci_halfwidth"] is None
     assert rows["e_sojourn"]["ci_halfwidth"] is None
+
+
+_SMALL_SIM = ["--warmup", "100", "--slots", "2000", "--reps", "2"]
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["stability", "--rho", "0.4"],
+        ["solve", "--rho", "0.1"],
+        ["solve", "--method", "psa", "--rho", "0.1"],
+        ["solve", "--method", "oracle", "--rho", "0.1"],
+        ["solve", "--method", "sim", "--rho", "0.1", *_SMALL_SIM],
+        ["compare", "--rho", "0.1"],
+        ["decay", "--rho", "0.4"],
+        ["decay", "--rho", "1e-7"],  # the CA tail is exactly zero at the probe
+        ["vs-single-server", "--lambda", "0.45"],
+        ["simulate", "--rho", "0.1", *_SMALL_SIM],
+    ],
+)
+def test_json_output_is_strict(args, capsys):
+    """Every subcommand but table1 writes standard JSON: no NaN or Infinity."""
+    code, out, _ = run_cli([*args, "--format", "json"], capsys)
+    assert code == 0
+    assert json.loads(out, parse_constant=_reject_constant)
 
 
 def test_json_cells_of_numpy_and_plain_types():

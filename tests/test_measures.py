@@ -72,6 +72,18 @@ def test_decay_estimates_match_load(params_rho04):
     assert diag.marginal_estimate == pytest.approx(0.16, abs=1e-4)
 
 
+def test_decay_without_tail_mass_is_none(base_params):
+    """A grid whose tail is exactly zero has no ratio to report, not NaN."""
+    vals = np.zeros((30, 30))
+    vals[:10, :10] = 0.01
+    grid = ProbabilityGrid(vals, TRANSFORMED)
+    diag = measures.decay_diagnostics(grid, base_params)
+    assert diag.fixed_l_estimates == {0: None, 1: None, 3: None}
+    assert diag.marginal_estimate is None
+    rep = measures.moments_from_transformed(grid, base_params)
+    assert rep.decay_ratio is None and rep.marginal_min_decay is None
+
+
 def test_decay_requires_large_grid(base_params):
     with pytest.raises(GridError):
         measures.decay_diagnostics(

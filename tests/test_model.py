@@ -105,6 +105,66 @@ def test_transition_distribution_angle():
     )
 
 
+def hand_original_steps(region, p):
+    """The original law as region tables written out by hand: the reference
+    the law computed from the slot rule is pinned to."""
+    fwd, dep, both = p.p_fwd, p.p_dep, p.p_both
+    lone = p.lbar * p.a  # no arrival, the lone busy relay departs
+    return {
+        "O": ((0, 1, p.lam * p.abar / 2), (1, 0, p.lam * p.abar / 2), (0, 0, p.lbar + p.lam * p.a)),
+        "Hp": ((0, 1, fwd), (-1, 0, lone), (-1, 1, both), (0, 0, p.lbar * p.abar + both)),
+        "Vp": ((1, 0, fwd), (0, -1, lone), (1, -1, both), (0, 0, p.lbar * p.abar + both)),
+        "D": ((1, 0, fwd / 2), (0, 1, fwd / 2), (0, -1, dep), (-1, 0, dep),
+              (1, -1, both / 2), (-1, 1, both / 2), (0, 0, p.p_hold)),
+        "H": ((0, 1, fwd), (0, -1, dep), (-1, 0, dep), (-1, 1, both), (0, 0, p.p_hold)),
+        "V": ((1, 0, fwd), (0, -1, dep), (-1, 0, dep), (1, -1, both), (0, 0, p.p_hold)),
+    }[region]
+
+
+def hand_transformed_steps(state, p):
+    """The transformed law as hand-written tables, by (k, l) region."""
+    k, l = state
+    fwd, dep, both = p.p_fwd, p.p_dep, p.p_both
+    lone = p.lbar * p.a
+    if k == 0 and l == 0:
+        return ((0, 1, p.lam * p.abar), (0, 0, p.lbar + p.lam * p.a))
+    if k == 0 and l == 1:
+        return ((0, -1, lone), (1, -1, fwd), (0, 0, p.lbar * p.abar + 2 * both))
+    if k == 0:
+        return ((0, -1, lone), (1, -1, fwd), (1, -2, both), (0, 0, p.lbar * p.abar + both))
+    if l == 0:
+        return ((0, 1, fwd), (-1, 1, 2 * dep), (-1, 2, both), (0, 0, p.p_hold))
+    if l == 1:
+        return ((1, -1, fwd), (0, -1, dep), (-1, 1, dep), (0, 0, p.p_hold + both))
+    return ((1, -1, fwd), (0, -1, dep), (-1, 1, dep), (1, -2, both), (0, 0, p.p_hold))
+
+
+def assert_same_law(got, want):
+    got = {(dx, dy): pr for dx, dy, pr in got}
+    want = {(dx, dy): pr for dx, dy, pr in want}
+    assert set(got) == set(want)
+    for move, pr in want.items():
+        assert abs(got[move] - pr) <= 1e-15, move
+
+
+def test_both_laws_match_hand_tables_in_every_region():
+    """Both laws are computed from the slot rule; every region of each is
+    pinned against its hand-written table, at two states per region."""
+    original = {"O": [(0, 0)], "Hp": [(1, 0), (5, 0)], "Vp": [(0, 1), (0, 4)],
+                "D": [(1, 1), (3, 3)], "H": [(2, 1), (6, 2)], "V": [(1, 2), (3, 7)]}
+    transformed = [(0, 0), (0, 1), (0, 2), (0, 5), (1, 0), (4, 0),
+                   (1, 1), (3, 1), (1, 2), (3, 6)]
+    rng = np.random.default_rng(16)
+    for p in random_params(rng, 500):
+        for region, states in original.items():
+            for s in states:
+                rs = transition_distribution(s, p)
+                assert rs.region == region
+                assert_same_law(rs.steps, hand_original_steps(region, p))
+        for s in transformed:
+            assert_same_law(transformed_transition_distribution(s, p), hand_transformed_steps(s, p))
+
+
 def test_transition_rows_stochastic_and_nonnegative():
     rng = np.random.default_rng(5)
     states = [(0, 0), (1, 0), (0, 1), (2, 2), (4, 1), (1, 4), (7, 0), (0, 9), (3, 3)]
