@@ -134,7 +134,15 @@ def _solve_grid(params: ModelParams, spec: RunSpec) -> ProbabilityGrid:
     if spec.method == "ca":
         return compensation.solve(params, epsilon=spec.epsilon).grid
     if spec.method == "psa":
-        return _psa_reporting_grid(psa.solve(params, G=spec.G, epsilon=spec.epsilon))
+        solution = psa.solve(params, G=spec.G, epsilon=spec.epsilon)
+        if not solution.diagnostics.converged:
+            # a warning, not an error: the grid is still the best iterate and is emitted
+            print(
+                f"warning: power series did not converge (stop: {solution.diagnostics.stop_reason}, "
+                f"N = {solution.N_psa}); measures come from the clipped, renormalized partial sum",
+                file=sys.stderr,
+            )
+        return _psa_reporting_grid(solution)
     if spec.method == "oracle":
         T = oracle.choose_truncation(params, spec.epsilon)
         return oracle.stationary(oracle.build(params, T))

@@ -46,10 +46,11 @@ class MeasureReport:
 @dataclass(frozen=True)
 class DecayDiagnostics:
     expected: float                      # rho^2
-    fixed_l_profiles: dict[int, np.ndarray]
-    fixed_l_estimates: dict[int, float | None]  # ratio near the truncation edge
-    marginal_profile: np.ndarray
+    fixed_l_estimates: dict[int, float | None]  # ratio near the truncation edge, per l in _FIXED_L
     marginal_estimate: float | None  # None where the tail has no mass to divide by
+
+
+_FIXED_L = (0, 1, 3)  # the columns l whose decay along k is reported
 
 
 def _check_normalized(grid: ProbabilityGrid, tol: float = 1e-6) -> np.ndarray:
@@ -95,10 +96,8 @@ def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> Meas
     )
 
 
-def decay_diagnostics(
-    grid: ProbabilityGrid, params: ModelParams, fixed_l: tuple[int, ...] = (0, 1, 3)
-) -> DecayDiagnostics:
-    """Geometric decay profiles pi(k+1,l)/pi(k,l) and the marginal-min ratio.
+def decay_diagnostics(grid: ProbabilityGrid, params: ModelParams) -> DecayDiagnostics:
+    """Geometric decay ratios pi(k+1,l)/pi(k,l) and the marginal-min ratio.
 
     Both converge to rho^2 as k grows; the estimates are taken a few states
     inside the truncation edge where the limit has set in but edge effects
@@ -109,23 +108,10 @@ def decay_diagnostics(
     if T < 20:
         raise GridError(f"decay diagnostics need a grid with T >= 20, got {T}")
     k_probe = T - 3
-    profiles: dict[int, np.ndarray] = {}
-    estimates: dict[int, float] = {}
-    for l in fixed_l:
-        col = pi[:, l]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            prof = col[1:] / col[:-1]
-        profiles[l] = prof
-        estimates[l] = _tail_ratio(col, k_probe)
-    marg = pi.sum(axis=1)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        marg_prof = marg[1:] / marg[:-1]
     return DecayDiagnostics(
         expected=params.rho**2,
-        fixed_l_profiles=profiles,
-        fixed_l_estimates=estimates,
-        marginal_profile=marg_prof,
-        marginal_estimate=_tail_ratio(marg, k_probe),
+        fixed_l_estimates={l: _tail_ratio(pi[:, l], k_probe) for l in _FIXED_L},
+        marginal_estimate=_tail_ratio(pi.sum(axis=1), k_probe),
     )
 
 

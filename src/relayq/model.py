@@ -15,14 +15,15 @@ There is one slot rule, :func:`step`, and both one-step laws are computed
 from it: :func:`transition_distribution` sums the rule over the slot's 16
 draws, and :func:`transformed_transition_distribution` pushes that law
 through :func:`transform_state`. Every transition matrix on a finite box
-comes from :func:`box_matrix`: the oracle's truncated chains, the inflow
+comes from :func:`box_matrix`, which runs the same rule on all states of the
+box at once, draw by draw: the oracle's truncated chains, the inflow
 operator :func:`transformed_inflows` behind the compensation solver's inner
-box, and the balance check :func:`balance_residuals`.
+box, and the balance check :func:`balance_residuals`. The two scalar laws
+are the per-state reference the matrices are tested against.
 """
 
 from __future__ import annotations
 
-import inspect
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -31,6 +32,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import GridError
+from .grids import ORIGINAL, TRANSFORMED
 
 __all__ = [
     "ModelParams",
@@ -190,28 +192,30 @@ def classify_region(i: int, j: int) -> str:
     return "H" if i > j else "V"
 
 
-def step(q1: int, q2: int, arrival: bool, tie_to_q1: bool, att1: bool, att2: bool) -> tuple[int, int]:
+def step(q1, q2, arrival, tie_to_q1, att1, att2):
     """One slot of the early-arrival dynamics from state (q1, q2): the slot rule.
 
-    ``att1``/``att2`` are the per-relay attempt draws; they only matter for a
-    relay that is non-empty after the arrival is placed.
+    The arrival joins the shorter queue, or queue 1 on a tie when
+    ``tie_to_q1``. ``att1``/``att2`` are the per-relay attempt draws; they
+    only matter for a relay that is non-empty after the arrival is placed,
+    and a lone attempt departs. The rule has no branches, so it runs on one
+    state (Python ints and bools) or elementwise on arrays of states and
+    draws (NumPy integer and bool arrays).
     """
-    if arrival:
-        if q1 < q2:
-            q1 += 1
-        elif q2 < q1:
-            q2 += 1
-        elif tie_to_q1:
-            q1 += 1
-        else:
-            q2 += 1
-    t1 = att1 and q1 > 0
-    t2 = att2 and q2 > 0
-    if t1 and not t2:
-        q1 -= 1
-    elif t2 and not t1:
-        q2 -= 1
-    return q1, q2
+    to_q1 = arrival & (q1 < q2 + tie_to_q1)
+    q1, q2 = q1 + to_q1, q2 + (arrival > to_q1)
+    t1, t2 = att1 & (q1 > 0), att2 & (q2 > 0)
+    return q1 - (t1 > t2), q2 - (t2 > t1)
+
+
+def _draws(params: ModelParams):
+    """The slot's 16 draws (arrival, tie_to_q1, att1, att2), each with its
+    probability: arrival (lam or 1-lam), tie coin (1/2), two attempts (a or 1-a)."""
+    p = params
+    for draw in itertools.product((True, False), repeat=4):
+        arrival, _, att1, att2 = draw
+        yield draw, ((p.lam if arrival else p.lbar) * 0.5
+                     * (p.a if att1 else p.abar) * (p.a if att2 else p.abar))
 
 
 def _grouped(moves) -> tuple[tuple[int, int, float], ...]:
@@ -225,17 +229,13 @@ def _grouped(moves) -> tuple[tuple[int, int, float], ...]:
 def transition_distribution(state: tuple[int, int], params: ModelParams) -> RegionStep:
     """One-step law of the original chain (Q1, Q2) at ``state``.
 
-    :func:`step` applied to each of the slot's 16 draws — arrival (lam or
-    1-lam), tie coin (1/2), two attempts (a or 1-a) — weighted by the draw's
-    probability, with equal moves added together.
+    :func:`step` applied to each of the slot's 16 draws, weighted by the
+    draw's probability, with equal moves added together in draw order.
     """
     i, j = state
-    p = params
     moves = []
-    for arrival, tie_to_q1, att1, att2 in itertools.product((True, False), repeat=4):
-        prob = ((p.lam if arrival else p.lbar) * 0.5
-                * (p.a if att1 else p.abar) * (p.a if att2 else p.abar))
-        i2, j2 = step(i, j, arrival, tie_to_q1, att1, att2)
+    for draw, prob in _draws(params):
+        i2, j2 = step(i, j, *draw)
         moves.append((i2 - i, j2 - j, prob))
     return RegionStep(region=classify_region(i, j), steps=_grouped(moves))
 
@@ -263,52 +263,34 @@ def transformed_transition_distribution(
     return _grouped(moves)
 
 
-def _original_representative(i: np.ndarray, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Representative state of each state's region: O, Hp, Vp, D, H or V."""
-    return (np.minimum(i, 1) + ((i > j) & (j > 0)), np.minimum(j, 1) + ((j > i) & (i > 0)))
+def box_matrix(params: ModelParams, T_k: int, T_l: int, variant: str = TRANSFORMED) -> sp.csr_matrix:
+    """One-step matrix of either chain on the box [0,T_k] x [0,T_l], steps leaving it dropped.
 
-
-def _transformed_representative(k: np.ndarray, l: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Representative state of each state's region: k in {0, >=1} by l in {0, 1, >=2}."""
-    return np.minimum(k, 1), np.minimum(l, 2)
-
-
-_REPRESENTATIVES = {
-    transition_distribution: _original_representative,
-    transformed_transition_distribution: _transformed_representative,
-}
-
-
-def box_matrix(law, params: ModelParams, T_k: int, T_l: int) -> sp.csr_matrix:
-    """One-step matrix of ``law`` on the box [0,T_k] x [0,T_l], steps leaving it dropped.
-
-    ``law`` is :func:`transition_distribution` or
-    :func:`transformed_transition_distribution` (possibly wrapped). States are
-    flattened as k*(T_l+1)+l; rows of states next to the far edges are
-    substochastic. The law is called once per homogeneity region, at the
-    region's representative state, and its steps are applied to every state
-    of the region at once.
+    ``variant`` is ``TRANSFORMED`` (states (k, l)) or ``ORIGINAL`` (states
+    (Q1, Q2)). States are flattened as k*(T_l+1)+l; rows of states next to
+    the far edges are substochastic. :func:`step` runs on every state of the
+    box at once, once per draw, so each row is the law at its own state; the
+    sums match :func:`transition_distribution` and
+    :func:`transformed_transition_distribution` bit for bit.
     """
-    representative = _REPRESENTATIVES[inspect.unwrap(law)]
     n_l = T_l + 1
-    k, l = np.divmod(np.arange((T_k + 1) * n_l), n_l)
-    rk, rl = representative(k, l)
-    region = rk * (int(rl.max()) + 1) + rl
-    rows, cols, probs = [], [], []
-    for code in np.unique(region):
-        src = np.flatnonzero(region == code)
-        steps = law((int(rk[src[0]]), int(rl[src[0]])), params)
-        if isinstance(steps, RegionStep):
-            steps = steps.steps
-        for dk, dl, prob in steps:
-            k2, l2 = k[src] + dk, l[src] + dl
-            inside = (k2 >= 0) & (k2 <= T_k) & (l2 >= 0) & (l2 <= T_l)
-            rows.append(src[inside])
-            cols.append(k2[inside] * n_l + l2[inside])
-            probs.append(np.full(len(rows[-1]), prob))
-    n = k.size
+    n = (T_k + 1) * n_l
+    k, l = np.divmod(np.arange(n), n_l)
+    i, j = {TRANSFORMED: (k, k + l), ORIGINAL: (k, l)}[variant]  # unknown variant: KeyError
+    # law[s, di+1, dj+1]: probability of the original move (di, dj) at state s,
+    # equal moves added in draw order as the scalar law adds them
+    law = np.zeros((n, 3, 3))
+    for draw, prob in _draws(params):
+        i2, j2 = step(i, j, *draw)
+        law[np.arange(n), i2 - i + 1, j2 - j + 1] += prob
+    src, di, dj = np.nonzero(law)
+    k2, l2 = i[src] + di - 1, j[src] + dj - 1
+    if variant == TRANSFORMED:
+        # at most two moves share a destination, so their sum is order-free
+        k2, l2 = np.minimum(k2, l2), np.abs(k2 - l2)
+    inside = (k2 <= T_k) & (l2 <= T_l)
     return sp.csr_matrix(
-        (np.concatenate(probs), (np.concatenate(rows), np.concatenate(cols))), shape=(n, n)
+        (law[src, di, dj][inside], (src[inside], k2[inside] * n_l + l2[inside])), shape=(n, n)
     )
 
 
@@ -319,7 +301,7 @@ def transformed_inflows(params: ModelParams, T_k: int, T_l: int) -> sp.csr_matri
     probabilities into state s from every in-box source, so (Q @ pi)[s] is
     the right-hand side of the balance equation of s.
     """
-    return box_matrix(transformed_transition_distribution, params, T_k, T_l).T.tocsr()
+    return box_matrix(params, T_k, T_l).T.tocsr()
 
 
 def balance_residuals(values: np.ndarray, params: ModelParams) -> np.ndarray:

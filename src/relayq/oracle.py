@@ -1,10 +1,11 @@
 """Brute-force ground truth: truncated chains solved by GTH state reduction.
 
-The truncated chain is the box matrix of either chain's one-step law
-(:func:`relayq.model.box_matrix`) with the mass of every step that would
-leave the box folded back into the current state (a self-loop), which keeps
-every row stochastic; the induced error is controlled by
-``choose_truncation`` and shrinks geometrically with the box size.
+The truncated chain is the box matrix of either chain
+(:func:`relayq.model.box_matrix`, the slot rule run on every state of the
+box) with the mass of every step that would leave the box folded back into
+the current state (a self-loop), which keeps every row stochastic; the
+induced error is controlled by ``choose_truncation`` and shrinks
+geometrically with the box size.
 
 In the flattened order k*(T+1)+l every nonzero lies within bw = T+1 of the
 diagonal (bw = T for the transformed chain). GTH elimination keeps its
@@ -22,13 +23,9 @@ from scipy.sparse.csgraph import connected_components  # noqa: F401
 
 from .errors import GridError, RelayQError, StabilityError
 from .grids import ORIGINAL, TRANSFORMED, ProbabilityGrid
-from .model import (
-    ModelParams,
-    box_matrix,
-    grid_truncation,
-    transformed_transition_distribution,
-    transition_distribution,
-)
+from .model import ModelParams, box_matrix, grid_truncation
+# not called here: benchmarks/tracing.py, its only user, patches this name
+from .model import transformed_transition_distribution  # noqa: F401
 
 __all__ = [
     "MAX_STATES",
@@ -65,8 +62,7 @@ def build(params: ModelParams, T: int, variant: str = TRANSFORMED) -> TruncatedC
             f"truncated chain at T = {T} has {(T + 1) ** 2} states, above the dense "
             f"oracle's limit of {MAX_STATES}; use --method ca at this load"
         )
-    law = transformed_transition_distribution if variant == TRANSFORMED else transition_distribution
-    P = box_matrix(law, params, T, T).toarray()
+    P = box_matrix(params, T, T, variant).toarray()
     # fold the mass of the dropped steps back into each row's self-loop
     P[np.diag_indices_from(P)] += 1.0 - P.sum(axis=1)
     return TruncatedChain(T=T, variant=variant, matrix=P, params=params)

@@ -187,8 +187,8 @@ def compute_coefficients(N_psa: int, T_psa: int, G: float) -> np.ndarray:
     """
     if N_psa < 0 or T_psa < 0:
         raise ValueError("truncations must be non-negative")
-    if G < 0:
-        raise ValueError("acceleration parameter must be >= 0")
+    if not (math.isfinite(G) and G >= 0.0):
+        raise ValueError(f"acceleration parameter must be finite and >= 0, got {G}")
     u = np.zeros((N_psa + 1, T_psa + 1, T_psa + 1))
     K, L = np.indices((T_psa + 1, T_psa + 1))
     for m, block in enumerate(_levels(G, N_psa + 2 * T_psa, T_psa)):

@@ -156,6 +156,28 @@ def test_numerical_exit_code(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+def test_solve_psa_warns_when_series_does_not_converge(capsys, monkeypatch):
+    """A non-converged series still exits 0 with the same stdout, but says so on stderr."""
+    args = ["solve", "--method", "psa", "--rho", "0.1", "--a", "0.5"]
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    solve, depths = cli.psa.solve, []
+
+    def not_converged(*a, **k):
+        sol = solve(*a, **k)
+        depths.append(sol.N_psa)
+        diag = dataclasses.replace(sol.diagnostics, converged=False, stop_reason="cap")
+        return dataclasses.replace(sol, diagnostics=diag)
+
+    monkeypatch.setattr(cli.psa, "solve", not_converged)
+    code, warned_out, err = run_cli(args, capsys)
+    assert code == 0 and warned_out == out
+    assert err.splitlines() == [
+        f"warning: power series did not converge (stop: cap, N = {depths[0]}); "
+        "measures come from the clipped, renormalized partial sum"
+    ]
+
+
 def test_solve_csv_schema(capsys):
     code, out, _ = run_cli(["solve", "--rho", "0.1", "--a", "0.5"], capsys)
     assert code == 0

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -14,6 +16,7 @@ from relayq.model import (
     is_stable,
     lambda_for_load,
     max_interior_residual,
+    step,
     transform_state,
     transformed_transition_distribution,
     transition_distribution,
@@ -80,6 +83,18 @@ def test_classify_region():
     assert classify_region(0, 4) == "Vp"
     assert classify_region(3, 1) == "H"
     assert classify_region(1, 3) == "V"
+
+
+def test_step_on_arrays_is_step_per_state():
+    """The slot rule runs unchanged on arrays of states: for each of the 16
+    draws, element s of the result is the rule applied to state s alone."""
+    q1, q2 = (x.ravel() for x in np.indices((6, 6)))  # zeros, ties, |q1 - q2| up to 5
+    for draw in itertools.product((True, False), repeat=4):
+        i2, j2 = step(q1, q2, *draw)
+        assert i2.dtype == j2.dtype == q1.dtype  # the states' integer dtype, not bool or float
+        one_by_one = [step(i, j, *draw) for i, j in zip(q1.tolist(), q2.tolist())]
+        assert all(type(x) is int for pair in one_by_one for x in pair)
+        assert list(zip(i2.tolist(), j2.tolist())) == one_by_one
 
 
 def test_transition_distribution_origin():
@@ -231,10 +246,10 @@ def test_balance_residuals_compensation_grid(params_rho04, ca_rho04):
     assert max_interior_residual(ca_rho04.grid.values, params_rho04) < 1e-9
 
 
-# (variant, law as passed to box_matrix, per-state steps (dk, dl, prob))
+# (variant as passed to box_matrix, per-state steps (dk, dl, prob))
 LAWS = (
-    (ORIGINAL, transition_distribution, lambda s, p: transition_distribution(s, p).steps),
-    (TRANSFORMED, transformed_transition_distribution, transformed_transition_distribution),
+    (ORIGINAL, lambda s, p: transition_distribution(s, p).steps),
+    (TRANSFORMED, transformed_transition_distribution),
 )
 
 
@@ -253,9 +268,9 @@ def law_matrix(steps_at, p, T_k, T_l):
 def test_box_matrix_rows_are_the_law():
     rng = np.random.default_rng(13)
     for p in random_params(rng, 20):
-        for _, law, steps_at in LAWS:
-            for T_k, T_l in ((5, 7), (7, 5)):
-                P = box_matrix(law, p, T_k, T_l)
+        for variant, steps_at in LAWS:
+            for T_k, T_l in ((5, 7), (7, 5), (1, 9), (9, 1), (15, 2)):
+                P = box_matrix(p, T_k, T_l, variant)
                 assert sp.issparse(P)
                 assert np.array_equal(P.toarray(), law_matrix(steps_at, p, T_k, T_l))
 
@@ -265,9 +280,9 @@ def test_oracle_folds_dropped_steps_into_self_loops():
     T = 5
     off_diagonal = ~np.eye((T + 1) ** 2, dtype=bool)
     for p in random_params(rng, 20):
-        for variant, law, _ in LAWS:
+        for variant, _ in LAWS:
             M = oracle.build(p, T, variant).matrix
-            P = box_matrix(law, p, T, T).toarray()
+            P = box_matrix(p, T, T, variant).toarray()
             assert np.allclose(M.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
             assert np.array_equal(M[off_diagonal], P[off_diagonal])
 

@@ -24,6 +24,8 @@ def test_theta_from_rho():
     for G in (float("nan"), float("inf")):
         with pytest.raises(ValueError):
             psa.theta_from_rho(0.5, G)
+        with pytest.raises(ValueError, match="finite"):
+            psa.compute_coefficients(2, 3, G)
 
 
 def test_normalization_seed():

@@ -136,10 +136,10 @@ def test_one_step_frequencies_match_law(base_params):
     rng = np.random.default_rng(77)
     p = base_params
     u = rng.random((4, n))
-    arr = u[0] < p.lam
-    tie = u[1] < 0.5
-    a1 = u[2] < p.a
-    a2 = u[3] < p.a
+    arr = (u[0] < p.lam).tolist()
+    tie = (u[1] < 0.5).tolist()
+    a1 = (u[2] < p.a).tolist()
+    a2 = (u[3] < p.a).tolist()
     for state in [(3, 1), (2, 2), (4, 0), (0, 0)]:
         counts: dict = {}
         for t in range(n):
