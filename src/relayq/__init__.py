@@ -21,7 +21,6 @@ from .measures import MeasureReport, moments_from_transformed
 from .model import (
     DriftVectors,
     ModelParams,
-    RegionStep,
     StabilityReport,
     drift_vectors,
     is_stable,
@@ -39,7 +38,6 @@ __all__ = [
     "MeasureReport",
     "SimConfig",
     "SimResult",
-    "RegionStep",
     "DriftVectors",
     "StabilityReport",
     "RelayQError",

@@ -5,6 +5,14 @@ load (--rho, converted in closed form given --a). Results are emitted as CSV
 (default) or JSON with bit-stable formatting; the exit code distinguishes
 usage errors (2), unstable parameter points (3), and numerical failures (4).
 
+Output is a set of named tables. JSON is byte-equal to ``json.dumps(tables,
+indent=2)`` of the tables as lists of row dicts, the grid table as one
+``{"k", "l", "prob"}`` dict per state in (k, l) order. CSV writes each table
+as a ``# table: <name>`` line, a header line and one line per row, cells as
+:func:`_fmt` formats them (floats with ``%.17g``). Both writers build a
+table's row template once and fill it per row; a grid's rows come straight
+from its values array, one k-row at a time.
+
 Each subcommand takes --format and --out, and besides them only the options
 it reads:
 
@@ -68,7 +76,7 @@ class RunSpec:
 
 
 def _fmt(x) -> str:
-    """Format one CSV cell; the cell format shared by both emitters.
+    """Format one CSV cell:
 
     - ``None`` -> empty cell;
     - ``str`` -> verbatim;
@@ -76,8 +84,9 @@ def _fmt(x) -> str:
     - ``int`` / ``numpy.integer`` -> decimal;
     - anything else -> ``float`` printed with ``%.17g`` (round-trips exactly).
 
-    ``_to_json`` maps the same types to JSON ``null``, strings, booleans,
-    integers and floats.
+    Its JSON twin :func:`_json_cell` maps the same types to the text
+    ``json.dumps`` writes for them: ``null``, escaped strings, booleans,
+    integers and floats (``repr``, or ``NaN`` / ``Infinity``).
     """
     if x is None:
         return ""
@@ -98,15 +107,6 @@ def _resolve_params(spec: RunSpec) -> ModelParams:
         return ModelParams(lam=lam, a=spec.a)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
-
-
-def _grid_rows(grid: ProbabilityGrid) -> list[dict]:
-    vals = grid.clipped().values
-    return [
-        {"k": k, "l": l, "prob": float(vals[k, l])}
-        for k in range(vals.shape[0])
-        for l in range(vals.shape[1])
-    ]
 
 
 def _measure_rows(report: measures.MeasureReport) -> list[dict]:
@@ -151,24 +151,32 @@ def _solve_grid(params: ModelParams, spec: RunSpec) -> ProbabilityGrid:
 
 @dataclass(frozen=True)
 class _CaPsa:
-    """CA and PSA solutions of one parameter point, as ``compare`` and ``table1`` report them."""
+    """CA and PSA solutions of one parameter point, as ``compare`` and ``table1`` report them.
+
+    The PSA fields are ``None`` when the series found no depth to report.
+    """
 
     ca_grid: ProbabilityGrid
-    psa_grid: ProbabilityGrid
+    psa_grid: ProbabilityGrid | None
     psa_converged: bool
     ca_measures: measures.MeasureReport
-    psa_measures: measures.MeasureReport
+    psa_measures: measures.MeasureReport | None
 
 
 def _solve_ca_and_psa(params: ModelParams, spec: RunSpec) -> _CaPsa:
     ca_grid = compensation.solve(params, epsilon=spec.epsilon).grid
-    ps = psa.solve(params, G=spec.G, epsilon=spec.epsilon)
+    ca_measures = measures.moments_from_transformed(ca_grid, params)
+    try:
+        ps = psa.solve(params, G=spec.G, epsilon=spec.epsilon)
+    except NumericsError as exc:
+        print(f"warning: {exc}; the power-series cells are empty", file=sys.stderr)
+        return _CaPsa(ca_grid, None, False, ca_measures, None)
     psa_grid = _psa_reporting_grid(ps)
     return _CaPsa(
         ca_grid=ca_grid,
         psa_grid=psa_grid,
         psa_converged=ps.diagnostics.converged,
-        ca_measures=measures.moments_from_transformed(ca_grid, params),
+        ca_measures=ca_measures,
         psa_measures=measures.moments_from_transformed(psa_grid, params),
     )
 
@@ -191,11 +199,15 @@ def _simulation_tables(params: ModelParams, spec: RunSpec) -> dict:
         {"name": "correlation", "value": sim.correlation, "ci_halfwidth": sim.correlation_ci},
         {"name": "overflow_mass", "value": sim.overflow_mass, "ci_halfwidth": None},
     ]
-    return {"tables": {"measures": rows, "grid": _grid_rows(sim.empirical)}}
+    return {"tables": {"measures": rows, "grid": sim.empirical.clipped().values}}
 
 
 def run(spec: RunSpec) -> dict:
-    """Execute a RunSpec; returns {"tables": {name: [row dicts]}}."""
+    """Execute a RunSpec; returns {"tables": {name: table}}.
+
+    A table is a list of row dicts sharing their keys, or, for the ``grid``
+    table, the clipped values array of a grid, emitted with one row per state.
+    """
     if not (math.isfinite(spec.epsilon) and spec.epsilon > 0):
         raise UsageError(f"--epsilon must be finite and > 0, got {spec.epsilon}")
     if not (math.isfinite(spec.G) and spec.G >= 0):
@@ -220,7 +232,7 @@ def run(spec: RunSpec) -> dict:
             return _simulation_tables(params, spec)
         grid = _solve_grid(params, spec)
         report = measures.moments_from_transformed(grid, params)
-        return {"tables": {"measures": _measure_rows(report), "grid": _grid_rows(grid)}}
+        return {"tables": {"measures": _measure_rows(report), "grid": grid.clipped().values}}
 
     if spec.command == "compare":
         params = _resolve_params(spec)
@@ -231,7 +243,9 @@ def run(spec: RunSpec) -> dict:
         both = _solve_ca_and_psa(params, spec)
         orc = oracle.stationary(chain)
 
-        def maxnorm(g1: ProbabilityGrid, g2: ProbabilityGrid) -> float:
+        def maxnorm(g1: ProbabilityGrid | None, g2: ProbabilityGrid | None) -> float | None:
+            if g1 is None or g2 is None:
+                return None
             m = min(g1.T, g2.T)
             return float(np.max(np.abs(g1.values[: m + 1, : m + 1] - g2.values[: m + 1, : m + 1])))
 
@@ -240,10 +254,14 @@ def run(spec: RunSpec) -> dict:
             {"name": "maxnorm_ca_oracle", "value": maxnorm(both.ca_grid, orc), "ci_halfwidth": None},
             {"name": "maxnorm_psa_oracle", "value": maxnorm(both.psa_grid, orc), "ci_halfwidth": None},
             {"name": "maxnorm_ca_psa", "value": maxnorm(both.ca_grid, both.psa_grid), "ci_halfwidth": None},
-            {"name": "abs_diff_e_sojourn", "value": abs(m_ca.e_sojourn - m_ps.e_sojourn), "ci_halfwidth": None},
+            {
+                "name": "abs_diff_e_sojourn",
+                "value": None if m_ps is None else abs(m_ca.e_sojourn - m_ps.e_sojourn),
+                "ci_halfwidth": None,
+            },
             {
                 "name": "abs_diff_correlation",
-                "value": abs((m_ca.correlation or 0.0) - (m_ps.correlation or 0.0)),
+                "value": None if m_ps is None else abs((m_ca.correlation or 0.0) - (m_ps.correlation or 0.0)),
                 "ci_halfwidth": None,
             },
         ]
@@ -258,11 +276,11 @@ def run(spec: RunSpec) -> dict:
                 {
                     "rho": rho,
                     "e_sojourn_ca": m_ca.e_sojourn,
-                    "e_sojourn_psa": m_ps.e_sojourn,
-                    "abs_diff_e_sojourn": abs(m_ca.e_sojourn - m_ps.e_sojourn),
+                    "e_sojourn_psa": None if m_ps is None else m_ps.e_sojourn,
+                    "abs_diff_e_sojourn": None if m_ps is None else abs(m_ca.e_sojourn - m_ps.e_sojourn),
                     "correlation_ca": m_ca.correlation,
-                    "correlation_psa": m_ps.correlation,
-                    "abs_diff_correlation": abs(m_ca.correlation - m_ps.correlation),
+                    "correlation_psa": None if m_ps is None else m_ps.correlation,
+                    "abs_diff_correlation": None if m_ps is None else abs(m_ca.correlation - m_ps.correlation),
                     "psa_converged": both.psa_converged,
                 }
             )
@@ -304,33 +322,67 @@ def run(spec: RunSpec) -> dict:
     raise UsageError(f"unknown command {spec.command!r}")
 
 
+_GRID_HEADER = ("k", "l", "prob")
+
+
+def _grid_pieces(values: np.ndarray, template: str, sep: str, prob):
+    """Rows (k, l, prob) of a grid's values, one k-row at a time, as pieces
+    that concatenate to all rows joined by ``sep``."""
+    for k in range(len(values)):
+        rows = sep.join([template % (k, l, p) for l, p in enumerate(map(prob, values[k].tolist()))])
+        yield sep + rows if k else rows
+
+
+def _table_rows(table, template_of, sep: str, cell, prob):
+    """Header and rows of one non-empty table, the rows as text pieces that
+    concatenate to them joined by ``sep``.
+
+    ``template_of(header, slots)`` is the row template, built once per table.
+    Cells of row dicts go through ``cell``; a grid's finite ``prob`` values go
+    through ``prob``, and all of them through ``cell`` when one is not finite.
+    """
+    if isinstance(table, np.ndarray):
+        prob = prob if np.isfinite(table).all() else cell
+        return _GRID_HEADER, _grid_pieces(table, template_of(_GRID_HEADER, ("%d", "%d", "%s")), sep, prob)
+    header = tuple(table[0])
+    template = template_of(header, ("%s",) * len(header))
+    return header, [sep.join([template % tuple([cell(row[h]) for h in header]) for row in table])]
+
+
 def _to_csv(artifact: dict) -> str:
-    chunks = []
-    for name, rows in artifact["tables"].items():
-        if not rows:
+    parts = []
+    for name, table in artifact["tables"].items():
+        if len(table) == 0:
             continue
-        header = list(rows[0].keys())
-        lines = [f"# table: {name}", ",".join(header)]
-        for row in rows:
-            lines.append(",".join(_fmt(row[h]) for h in header))
-        chunks.append("\n".join(lines))
-    return "\n".join(chunks) + "\n"
+        header, rows = _table_rows(table, lambda header, slots: ",".join(slots), "\n", _fmt, "%.17g".__mod__)
+        parts += [f"# table: {name}\n", ",".join(header), "\n", *rows, "\n"]
+    return "".join(parts) or "\n"
 
 
-def _json_scalar(obj):
-    """Plain Python value of a numpy scalar; ``json.dumps`` asks only for non-plain types."""
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    raise TypeError(f"cannot emit {type(obj).__name__} as JSON")
+def _json_cell(x) -> str:
+    """JSON twin of :func:`_fmt`: the text ``json.dumps`` writes for one cell,
+    a numpy scalar as its Python value; other types raise ``TypeError``."""
+    return json.dumps(x.item() if isinstance(x, np.generic) else x)
+
+
+def _json_row(header, slots) -> str:
+    fields = ",\n".join(f"      {_json_cell(h).replace('%', '%%')}: {slot}" for h, slot in zip(header, slots))
+    return "    {\n" + fields + "\n    }"
 
 
 def _to_json(artifact: dict) -> str:
-    """JSON twin of ``_to_csv``; cells follow the types listed in ``_fmt``."""
-    return json.dumps(artifact["tables"], indent=2, default=_json_scalar) + "\n"
+    """JSON twin of ``_to_csv``, byte-equal to ``json.dumps(tables, indent=2)``
+    of the tables as lists of row dicts."""
+    parts = []
+    for name, table in artifact["tables"].items():
+        parts.append(",\n" if parts else "{\n")
+        if len(table) == 0:
+            parts.append(f"  {_json_cell(name)}: []")
+            continue
+        _, rows = _table_rows(table, _json_row, ",\n", _json_cell, repr)
+        parts += [f"  {_json_cell(name)}: [\n", *rows, "\n  ]"]
+    parts.append("\n}\n" if parts else "{}\n")
+    return "".join(parts)
 
 
 def emit(artifact: dict, spec: RunSpec) -> str:

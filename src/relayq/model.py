@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -36,12 +36,10 @@ from .grids import ORIGINAL, TRANSFORMED
 
 __all__ = [
     "ModelParams",
-    "RegionStep",
     "DriftVectors",
     "StabilityReport",
     "is_stable",
     "drift_vectors",
-    "classify_region",
     "step",
     "transition_distribution",
     "transformed_transition_distribution",
@@ -113,14 +111,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class RegionStep:
-    """Step distribution of the original chain at one state: (di, dj, prob)."""
-
-    region: str
-    steps: tuple[tuple[int, int, float], ...] = field(default_factory=tuple)
-
-
-@dataclass(frozen=True)
 class DriftVectors:
     """Mean one-step jump (E_x, E_y) per homogeneity region."""
 
@@ -177,21 +167,6 @@ def drift_vectors(params: ModelParams) -> DriftVectors:
     )
 
 
-def classify_region(i: int, j: int) -> str:
-    """One of H, V, Hp, Vp, D, O — the six homogeneity regions."""
-    if i < 0 or j < 0:
-        raise ValueError("states are non-negative pairs")
-    if i == 0 and j == 0:
-        return "O"
-    if i == j:
-        return "D"
-    if j == 0:
-        return "Hp"
-    if i == 0:
-        return "Vp"
-    return "H" if i > j else "V"
-
-
 def step(q1, q2, arrival, tie_to_q1, att1, att2):
     """One slot of the early-arrival dynamics from state (q1, q2): the slot rule.
 
@@ -226,18 +201,21 @@ def _grouped(moves) -> tuple[tuple[int, int, float], ...]:
     return tuple((dx, dy, prob) for (dx, dy), prob in law.items())
 
 
-def transition_distribution(state: tuple[int, int], params: ModelParams) -> RegionStep:
+def transition_distribution(
+    state: tuple[int, int], params: ModelParams
+) -> tuple[tuple[int, int, float], ...]:
     """One-step law of the original chain (Q1, Q2) at ``state``.
 
     :func:`step` applied to each of the slot's 16 draws, weighted by the
     draw's probability, with equal moves added together in draw order.
+    Steps are (di, dj, prob).
     """
     i, j = state
     moves = []
     for draw, prob in _draws(params):
         i2, j2 = step(i, j, *draw)
         moves.append((i2 - i, j2 - j, prob))
-    return RegionStep(region=classify_region(i, j), steps=_grouped(moves))
+    return _grouped(moves)
 
 
 def transform_state(i: int, j: int) -> tuple[int, int]:
@@ -257,7 +235,7 @@ def transformed_transition_distribution(
     """
     k, l = state
     moves = []
-    for di, dj, prob in transition_distribution((k, k + l), params).steps:
+    for di, dj, prob in transition_distribution((k, k + l), params):
         k2, l2 = transform_state(k + di, k + l + dj)
         moves.append((k2 - k, l2 - l, prob))
     return _grouped(moves)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.signal import lfilter
 
-from .errors import StabilityError, UnsupportedParameterError
+from .errors import NumericsError, StabilityError, UnsupportedParameterError
 from .grids import TRANSFORMED, ProbabilityGrid
 from .model import EPSILON_FLOOR, ModelParams, grid_truncation
 
@@ -226,7 +226,11 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     epsilon (the radius of the accelerated series is finite); the solver then
     keeps the best iterate seen — minimum relative change — and flags the
     result as not converged, aborting early when the relative change has
-    grown for ten consecutive depths or at the iteration cap.
+    grown for ten consecutive depths or at the iteration cap. Only depths
+    whose partial mass lies in (0.05, 20) qualify as that iterate. When none
+    does, or the best is depth 1 (no later depth improved on the first
+    increment), it raises :class:`NumericsError` rather than return a partial
+    sum that is no answer.
     """
     if abs(params.a - 0.5) > 1e-15:
         raise UnsupportedParameterError(
@@ -246,8 +250,6 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     rel_hist: list[float] = []
     best_n = 0
     best_rel = math.inf
-    best_mass_n = 1
-    best_mass_err = math.inf
     growth_streak = 0
     since_best = 0
     stop_reason = "cap"
@@ -276,9 +278,6 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
         else:
             growth_streak = 0
         rel_hist.append(rel)
-        if math.isfinite(running) and abs(running - 1.0) < best_mass_err:
-            best_mass_err = abs(running - 1.0)
-            best_mass_n = n_done
         if rel < best_rel and math.isfinite(running) and 0.05 < running < 20.0:
             # only mass-sane iterates qualify as the fallback result
             best_rel = rel
@@ -298,9 +297,14 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
             break
     else:
         n_final = best_n
-    if not converged and best_n == 0:
-        # no iterate ever looked converging; report the least-insane one
-        n_final = best_mass_n
+    if not converged and best_n <= 1:
+        # depth 1's change is measured against depth 0 alone; when no later
+        # mass-sane depth changed less, the series never settled
+        raise NumericsError(
+            f"power series did not settle at load {rho:.4g}, G = {G:g}: no depth beyond "
+            f"the first has a sane mass and a smaller change (stop: {stop_reason} after "
+            f"{len(rel_hist)} depths)"
+        )
 
     # pass B: recompute the slabs, capturing the coefficient box up to n_final
     u = compute_coefficients(n_final, T, G)

@@ -1,6 +1,7 @@
 import argparse
 import dataclasses
 import json
+import math
 import os
 
 import numpy as np
@@ -268,27 +269,73 @@ def test_single_replication_json_is_strict(capsys):
 
 _SMALL_SIM = ["--warmup", "100", "--slots", "2000", "--reps", "2"]
 
+# every subcommand but table1, and every solve method
+_EVERY_COMMAND = [
+    ["stability", "--rho", "0.4"],
+    ["solve", "--rho", "0.1"],
+    ["solve", "--method", "psa", "--rho", "0.1"],
+    ["solve", "--method", "oracle", "--rho", "0.1"],
+    ["solve", "--method", "sim", "--rho", "0.1", *_SMALL_SIM],
+    ["compare", "--rho", "0.1"],
+    ["decay", "--rho", "0.4"],
+    ["decay", "--rho", "1e-7"],  # the CA tail is exactly zero at the probe
+    ["vs-single-server", "--lambda", "0.45"],
+    ["simulate", "--rho", "0.1", *_SMALL_SIM],
+]
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["stability", "--rho", "0.4"],
-        ["solve", "--rho", "0.1"],
-        ["solve", "--method", "psa", "--rho", "0.1"],
-        ["solve", "--method", "oracle", "--rho", "0.1"],
-        ["solve", "--method", "sim", "--rho", "0.1", *_SMALL_SIM],
-        ["compare", "--rho", "0.1"],
-        ["decay", "--rho", "0.4"],
-        ["decay", "--rho", "1e-7"],  # the CA tail is exactly zero at the probe
-        ["vs-single-server", "--lambda", "0.45"],
-        ["simulate", "--rho", "0.1", *_SMALL_SIM],
-    ],
-)
+
+@pytest.mark.parametrize("args", _EVERY_COMMAND)
 def test_json_output_is_strict(args, capsys):
     """Every subcommand but table1 writes standard JSON: no NaN or Infinity."""
     code, out, _ = run_cli([*args, "--format", "json"], capsys)
     assert code == 0
     assert json.loads(out, parse_constant=_reject_constant)
+
+
+def _numpy_scalar(obj):
+    if isinstance(obj, (np.bool_, np.integer, np.floating)):
+        return obj.item()
+    raise TypeError(f"cannot emit {type(obj).__name__} as JSON")
+
+
+def _row_dicts(tables):
+    """The tables as lists of row dicts, a grid array as one dict per state."""
+    return {
+        name: [{"k": k, "l": l, "prob": float(table[k, l])} for k, l in np.ndindex(table.shape)]
+        if isinstance(table, np.ndarray) else table
+        for name, table in tables.items()
+    }
+
+
+def _reference_json(artifact):
+    return json.dumps(_row_dicts(artifact["tables"]), indent=2, default=_numpy_scalar) + "\n"
+
+
+def _reference_csv(artifact):
+    chunks = []
+    for name, rows in _row_dicts(artifact["tables"]).items():
+        if not rows:
+            continue
+        header = list(rows[0].keys())
+        lines = [f"# table: {name}", ",".join(header)]
+        for row in rows:
+            lines.append(",".join(cli._fmt(row[h]) for h in header))
+        chunks.append("\n".join(lines))
+    return "\n".join(chunks) + "\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("args", _EVERY_COMMAND)
+def test_stdout_is_the_row_dict_reference(args, fmt, capsys, monkeypatch):
+    """The writers fill row templates, and a grid's rows come from its array;
+    stdout equals ``json.dumps(indent=2)`` of the row dicts, or the ``_fmt``
+    join of their cells, computed from the same artifact."""
+    run, artifacts = cli.run, []
+    monkeypatch.setattr(cli, "run", lambda spec: artifacts.append(run(spec)) or artifacts[-1])
+    code, out, _ = run_cli([*args, "--format", fmt], capsys)
+    assert code == 0
+    reference = {"csv": _reference_csv, "json": _reference_json}[fmt]
+    assert out == reference(artifacts[0])
 
 
 def test_json_cells_of_numpy_and_plain_types():
@@ -305,6 +352,49 @@ def test_json_cells_of_numpy_and_plain_types():
         '      "single": 0.10000000149011612,\n      "double": 0.1,\n'
         '      "missing": null,\n      "name": "x"\n    }\n  ]\n}\n'
     )
+    odd = [
+        {"x": math.nan, "s": 'quote " back \\ tab \t nl \n é %s'},
+        {"x": math.inf, "s": ""},
+        {"x": -math.inf, "s": "%"},
+        {"x": -0.0, "s": "plain"},
+        {"x": np.float64(np.nan), "s": np.str_("numpy")},
+    ]
+    grid = np.array([[0.5, -0.0, 1e-300], [math.nan, math.inf, -math.inf], [0.0, 0.1, 2.0]])
+    for tables in (
+        {"odd": odd},
+        {"empty": []},
+        {},
+        {"first": odd, "none": [], "grid": grid, "%key": [{"%d": 1, "a\"b": True}]},
+        {"grid": grid[:1, :1]},
+    ):
+        artifact = {"tables": tables}
+        assert cli._to_json(artifact) == _reference_json(artifact)
+        assert cli._to_csv(artifact) == _reference_csv(artifact)
+    with pytest.raises(TypeError):
+        cli._to_json({"tables": {"bad": [{"cell": object()}]}})
+
+
+def test_psa_that_never_settles_is_a_numerical_failure(capsys, monkeypatch):
+    """Without acceleration the series at rho = 0.6 changes least at depth 1;
+    solve exits 4 with nothing on stdout, compare and table1 write null PSA cells."""
+    point = ["--rho", "0.6", "--G", "0", "--epsilon", "1e-6"]
+    code, out, err = run_cli(["solve", "--method", "psa", *point], capsys)
+    assert (code, out) == (4, "")
+    assert "did not settle" in err
+    code, out, err = run_cli(["compare", *point, "--format", "json"], capsys)
+    assert code == 0 and "did not settle" in err
+    cells = {r["name"]: r["value"] for r in json.loads(out)["compare"]}
+    assert cells["maxnorm_ca_oracle"] < 1e-6
+    assert [cells[name] for name in ("maxnorm_psa_oracle", "maxnorm_ca_psa", "abs_diff_e_sojourn",
+                                     "abs_diff_correlation")] == [None] * 4
+    monkeypatch.setattr(cli, "_TABLE1_LOADS", (0.1, 0.6))
+    code, out, err = run_cli(["table1", "--G", "0", "--epsilon", "1e-6", "--format", "json"], capsys)
+    assert code == 0
+    low, high = json.loads(out)["table1"]
+    assert low["psa_converged"] and low["e_sojourn_psa"] is not None
+    assert high["psa_converged"] is False and high["e_sojourn_ca"] > 0
+    assert [high[c] for c in ("e_sojourn_psa", "abs_diff_e_sojourn", "correlation_psa",
+                              "abs_diff_correlation")] == [None] * 4
 
 
 def test_output_dir_env(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,6 @@ from relayq.model import (
     ModelParams,
     balance_residuals,
     box_matrix,
-    classify_region,
     drift_vectors,
     is_stable,
     lambda_for_load,
@@ -76,15 +75,6 @@ def test_drift_vectors():
         assert d.v[0] + d.v[1] == pytest.approx(margin, abs=1e-14)
 
 
-def test_classify_region():
-    assert classify_region(0, 0) == "O"
-    assert classify_region(2, 2) == "D"
-    assert classify_region(3, 0) == "Hp"
-    assert classify_region(0, 4) == "Vp"
-    assert classify_region(3, 1) == "H"
-    assert classify_region(1, 3) == "V"
-
-
 def test_step_on_arrays_is_step_per_state():
     """The slot rule runs unchanged on arrays of states: for each of the 16
     draws, element s of the result is the rule applied to state s alone."""
@@ -99,7 +89,7 @@ def test_step_on_arrays_is_step_per_state():
 
 def test_transition_distribution_origin():
     p = ModelParams(lam=0.3, a=0.5)
-    steps = dict(((di, dj), pr) for di, dj, pr in transition_distribution((0, 0), p).steps)
+    steps = dict(((di, dj), pr) for di, dj, pr in transition_distribution((0, 0), p))
     assert steps[(0, 1)] == pytest.approx(p.lam * p.abar / 2, abs=1e-15)
     assert steps[(1, 0)] == pytest.approx(p.lam * p.abar / 2, abs=1e-15)
     assert steps[(0, 0)] == pytest.approx(p.lbar + p.lam * p.a, abs=1e-15)
@@ -108,9 +98,7 @@ def test_transition_distribution_origin():
 
 def test_transition_distribution_angle():
     p = ModelParams(lam=0.3, a=0.5)
-    rs = transition_distribution((3, 1), p)
-    assert rs.region == "H"
-    steps = dict(((di, dj), pr) for di, dj, pr in rs.steps)
+    steps = dict(((di, dj), pr) for di, dj, pr in transition_distribution((3, 1), p))
     assert steps[(0, 1)] == pytest.approx(p.lam * (p.abar**2 + p.a**2), abs=1e-15)
     assert steps[(0, -1)] == pytest.approx(p.lbar * p.a * p.abar, abs=1e-15)
     assert steps[(-1, 0)] == pytest.approx(p.lbar * p.a * p.abar, abs=1e-15)
@@ -173,9 +161,7 @@ def test_both_laws_match_hand_tables_in_every_region():
     for p in random_params(rng, 500):
         for region, states in original.items():
             for s in states:
-                rs = transition_distribution(s, p)
-                assert rs.region == region
-                assert_same_law(rs.steps, hand_original_steps(region, p))
+                assert_same_law(transition_distribution(s, p), hand_original_steps(region, p))
         for s in transformed:
             assert_same_law(transformed_transition_distribution(s, p), hand_transformed_steps(s, p))
 
@@ -185,7 +171,7 @@ def test_transition_rows_stochastic_and_nonnegative():
     states = [(0, 0), (1, 0), (0, 1), (2, 2), (4, 1), (1, 4), (7, 0), (0, 9), (3, 3)]
     for p in random_params(rng, 1000):
         for s in states:
-            steps = transition_distribution(s, p).steps
+            steps = transition_distribution(s, p)
             assert sum(pr for _, _, pr in steps) == pytest.approx(1.0, abs=1e-14)
             for di, dj, pr in steps:
                 assert 0.0 <= pr <= 1.0
@@ -210,7 +196,7 @@ def test_transformed_law_is_lumped_original_law():
     for p in random_params(rng, 50):
         for (i, j) in originals:
             lumped: dict = {}
-            for di, dj, pr in transition_distribution((i, j), p).steps:
+            for di, dj, pr in transition_distribution((i, j), p):
                 key = transform_state(i + di, j + dj)
                 lumped[key] = lumped.get(key, 0.0) + pr
             k, l = transform_state(i, j)
@@ -248,7 +234,7 @@ def test_balance_residuals_compensation_grid(params_rho04, ca_rho04):
 
 # (variant as passed to box_matrix, per-state steps (dk, dl, prob))
 LAWS = (
-    (ORIGINAL, lambda s, p: transition_distribution(s, p).steps),
+    (ORIGINAL, transition_distribution),
     (TRANSFORMED, transformed_transition_distribution),
 )
 

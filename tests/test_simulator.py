@@ -146,7 +146,7 @@ def test_one_step_frequencies_match_law(base_params):
             nxt = step(state[0], state[1], arr[t], tie[t], a1[t], a2[t])
             counts[nxt] = counts.get(nxt, 0) + 1
         expected = {}
-        for di, dj, pr in transition_distribution(state, p).steps:
+        for di, dj, pr in transition_distribution(state, p):
             dest = (state[0] + di, state[1] + dj)
             expected[dest] = expected.get(dest, 0.0) + pr
         assert set(counts) <= set(expected)
