@@ -11,10 +11,12 @@ equations collapse to one-parameter form in the load.
 
 Coefficients are computed exactly, ordered by total level m = n + k + l:
 every recursion reference lives at level m or m-1, so two triangular slabs
-suffice. Within a level, states with k >= 1 are filled along anti-diagonals
-s = k + l from the top down (each diagonal is a first-order recurrence in k,
-evaluated as a linear filter), then the k = 0 column from l = 1 upward, and
-finally the normalization entry (0, 0).
+suffice. Within a level, states with k >= 1 are filled by anti-wavefronts
+w = (k + l) + k from the top down, one array step per wavefront, since a state
+reads only states of wavefront w + 1 at its own level; then the k = 0 column
+from l = 1 upward, and finally the normalization entry (0, 0). A solve sweeps
+the levels once: it monitors the series mass as depths complete and holds
+the coefficient box of every depth up to its cap, which a byte budget bounds.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.signal import lfilter
 
 from .errors import NumericsError, StabilityError, UnsupportedParameterError
 from .grids import TRANSFORMED, ProbabilityGrid
@@ -39,8 +40,19 @@ __all__ = [
 ]
 
 MAX_OUTER_ITERATIONS = 500
+MAX_HELD_BYTES = 64 * 2**20  # coefficient box held during a solve; bounds its depth
 _DIVERGENCE_PATIENCE = 10
 _IMPROVEMENT_PATIENCE = 50
+
+
+def __getattr__(name: str):
+    # not called here: benchmarks/tracing.py, its only user, patches psa.lfilter;
+    # importing it on first lookup keeps scipy.signal out of the import
+    if name == "lfilter":
+        from scipy.signal import lfilter
+
+        return lfilter
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def theta_from_rho(rho: float, G: float) -> float:
@@ -76,19 +88,34 @@ class _LevelMachine:
 
     Zero-extension for negative coefficient indices is automatic: a state
     outside a slab's triangle was never written at that level and the buffers
-    start (and stay) zero there.
+    start (and stay) zero there. The buffers grow with the levels reached; a
+    row stride above m + 1 keeps the normalization sum's order fixed.
     """
 
-    def __init__(self, G: float, max_level: int):
+    def __init__(self, G: float, levels: int, last: int):
+        """Buffers for the levels m <= ``levels`` to start with, and never
+        beyond ``last``, the last level to be computed."""
         self.G = G
         self.Gp = G + 1.0
-        self.M = max_level
-        size = max_level + 3
-        self.prev = np.zeros((size, size))
-        self.cur = np.zeros((size, size))
+        self.last = last
+        self.size = 0
+        self._grow(min(levels, last) + 3)
+
+    def _grow(self, size: int) -> None:
+        slabs = [np.zeros((size, size)) for _ in range(2)]
+        if self.size:
+            slabs[0][: self.size, : self.size] = self.prev
+            slabs[1][: self.size, : self.size] = self.cur
+        self.prev, self.cur = slabs
+        # prev-only products of the k >= 1 recursion, refreshed once per level
+        self.products = [np.zeros((size, size)) for _ in range(4)]
+        self.tmp = np.empty(size)
+        self.size = size
 
     def advance(self, m: int) -> np.ndarray:
         """Compute level m (requires calls with m = 0, 1, 2, ...); returns the slab."""
+        if m + 3 > self.size:
+            self._grow(min(max(m, self.size + self.size // 4), self.last) + 3)
         with np.errstate(over="ignore", invalid="ignore"):
             return self._advance(m)
 
@@ -101,44 +128,68 @@ class _LevelMachine:
             cur[0, 0] = 1.0
             self.prev, self.cur = cur, prev
             return cur
-        for s in range(m, 0, -1):
-            # state (s, 0): diagonal entry cur[s, s]
-            cur[s, s] = (
-                (G - 1.5) / Gp * prev[s, s]
-                + 0.5 * cur[s + 1, s]
-                - 0.5 * G / Gp * prev[s + 1, s]
-                + 0.5 / Gp * prev[s + 1, s - 1]
-                + 1.0 / Gp * prev[s, s - 1]
-            )
-            if s >= 2:
+        # States with k >= 1 go by anti-wavefronts w = s + k from the top down:
+        # (s, k) reads (s+1, k) and (s, k+1) of this level, both on wavefront
+        # w + 1, so a wavefront is one step. Each entry adds its terms in the
+        # order of the per-state formulas; the recursion amplifies round-off,
+        # so another order gives other coefficients.
+        c1, c2, c3, c4 = (G - 1.5) / Gp, 0.5 * G / Gp, 1.0 / Gp, 0.5 / Gp
+        c5, c6 = (G - 1.0) / Gp, G / Gp
+        top = slice(0, m + 2)
+        for prod, c in zip(self.products, (c1, c2, c3, c4)):
+            np.multiply(prev[top, top], c, out=prod[top, top])
+        f1, f2, f3, f4 = (prod.ravel() for prod in self.products)
+        cf, tmp = cur.ravel(), self.tmp
+        S = self.size
+        D = S - 1  # flat stride along a wavefront, k decreasing
+        d0 = prev.diagonal()[: m + 2].tolist()  # prev[s, s]
+        d1 = prev.diagonal(-1)[: m + 2].tolist()  # prev[s + 1, s]
+        d2 = prev.diagonal(-2)[: m + 2].tolist()  # prev[s + 2, s]
+        d3 = prev.diagonal(-3)[: m + 2].tolist()  # prev[s + 3, s]
+        l0 = l1 = 0.0  # the edge entries cur[s, s] and cur[s + 1, s] one wavefront up
+        for w in range(2 * m, 1, -1):
+            if w % 2 == 0:
+                # state (s, 0): diagonal entry cur[s, s]
+                s = w // 2
+                l0 = (
+                    c1 * d0[s]
+                    + 0.5 * l1
+                    - c2 * d1[s]
+                    + c4 * d2[s - 1]
+                    + c3 * d1[s - 1]
+                )
+                cur[s, s] = l0
+            elif w >= 3:
                 # state (s-1, 1): cur[s, s-1]
-                k = s - 1
-                cur[s, k] = (
-                    (G - 1.0) / Gp * prev[s, k]
-                    + 0.5 * cur[s + 1, k]
-                    - 0.5 * G / Gp * prev[s + 1, k]
-                    + 0.5 / Gp * prev[s + 1, k - 1]
-                    + 1.0 / Gp * prev[s, k - 1]
-                    - G / Gp * prev[s, k + 1]
-                    + 1.0 / Gp * prev[s - 1, k]
-                    + cur[s, k + 1]
+                s = (w + 1) // 2
+                l1 = (
+                    c5 * d1[s - 1]
+                    + 0.5 * cur.item(s + 1, s - 1)
+                    - c2 * d2[s - 1]
+                    + c4 * d3[s - 2]
+                    + c3 * d2[s - 2]
+                    - c6 * d0[s]
+                    + c3 * d0[s - 1]
+                    + l0
                 )
-            if s >= 3:
-                # states (k, l = s-k) for k = s-2 .. 1: a first-order recurrence
-                # x_k = a_k + 0.5 x_{k+1} seeded by the l = 1 state
-                ks = np.arange(s - 2, 0, -1)
-                a = (
-                    (G - 1.5) / Gp * prev[s, ks]
-                    + 0.5 * cur[s + 1, ks]
-                    - 0.5 * G / Gp * prev[s + 1, ks]
-                    + 1.0 / Gp * prev[s, ks - 1]
-                    + 0.5 / Gp * prev[s + 1, ks - 1]
-                    - 0.5 * G / Gp * prev[s, ks + 1]
-                )
-                # l = 2 tap from the diagonal row below (only the k = s-2 entry)
-                a[0] = a[0] + 0.5 / Gp * prev[s - 1, s - 1]
-                x, _ = lfilter([1.0], [1.0, -0.5], a, zi=[0.5 * cur[s, s - 1]])
-                cur[s, ks] = x
+                cur[s, s - 1] = l1
+            # states (k, l >= 2) of the wavefront, k from k_hi down to k_lo
+            k_hi = (w - 2) // 2
+            n = k_hi - max(1, w - m) + 1
+            if n <= 0:
+                continue
+            i0 = (w - k_hi) * S + k_hi
+            i1 = i0 + n * D
+            half = 0.5 * cf[i0 + 1 : i1 + S : D]  # 0.5 * wavefront w + 1
+            a = np.add(f1[i0:i1:D], half[1:], out=tmp[:n])
+            np.subtract(a, f2[i0 + S : i1 + S : D], out=a)
+            np.add(a, f3[i0 - 1 : i1 - 1 : D], out=a)
+            np.add(a, f4[i0 + D : i1 + D : D], out=a)
+            np.subtract(a, f2[i0 + 1 : i1 + 1 : D], out=a)
+            if w % 2 == 0:
+                # l = 2 tap from the diagonal row below (only the k = k_hi entry)
+                a[0] += c4 * d0[w // 2]
+            np.add(a, half[:-1], out=cf[i0:i1:D])
         # k = 0 column, bottom-up
         cur[1, 0] = G / Gp * prev[1, 0] + 1.0 / Gp * prev[0, 0]
         if m >= 2:
@@ -167,16 +218,29 @@ class _LevelMachine:
         return cur
 
 
-def _levels(G: float, max_level: int, T: int):
-    """Yield the levels m = 0..max_level as T-boxes block[k, l] = u(m-k-l, k, l).
+def _sweep(G: float, T: int, depth: int):
+    """Yield (m, block, held) for the levels m = 0 .. depth + 2T.
 
-    Entries with k + l > m read slab rows that level m never wrote, so they
-    are zero.
+    block[k, l] = u(m-k-l, k, l) is level m's T-box; entries with k + l > m
+    read slab rows that level m never wrote, so they are zero. held[n] is the
+    flat (k, l) box of depth n <= min(m, depth), filled up to k + l = m - n.
     """
-    machine = _LevelMachine(G, max_level)
+    machine = _LevelMachine(G, 2 * T, depth + 2 * T)
     K, L = np.indices((T + 1, T + 1))
-    for m in range(max_level + 1):
-        yield machine.advance(m)[K + L, K]
+    KL = K + L
+    # diagonal k + l = s of a flat (k, l) box: k = max(0, s-T) .. min(s, T), stride T
+    diagonals = [
+        slice(s + max(0, s - T) * T, s + min(s, T) * T + 1, max(T, 1)) for s in range(2 * T + 1)
+    ]
+    held: list[np.ndarray] = []
+    for m in range(depth + 2 * T + 1):
+        block = machine.advance(m)[KL, K]
+        if m <= depth:
+            held.append(np.zeros((T + 1) ** 2))
+        flat = block.ravel()
+        for s in range(max(m - depth, 0), min(m, 2 * T) + 1):
+            held[m - s][diagonals[s]] = flat[diagonals[s]]
+        yield m, block, held
 
 
 def compute_coefficients(N_psa: int, T_psa: int, G: float) -> np.ndarray:
@@ -189,13 +253,9 @@ def compute_coefficients(N_psa: int, T_psa: int, G: float) -> np.ndarray:
         raise ValueError("truncations must be non-negative")
     if not (math.isfinite(G) and G >= 0.0):
         raise ValueError(f"acceleration parameter must be finite and >= 0, got {G}")
-    u = np.zeros((N_psa + 1, T_psa + 1, T_psa + 1))
-    K, L = np.indices((T_psa + 1, T_psa + 1))
-    for m, block in enumerate(_levels(G, N_psa + 2 * T_psa, T_psa)):
-        n_idx = m - K - L
-        mask = (n_idx >= 0) & (n_idx <= N_psa)
-        u[n_idx[mask], K[mask], L[mask]] = block[mask]
-    return u
+    for _, _, held in _sweep(G, T_psa, N_psa):
+        pass
+    return np.reshape(held, (N_psa + 1, T_psa + 1, T_psa + 1))
 
 
 def _reconstruct(u: np.ndarray, theta: float) -> ProbabilityGrid:
@@ -221,6 +281,11 @@ def evaluate(rho: float, solution: PsaSolution) -> ProbabilityGrid:
 def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSolution:
     """Run the series until the relative total-mass change drops below epsilon.
 
+    One sweep of the levels checks each depth's mass as it completes and holds
+    the coefficient box u(n, k, l) of every depth up to the cap, the smaller of
+    MAX_OUTER_ITERATIONS and the depths that fit in MAX_HELD_BYTES; the result
+    keeps the box up to the depth it reports.
+
     The stopping rule compares the truncated-grid mass of successive series
     depths. Near saturation the series stops converging before reaching
     epsilon (the radius of the accelerated series is finite); the solver then
@@ -230,7 +295,8 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     whose partial mass lies in (0.05, 20) qualify as that iterate. When none
     does, or the best is depth 1 (no later depth improved on the first
     increment), it raises :class:`NumericsError` rather than return a partial
-    sum that is no answer.
+    sum that is no answer; it raises it before the sweep when the budget holds
+    no depth beyond the first.
     """
     if abs(params.a - 0.5) > 1e-15:
         raise UnsupportedParameterError(
@@ -243,9 +309,16 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     theta = theta_from_rho(rho, G)
     T = grid_truncation(rho * rho, epsilon)
 
-    # pass A: per-depth mass increments dS_n, monitored as levels complete
-    cap = MAX_OUTER_ITERATIONS
-    M_max = cap + 2 * T
+    # one sweep: per-depth mass increments dS_n, monitored as levels complete,
+    # while the held box keeps the coefficients of every depth up to the cap
+    depth_bytes = 8 * (T + 1) ** 2
+    cap = min(MAX_OUTER_ITERATIONS, MAX_HELD_BYTES // depth_bytes - 1)
+    if cap < 2:
+        # depth 1 is never an answer, so no depth under the cap could be
+        raise NumericsError(
+            f"power series at load {rho:.4g} needs {depth_bytes / 2**20:.3g} MiB per depth on its "
+            f"T = {T} grid; the {MAX_HELD_BYTES / 2**20:g} MiB budget holds {max(cap + 1, 0)} depths"
+        )
     dS = np.zeros(cap + 1)
     rel_hist: list[float] = []
     best_n = 0
@@ -257,7 +330,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     n_final = cap
     K, L = np.indices((T + 1, T + 1))
     s_flat = (K + L).ravel()
-    for m, block in enumerate(_levels(G, M_max, T)):
+    for m, block, held in _sweep(G, T, cap):
         diag_sums = np.bincount(s_flat, weights=block.ravel(), minlength=2 * T + 1)
         s_lo = max(m - cap, 0)
         s_hi = min(2 * T, m)
@@ -305,9 +378,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
             f"the first has a sane mass and a smaller change (stop: {stop_reason} after "
             f"{len(rel_hist)} depths)"
         )
-
-    # pass B: recompute the slabs, capturing the coefficient box up to n_final
-    u = compute_coefficients(n_final, T, G)
+    u = np.reshape(held[: n_final + 1], (n_final + 1, T + 1, T + 1))
     return PsaSolution(
         G=G,
         theta=theta,

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .errors import RelayQError
 from .grids import TRANSFORMED, ProbabilityGrid
@@ -170,6 +169,8 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         mean = float(arr.mean())
         if len(arr) < 2:
             return mean, None
+        from scipy import stats  # imported here: it doubles the time to import relayq
+
         half = float(
             stats.t.ppf(0.975, len(arr) - 1) * arr.std(ddof=1) / math.sqrt(len(arr))
         )

@@ -3,6 +3,9 @@ import dataclasses
 import json
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -443,3 +446,18 @@ def test_vs_single_server_command(capsys):
     assert float(mid.get("single_mean_queue")) == pytest.approx(
         float(mid.get("jsrq_mean_total")), abs=1e-6
     )
+
+
+def test_import_leaves_out_signal_and_stats():
+    """Importing the CLI loads neither scipy.signal nor scipy.stats, the two
+    slowest imports; psa.lfilter, which the benchmark tracer patches, still
+    resolves on lookup."""
+    code = (
+        "import sys, relayq.cli\n"
+        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
+        "print(callable(relayq.cli.psa.lfilter))"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.split("\n")[:2] == ["[]", "True"]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from relayq import compensation, oracle, psa
-from relayq.errors import StabilityError, UnsupportedParameterError
+from relayq.errors import NumericsError, StabilityError, UnsupportedParameterError
 from relayq.model import ModelParams, lambda_for_load
 from conftest import maxnorm
 
@@ -215,13 +215,35 @@ class ReferenceMachine:
 
 @pytest.mark.parametrize("G", [0.0, 1.0, 2.5])
 def test_order_of_computation_independence(G):
-    N = T = 4
+    N = T = 8
     u = psa.compute_coefficients(N, T, G)
     ref = ReferenceMachine(G)
     for n in range(N + 1):
         for k in range(T + 1):
             for l in range(T + 1):
                 assert u[n, k, l] == ref.u(n, k, l), (n, k, l)
+
+
+@pytest.mark.parametrize("rho, G", [(0.4, 1.0), (0.9, 1.0), (0.6, 2.5)])
+def test_one_pass_holds_the_explicit_sweep(rho, G):
+    """The box that solve keeps from its one monitored sweep is the box that
+    an explicit sweep to the reported depth computes."""
+    s = psa.solve(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5), G=G)
+    assert np.array_equal(s.u, psa.compute_coefficients(s.N_psa, s.T_psa, G))
+
+
+def test_held_box_stays_within_budget(monkeypatch, params_rho04, psa_rho04):
+    depth_bytes = 8 * (psa_rho04.T_psa + 1) ** 2
+    monkeypatch.setattr(psa, "MAX_HELD_BYTES", 11 * depth_bytes + depth_bytes // 2)
+    s = psa.solve(params_rho04)
+    assert s.diagnostics.stop_reason == "cap" and not s.diagnostics.converged
+    assert s.N_psa == len(s.diagnostics.rel_change_history) == 10
+    assert s.u.nbytes <= psa.MAX_HELD_BYTES
+    assert np.array_equal(s.u, psa_rho04.u[:11])
+    # a budget that holds depths 0 and 1 only cannot hold an answer
+    monkeypatch.setattr(psa, "MAX_HELD_BYTES", 3 * depth_bytes - 1)
+    with pytest.raises(NumericsError, match="budget"):
+        psa.solve(params_rho04)
 
 
 def test_small_load_matches_oracle():
