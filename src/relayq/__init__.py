@@ -19,10 +19,8 @@ from .errors import (
 from .grids import ProbabilityGrid
 from .measures import MeasureReport, moments_from_transformed
 from .model import (
-    DriftVectors,
     ModelParams,
     StabilityReport,
-    drift_vectors,
     is_stable,
     lambda_for_load,
     transform_state,
@@ -38,7 +36,6 @@ __all__ = [
     "MeasureReport",
     "SimConfig",
     "SimResult",
-    "DriftVectors",
     "StabilityReport",
     "RelayQError",
     "StabilityError",
@@ -46,7 +43,6 @@ __all__ = [
     "UnsupportedParameterError",
     "GridError",
     "is_stable",
-    "drift_vectors",
     "transform_state",
     "transition_distribution",
     "lambda_for_load",

@@ -33,10 +33,8 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-import scipy.sparse as sp
-import scipy.sparse.linalg as spla
 
-from .errors import GridError, NumericsError, StabilityError
+from .errors import NumericsError, StabilityError
 from .grids import TRANSFORMED, ProbabilityGrid
 from .model import EPSILON_FLOOR, ModelParams, grid_truncation, transformed_inflows
 
@@ -52,7 +50,6 @@ __all__ = [
     "horizontal_coefficients",
     "leading_boundary_coefficients",
     "compute_series",
-    "evaluate_series",
     "asymptotic_ratios",
     "solve",
 ]
@@ -340,30 +337,12 @@ def _series_values_boundary(series: CompensationSeries, n: int, ks: np.ndarray, 
     return e[: n + 1] @ gk
 
 
-def evaluate_series(k: int, l: int, series: CompensationSeries, n_terms: int | None = None) -> float:
-    """Unnormalized series value at a state in the explicit-form regimes.
-
-    Valid for l >= 3 (pair form) and for l in {0, 1} with k >= 1 (boundary
-    form); asking for any other state here is a domain error. :func:`solve`
-    also takes the l = 2 row for k > 2 from the pair form and solves the box
-    [0,2]^2 from its own balance equations.
-    """
-    n = series.n_terms if n_terms is None else n_terms
-    if n > series.n_terms:
-        raise GridError(f"series holds {series.n_terms} terms, requested {n}")
-    if l >= 3:
-        return float(_series_values_l2plus(series, n, np.array([k]), np.array([l]))[0, 0])
-    if l in (0, 1) and k >= 1:
-        return float(_series_values_boundary(series, n, np.array([k]), l)[0])
-    raise GridError(f"state ({k}, {l}) is outside the series regimes (use solve())")
-
-
 def _outer_values(series: CompensationSeries, n: int, T: int, B: int) -> np.ndarray:
     """Unnormalized values on [0,T]^2 with NaN on the inner box [0,B]^2.
 
-    The l = 2 column outside the box uses the pair form as well, one row
-    below the range :func:`evaluate_series` states; the balance residual of
-    the finished grid covers that seam.
+    Rows l >= 2 take the pair form and rows l in {0, 1} the boundary form.
+    The pair form is derived for l >= 3; the balance residual of the
+    finished grid covers its use on the l = 2 row outside the box.
     """
     vals = np.full((T + 1, T + 1), np.nan)
     ks = np.arange(T + 1)
@@ -380,20 +359,15 @@ def _inner_box_system(params: ModelParams, B: int):
     """Balance equations on the inner box [0,B]^2 and their taps on the states around it.
 
     Every source of an inner state lies in [0,B+1] x [0,B+2], the box of the
-    inflow operator Q. Returns the LU factors of A = I - Q[inner, inner], the
-    tap block Q[inner, outer], and the mask of inner states in that box
-    (flattened as k*(B+3)+l).
+    inflow operator Q. Returns A = I - Q[inner, inner], the tap block
+    Q[inner, outer], and the mask of inner states in that box (flattened as
+    k*(B+3)+l).
     """
     Q = transformed_inflows(params, B + 1, B + 2)
     k, l = np.divmod(np.arange(Q.shape[0]), B + 3)
     inner = (k <= B) & (l <= B)
     Q = Q[inner]
-    A = sp.identity((B + 1) ** 2, format="csc") - Q[:, inner].tocsc()
-    try:
-        lu = spla.splu(A)
-    except RuntimeError as exc:
-        raise NumericsError(f"inner-box balance system is singular: {exc}") from exc
-    return lu, Q[:, ~inner], inner
+    return np.eye((B + 1) ** 2) - Q[:, inner], Q[:, ~inner], inner
 
 
 def solve(
@@ -421,14 +395,18 @@ def solve(
     series = compute_series(params, max(math.ceil(math.log(epsilon) / math.log(w / w_hat)), 1))
     n = series.n_terms
     B = INNER_BOX
-    lu, taps, inner = _inner_box_system(params, B)
+    A, taps, inner = _inner_box_system(params, B)
 
     def unnormalized_grid(n_terms: int) -> np.ndarray:
         # the taps reach l = B+2, which exceeds T on the smallest grids
         outer = _outer_values(series, n_terms, max(T, B + 2), B)
         vals = outer[: T + 1, : T + 1].copy()
         rhs = taps @ outer[: B + 2, : B + 3].ravel()[~inner]
-        vals[: B + 1, : B + 1] = lu.solve(rhs).reshape(B + 1, B + 1)
+        try:
+            box = np.linalg.solve(A, rhs)
+        except np.linalg.LinAlgError as exc:
+            raise NumericsError(f"inner-box balance system is singular: {exc}") from exc
+        vals[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
         return vals
 
     grid_un = unnormalized_grid(n)

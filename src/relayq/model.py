@@ -14,12 +14,14 @@ Two Markov chains describe the system: the original queue-length pair
 There is one slot rule, :func:`step`, and both one-step laws are computed
 from it: :func:`transition_distribution` sums the rule over the slot's 16
 draws, and :func:`transformed_transition_distribution` pushes that law
-through :func:`transform_state`. Every transition matrix on a finite box
-comes from :func:`box_matrix`, which runs the same rule on all states of the
-box at once, draw by draw: the oracle's truncated chains, the inflow
-operator :func:`transformed_inflows` behind the compensation solver's inner
-box, and the balance check :func:`balance_residuals`. The two scalar laws
-are the per-state reference the matrices are tested against.
+through :func:`transform_state`. Every move on a finite box comes from
+:func:`box_moves`, which runs the same rule on all states of the box at once,
+draw by draw, and returns the moves as plain (source, destination,
+probability) arrays. :func:`box_matrix` scatters them into the dense matrix
+of the oracle's truncated chains and, transposed as
+:func:`transformed_inflows`, of the compensation solver's inner box; the
+balance check :func:`balance_residuals` sums them without a matrix. The two
+scalar laws are the per-state reference the moves are tested against.
 """
 
 from __future__ import annotations
@@ -29,21 +31,19 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import GridError
 from .grids import ORIGINAL, TRANSFORMED
 
 __all__ = [
     "ModelParams",
-    "DriftVectors",
     "StabilityReport",
     "is_stable",
-    "drift_vectors",
     "step",
     "transition_distribution",
     "transformed_transition_distribution",
     "transform_state",
+    "box_moves",
     "box_matrix",
     "transformed_inflows",
     "balance_residuals",
@@ -111,17 +111,6 @@ class ModelParams:
 
 
 @dataclass(frozen=True)
-class DriftVectors:
-    """Mean one-step jump (E_x, E_y) per homogeneity region."""
-
-    h: tuple[float, float]
-    v: tuple[float, float]
-    hp: tuple[float, float]
-    vp: tuple[float, float]
-    d: tuple[float, float]
-
-
-@dataclass(frozen=True)
 class StabilityReport:
     stable: bool
     margin: float  # lam - 2*a*abar; negative means stable
@@ -149,22 +138,6 @@ def grid_truncation(decay: float, epsilon: float) -> int:
     first state beyond the grid is about ``epsilon`` of the origin's mass.
     """
     return max(math.ceil(math.log(epsilon) / math.log(decay)), 3)
-
-
-def drift_vectors(params: ModelParams) -> DriftVectors:
-    lam, a, ab = params.lam, params.a, params.abar
-    ex_h = -a * ab
-    ey_h = lam - a * ab
-    ex_hp = -a * (params.lbar + lam * ab)
-    ey_hp = lam * (ab * ab + a * a + a * ab)
-    e_d = 0.5 * (lam - 2 * a * ab)
-    return DriftVectors(
-        h=(ex_h, ey_h),
-        v=(ey_h, ex_h),
-        hp=(ex_hp, ey_hp),
-        vp=(ey_hp, ex_hp),
-        d=(e_d, e_d),
-    )
 
 
 def step(q1, q2, arrival, tie_to_q1, att1, att2):
@@ -241,15 +214,17 @@ def transformed_transition_distribution(
     return _grouped(moves)
 
 
-def box_matrix(params: ModelParams, T_k: int, T_l: int, variant: str = TRANSFORMED) -> sp.csr_matrix:
-    """One-step matrix of either chain on the box [0,T_k] x [0,T_l], steps leaving it dropped.
+def box_moves(
+    params: ModelParams, T_k: int, T_l: int, variant: str = TRANSFORMED
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-step moves (src, dst, prob) of either chain on the box [0,T_k] x [0,T_l].
 
     ``variant`` is ``TRANSFORMED`` (states (k, l)) or ``ORIGINAL`` (states
-    (Q1, Q2)). States are flattened as k*(T_l+1)+l; rows of states next to
-    the far edges are substochastic. :func:`step` runs on every state of the
-    box at once, once per draw, so each row is the law at its own state; the
-    sums match :func:`transition_distribution` and
-    :func:`transformed_transition_distribution` bit for bit.
+    (Q1, Q2)). States are flattened as k*(T_l+1)+l; steps leaving the box are
+    dropped, so states next to the far edges lose mass. :func:`step` runs on
+    every state of the box at once, once per draw, so the moves out of each
+    state are the law at that state. At most two moves of a source share a
+    destination, and only in the transformed chain.
     """
     n_l = T_l + 1
     n = (T_k + 1) * n_l
@@ -264,22 +239,34 @@ def box_matrix(params: ModelParams, T_k: int, T_l: int, variant: str = TRANSFORM
     src, di, dj = np.nonzero(law)
     k2, l2 = i[src] + di - 1, j[src] + dj - 1
     if variant == TRANSFORMED:
-        # at most two moves share a destination, so their sum is order-free
         k2, l2 = np.minimum(k2, l2), np.abs(k2 - l2)
     inside = (k2 <= T_k) & (l2 <= T_l)
-    return sp.csr_matrix(
-        (law[src, di, dj][inside], (src[inside], k2[inside] * n_l + l2[inside])), shape=(n, n)
-    )
+    return src[inside], k2[inside] * n_l + l2[inside], law[src, di, dj][inside]
 
 
-def transformed_inflows(params: ModelParams, T_k: int, T_l: int) -> sp.csr_matrix:
+def box_matrix(params: ModelParams, T_k: int, T_l: int, variant: str = TRANSFORMED) -> np.ndarray:
+    """Dense one-step matrix of either chain on the box [0,T_k] x [0,T_l].
+
+    The moves of :func:`box_moves` added into their cells, so each row is the
+    law at its own state and matches :func:`transition_distribution` and
+    :func:`transformed_transition_distribution` bit for bit: two moves that
+    share a cell have a sum that does not depend on their order.
+    """
+    src, dst, prob = box_moves(params, T_k, T_l, variant)
+    n = (T_k + 1) * (T_l + 1)
+    P = np.zeros((n, n))
+    np.add.at(P, (src, dst), prob)
+    return P
+
+
+def transformed_inflows(params: ModelParams, T_k: int, T_l: int) -> np.ndarray:
     """Inflow operator of the transformed chain on the box [0,T_k] x [0,T_l].
 
     The transpose of :func:`box_matrix`: row s holds the one-step
     probabilities into state s from every in-box source, so (Q @ pi)[s] is
     the right-hand side of the balance equation of s.
     """
-    return box_matrix(params, T_k, T_l).T.tocsr()
+    return box_matrix(params, T_k, T_l).T
 
 
 def balance_residuals(values: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -297,13 +284,13 @@ def balance_residuals(values: np.ndarray, params: ModelParams) -> np.ndarray:
     n = pi.shape[0]
     # steps move k by at most 1 and l by at most 2: this box holds every source
     box = (n + 1, n + 2)
-    Q = transformed_inflows(params, n, n + 1)
+    src, dst, prob = box_moves(params, n, n + 1)
     padded = np.zeros(box)
     padded[:n, :n] = pi
     beyond = np.ones(box)
     beyond[:n, :n] = 0.0
-    inflow = (Q @ padded.ravel()).reshape(box)[:n, :n]
-    reach = (Q @ beyond.ravel()).reshape(box)[:n, :n]
+    inflow = np.bincount(dst, prob * padded.ravel()[src], padded.size).reshape(box)[:n, :n]
+    reach = np.bincount(dst, prob * beyond.ravel()[src], beyond.size).reshape(box)[:n, :n]
     res = np.abs(pi - inflow)
     res[reach > 0.0] = np.nan
     return res

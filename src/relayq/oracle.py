@@ -18,8 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-# not called here: benchmarks/tracing.py, its only user, patches oracle.connected_components
-from scipy.sparse.csgraph import connected_components  # noqa: F401
 
 from .errors import GridError, RelayQError, StabilityError
 from .grids import ORIGINAL, TRANSFORMED, ProbabilityGrid
@@ -38,6 +36,16 @@ __all__ = [
 
 # largest box the dense matrix may take: T = 50, 54 MB for the matrix and as much for GTH's copy
 MAX_STATES = 2601
+
+
+def __getattr__(name: str):
+    # not called here: benchmarks/tracing.py, its only user, patches
+    # oracle.connected_components; importing it on first lookup keeps scipy out
+    if name == "connected_components":
+        from scipy.sparse.csgraph import connected_components
+
+        return connected_components
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 @dataclass(frozen=True)
@@ -62,7 +70,7 @@ def build(params: ModelParams, T: int, variant: str = TRANSFORMED) -> TruncatedC
             f"truncated chain at T = {T} has {(T + 1) ** 2} states, above the dense "
             f"oracle's limit of {MAX_STATES}; use --method ca at this load"
         )
-    P = box_matrix(params, T, T, variant).toarray()
+    P = box_matrix(params, T, T, variant)
     # fold the mass of the dropped steps back into each row's self-loop
     P[np.diag_indices_from(P)] += 1.0 - P.sum(axis=1)
     return TruncatedChain(T=T, variant=variant, matrix=P, params=params)

@@ -40,14 +40,14 @@ __all__ = [
 ]
 
 MAX_OUTER_ITERATIONS = 500
-MAX_HELD_BYTES = 64 * 2**20  # coefficient box held during a solve; bounds its depth
+MAX_HELD_BYTES = 64 * 2**20  # level slabs and coefficient box of a solve; bounds its depth
 _DIVERGENCE_PATIENCE = 10
 _IMPROVEMENT_PATIENCE = 50
 
 
 def __getattr__(name: str):
     # not called here: benchmarks/tracing.py, its only user, patches psa.lfilter;
-    # importing it on first lookup keeps scipy.signal out of the import
+    # importing it on first lookup keeps scipy out of the import
     if name == "lfilter":
         from scipy.signal import lfilter
 
@@ -282,9 +282,9 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     """Run the series until the relative total-mass change drops below epsilon.
 
     One sweep of the levels checks each depth's mass as it completes and holds
-    the coefficient box u(n, k, l) of every depth up to the cap, the smaller of
-    MAX_OUTER_ITERATIONS and the depths that fit in MAX_HELD_BYTES; the result
-    keeps the box up to the depth it reports.
+    the coefficient box u(n, k, l) of every depth up to the cap: the largest
+    depth up to MAX_OUTER_ITERATIONS whose six level slabs and held boxes fit
+    in MAX_HELD_BYTES. The result keeps the box up to the depth it reports.
 
     The stopping rule compares the truncated-grid mass of successive series
     depths. Near saturation the series stops converging before reaching
@@ -311,13 +311,19 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
 
     # one sweep: per-depth mass increments dS_n, monitored as levels complete,
     # while the held box keeps the coefficients of every depth up to the cap
-    depth_bytes = 8 * (T + 1) ** 2
-    cap = min(MAX_OUTER_ITERATIONS, MAX_HELD_BYTES // depth_bytes - 1)
+    def sweep_bytes(depth: int) -> int:
+        # six level slabs of side depth + 2T + 3 and the boxes of depths 0 .. depth
+        return 48 * (depth + 2 * T + 3) ** 2 + 8 * (depth + 1) * (T + 1) ** 2
+
+    cap = MAX_OUTER_ITERATIONS
+    while cap >= 2 and sweep_bytes(cap) > MAX_HELD_BYTES:
+        cap -= 1
     if cap < 2:
         # depth 1 is never an answer, so no depth under the cap could be
         raise NumericsError(
-            f"power series at load {rho:.4g} needs {depth_bytes / 2**20:.3g} MiB per depth on its "
-            f"T = {T} grid; the {MAX_HELD_BYTES / 2**20:g} MiB budget holds {max(cap + 1, 0)} depths"
+            f"power series at load {rho:.4g} needs {sweep_bytes(2) / 2**20:.3g} MiB for six level "
+            f"slabs of side {2 * T + 5} and three held depths on its T = {T} grid, above the "
+            f"{MAX_HELD_BYTES / 2**20:g} MiB budget"
         )
     dS = np.zeros(cap + 1)
     rel_hist: list[float] = []

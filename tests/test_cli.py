@@ -448,16 +448,16 @@ def test_vs_single_server_command(capsys):
     )
 
 
-def test_import_leaves_out_signal_and_stats():
-    """Importing the CLI loads neither scipy.signal nor scipy.stats, the two
-    slowest imports; psa.lfilter, which the benchmark tracer patches, still
-    resolves on lookup."""
+def test_import_loads_no_scipy():
+    """Importing the CLI loads no scipy module; psa.lfilter and
+    oracle.connected_components, which the benchmark tracer patches, still
+    resolve on lookup."""
     code = (
         "import sys, relayq.cli\n"
-        "print(sorted(m for m in ('scipy.signal', 'scipy.stats') if m in sys.modules))\n"
-        "print(callable(relayq.cli.psa.lfilter))"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "print(callable(relayq.cli.psa.lfilter), callable(relayq.cli.oracle.connected_components))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "True"]
+    assert out.stdout.split("\n")[:2] == ["[]", "True True"]

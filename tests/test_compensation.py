@@ -3,7 +3,7 @@ import pytest
 
 from relayq import compensation as ca
 from relayq import oracle
-from relayq.errors import GridError, NumericsError, StabilityError
+from relayq.errors import NumericsError, StabilityError
 from relayq.model import ModelParams, balance_residuals, lambda_for_load, max_interior_residual
 from conftest import maxnorm, random_stable_params
 
@@ -310,23 +310,6 @@ def test_asymptotic_ratios(params_rho04):
     assert s.gammas[i + 1] / s.deltas[i] == pytest.approx(1 / w_hat, abs=1e-3)
 
 
-def test_evaluate_series_single_term(base_params):
-    p = base_params
-    s = ca.compute_series(p, 3)
-    k, l = 4, 5
-    expected = (s.d[0] * s.gammas[0] ** k + s.c[0] * s.gammas[1] ** k) * s.deltas[0] ** l
-    assert ca.evaluate_series(k, l, s, n_terms=0) == pytest.approx(expected, rel=1e-14)
-
-
-def test_evaluate_series_domain(base_params):
-    s = ca.compute_series(base_params, 2)
-    with pytest.raises(GridError):
-        ca.evaluate_series(4, 2, s)  # the l = 2 row belongs to the box solve
-    with pytest.raises(GridError):
-        ca.evaluate_series(0, 1, s)  # boundary form needs k >= 1
-    ca.evaluate_series(0, 3, s)  # pair form is fine at k = 0
-
-
 def test_series_terms_decay_geometrically(base_params):
     p = base_params
     s = ca.compute_series(p, 8)
@@ -339,11 +322,8 @@ def test_series_terms_decay_geometrically(base_params):
     assert all(r < 0.4 for r in ratios)
 
 
-def test_series_agrees_with_oracle_pointwise(params_rho04, ca_rho04, oracle_rho04):
-    val = ca.evaluate_series(5, 5, ca_rho04.series, ca_rho04.n_used)
-    assert val * ca_rho04.series.normalization == pytest.approx(
-        oracle_rho04.values[5, 5], abs=1e-8
-    )
+def test_series_agrees_with_oracle_pointwise(ca_rho04, oracle_rho04):
+    assert ca_rho04.grid.values[5, 5] == pytest.approx(oracle_rho04.values[5, 5], abs=1e-8)
 
 
 def test_solve_grid_contract(ca_rho04):

@@ -2,7 +2,6 @@ import itertools
 
 import numpy as np
 import pytest
-import scipy.sparse as sp
 
 from relayq import oracle
 from relayq.errors import GridError
@@ -11,7 +10,6 @@ from relayq.model import (
     ModelParams,
     balance_residuals,
     box_matrix,
-    drift_vectors,
     is_stable,
     lambda_for_load,
     max_interior_residual,
@@ -59,20 +57,6 @@ def test_stability_matches_load_criterion():
     rng = np.random.default_rng(11)
     for p in random_params(rng, 1000):
         assert is_stable(p).stable == (p.rho < 1.0)
-
-
-def test_drift_vectors():
-    rng = np.random.default_rng(3)
-    assert drift_vectors(ModelParams(lam=0.3, a=0.5)).h[1] == pytest.approx(0.05, abs=1e-15)
-    for p in random_params(rng, 1000):
-        d = drift_vectors(p)
-        assert d.h[0] == pytest.approx(-p.a * p.abar, abs=1e-15)
-        # diagonal drift is the half-sum of the two angle drifts
-        assert d.d[0] == pytest.approx((d.h[0] + d.v[0]) / 2, abs=1e-14)
-        assert d.d[1] == pytest.approx((d.h[1] + d.v[1]) / 2, abs=1e-14)
-        margin = p.lam - 2 * p.a * p.abar
-        assert d.h[0] + d.h[1] == pytest.approx(margin, abs=1e-14)
-        assert d.v[0] + d.v[1] == pytest.approx(margin, abs=1e-14)
 
 
 def test_step_on_arrays_is_step_per_state():
@@ -257,8 +241,8 @@ def test_box_matrix_rows_are_the_law():
         for variant, steps_at in LAWS:
             for T_k, T_l in ((5, 7), (7, 5), (1, 9), (9, 1), (15, 2)):
                 P = box_matrix(p, T_k, T_l, variant)
-                assert sp.issparse(P)
-                assert np.array_equal(P.toarray(), law_matrix(steps_at, p, T_k, T_l))
+                assert isinstance(P, np.ndarray)
+                assert np.array_equal(P, law_matrix(steps_at, p, T_k, T_l))
 
 
 def test_oracle_folds_dropped_steps_into_self_loops():
@@ -268,7 +252,7 @@ def test_oracle_folds_dropped_steps_into_self_loops():
     for p in random_params(rng, 20):
         for variant, _ in LAWS:
             M = oracle.build(p, T, variant).matrix
-            P = box_matrix(p, T, T, variant).toarray()
+            P = box_matrix(p, T, T, variant)
             assert np.allclose(M.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
             assert np.array_equal(M[off_diagonal], P[off_diagonal])
 

@@ -233,17 +233,29 @@ def test_one_pass_holds_the_explicit_sweep(rho, G):
 
 
 def test_held_box_stays_within_budget(monkeypatch, params_rho04, psa_rho04):
-    depth_bytes = 8 * (psa_rho04.T_psa + 1) ** 2
-    monkeypatch.setattr(psa, "MAX_HELD_BYTES", 11 * depth_bytes + depth_bytes // 2)
+    T = psa_rho04.T_psa
+
+    def sweep_bytes(depth):
+        # six level slabs of side depth + 2T + 3 and the boxes of depths 0 .. depth
+        return 48 * (depth + 2 * T + 3) ** 2 + 8 * (depth + 1) * (T + 1) ** 2
+
+    monkeypatch.setattr(psa, "MAX_HELD_BYTES", (sweep_bytes(10) + sweep_bytes(11)) // 2)
     s = psa.solve(params_rho04)
     assert s.diagnostics.stop_reason == "cap" and not s.diagnostics.converged
     assert s.N_psa == len(s.diagnostics.rel_change_history) == 10
     assert s.u.nbytes <= psa.MAX_HELD_BYTES
     assert np.array_equal(s.u, psa_rho04.u[:11])
     # a budget that holds depths 0 and 1 only cannot hold an answer
-    monkeypatch.setattr(psa, "MAX_HELD_BYTES", 3 * depth_bytes - 1)
+    monkeypatch.setattr(psa, "MAX_HELD_BYTES", sweep_bytes(2) - 1)
     with pytest.raises(NumericsError, match="budget"):
         psa.solve(params_rho04)
+
+
+def test_budget_refuses_near_saturation_before_the_sweep():
+    """At rho = 0.99 the six level slabs alone exceed the budget, so the
+    solve fails at once instead of sweeping thousands of levels."""
+    with pytest.raises(NumericsError, match="budget"):
+        psa.solve(ModelParams(lam=lambda_for_load(0.99, 0.5), a=0.5))
 
 
 def test_small_load_matches_oracle():
