@@ -42,7 +42,6 @@ __all__ = [
     "CompensationSeries",
     "CompensationResult",
     "kernel_residual",
-    "kernel_scale",
     "initial_gamma",
     "delta_root",
     "gamma_root",
@@ -103,17 +102,6 @@ def kernel_residual(gamma: float, delta: float, params: ModelParams) -> float:
     lhs = (1.0 - p.p_hold) * gamma * delta
     rhs = (p.p_dep * gamma + p.p_fwd) * delta**2 + p.p_both * delta**3 + p.p_dep * gamma**2
     return lhs - rhs
-
-
-def kernel_scale(gamma: float, delta: float, params: ModelParams) -> float:
-    """Magnitude of the largest kernel monomial; reference for relative residuals."""
-    p = params
-    return max(
-        abs((1.0 - p.p_hold) * gamma * delta),
-        abs((p.p_dep * gamma + p.p_fwd) * delta**2),
-        abs(p.p_both * delta**3),
-        abs(p.p_dep * gamma**2),
-    )
 
 
 def initial_gamma(params: ModelParams) -> float:

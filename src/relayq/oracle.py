@@ -40,7 +40,8 @@ MAX_STATES = 2601
 
 def __getattr__(name: str):
     # not called here: benchmarks/tracing.py, its only user, patches
-    # oracle.connected_components; importing it on first lookup keeps scipy out
+    # oracle.connected_components; scipy is imported on first lookup, for the
+    # tracer only, so relayq runs with numpy alone
     if name == "connected_components":
         from scipy.sparse.csgraph import connected_components
 
@@ -54,9 +55,6 @@ class TruncatedChain:
     variant: str  # "original" | "transformed"
     matrix: np.ndarray  # row-stochastic, states flattened as k*(T+1)+l
     params: ModelParams
-
-    def state_index(self, k: int, l: int) -> int:
-        return k * (self.T + 1) + l
 
 
 def build(params: ModelParams, T: int, variant: str = TRANSFORMED) -> TruncatedChain:

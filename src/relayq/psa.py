@@ -14,9 +14,10 @@ every recursion reference lives at level m or m-1, so two triangular slabs
 suffice. Within a level, states with k >= 1 are filled by anti-wavefronts
 w = (k + l) + k from the top down, one array step per wavefront, since a state
 reads only states of wavefront w + 1 at its own level; then the k = 0 column
-from l = 1 upward, and finally the normalization entry (0, 0). A solve sweeps
-the levels once: it monitors the series mass as depths complete and holds
-the coefficient box of every depth up to its cap, which a byte budget bounds.
+from l = 1 upward, and finally the normalization entry (0, 0). The slabs are
+allocated once, for the last level. A solve sweeps the levels once into one
+coefficient array u[n, k, l], preallocated to the depth cap that a byte budget
+bounds, and reads each depth's series mass once, when the depth completes.
 """
 
 from __future__ import annotations
@@ -47,7 +48,8 @@ _IMPROVEMENT_PATIENCE = 50
 
 def __getattr__(name: str):
     # not called here: benchmarks/tracing.py, its only user, patches psa.lfilter;
-    # importing it on first lookup keeps scipy out of the import
+    # scipy is imported on first lookup, for the tracer only, so relayq runs
+    # with numpy alone
     if name == "lfilter":
         from scipy.signal import lfilter
 
@@ -88,34 +90,23 @@ class _LevelMachine:
 
     Zero-extension for negative coefficient indices is automatic: a state
     outside a slab's triangle was never written at that level and the buffers
-    start (and stay) zero there. The buffers grow with the levels reached; a
-    row stride above m + 1 keeps the normalization sum's order fixed.
+    start (and stay) zero there. The buffers are allocated once, for the last
+    level (``np.zeros`` commits a page when a level first writes to it); a row
+    stride above m + 1 keeps the normalization sum's order fixed.
     """
 
-    def __init__(self, G: float, levels: int, last: int):
-        """Buffers for the levels m <= ``levels`` to start with, and never
-        beyond ``last``, the last level to be computed."""
+    def __init__(self, G: float, last: int):
+        """Buffers for the levels m = 0 .. ``last``, allocated once at side last + 3."""
         self.G = G
         self.Gp = G + 1.0
-        self.last = last
-        self.size = 0
-        self._grow(min(levels, last) + 3)
-
-    def _grow(self, size: int) -> None:
-        slabs = [np.zeros((size, size)) for _ in range(2)]
-        if self.size:
-            slabs[0][: self.size, : self.size] = self.prev
-            slabs[1][: self.size, : self.size] = self.cur
-        self.prev, self.cur = slabs
+        self.size = size = last + 3
+        self.prev, self.cur = np.zeros((size, size)), np.zeros((size, size))
         # prev-only products of the k >= 1 recursion, refreshed once per level
         self.products = [np.zeros((size, size)) for _ in range(4)]
         self.tmp = np.empty(size)
-        self.size = size
 
     def advance(self, m: int) -> np.ndarray:
         """Compute level m (requires calls with m = 0, 1, 2, ...); returns the slab."""
-        if m + 3 > self.size:
-            self._grow(min(max(m, self.size + self.size // 4), self.last) + 3)
         with np.errstate(over="ignore", invalid="ignore"):
             return self._advance(m)
 
@@ -219,28 +210,21 @@ class _LevelMachine:
 
 
 def _sweep(G: float, T: int, depth: int):
-    """Yield (m, block, held) for the levels m = 0 .. depth + 2T.
+    """Yield (m, u) for the levels m = 0 .. depth + 2T.
 
-    block[k, l] = u(m-k-l, k, l) is level m's T-box; entries with k + l > m
-    read slab rows that level m never wrote, so they are zero. held[n] is the
-    flat (k, l) box of depth n <= min(m, depth), filled up to k + l = m - n.
+    u[n, k, l] = u(n, k, l) for 0 <= n <= depth is one preallocated array;
+    level m writes the entries of its T-box whose depth n = m - (k + l) lies
+    in [0, depth], so depth n is complete from level n + 2T on.
     """
-    machine = _LevelMachine(G, 2 * T, depth + 2 * T)
+    machine = _LevelMachine(G, depth + 2 * T)
+    u = np.zeros((depth + 1, T + 1, T + 1))
     K, L = np.indices((T + 1, T + 1))
     KL = K + L
-    # diagonal k + l = s of a flat (k, l) box: k = max(0, s-T) .. min(s, T), stride T
-    diagonals = [
-        slice(s + max(0, s - T) * T, s + min(s, T) * T + 1, max(T, 1)) for s in range(2 * T + 1)
-    ]
-    held: list[np.ndarray] = []
     for m in range(depth + 2 * T + 1):
-        block = machine.advance(m)[KL, K]
-        if m <= depth:
-            held.append(np.zeros((T + 1) ** 2))
-        flat = block.ravel()
-        for s in range(max(m - depth, 0), min(m, 2 * T) + 1):
-            held[m - s][diagonals[s]] = flat[diagonals[s]]
-        yield m, block, held
+        slab = machine.advance(m)
+        at = (m - depth <= KL) & (KL <= m)
+        u[m - KL[at], K[at], L[at]] = slab[KL[at], K[at]]
+        yield m, u
 
 
 def compute_coefficients(N_psa: int, T_psa: int, G: float) -> np.ndarray:
@@ -253,9 +237,9 @@ def compute_coefficients(N_psa: int, T_psa: int, G: float) -> np.ndarray:
         raise ValueError("truncations must be non-negative")
     if not (math.isfinite(G) and G >= 0.0):
         raise ValueError(f"acceleration parameter must be finite and >= 0, got {G}")
-    for _, _, held in _sweep(G, T_psa, N_psa):
+    for _, u in _sweep(G, T_psa, N_psa):
         pass
-    return np.reshape(held, (N_psa + 1, T_psa + 1, T_psa + 1))
+    return u
 
 
 def _reconstruct(u: np.ndarray, theta: float) -> ProbabilityGrid:
@@ -281,10 +265,12 @@ def evaluate(rho: float, solution: PsaSolution) -> ProbabilityGrid:
 def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSolution:
     """Run the series until the relative total-mass change drops below epsilon.
 
-    One sweep of the levels checks each depth's mass as it completes and holds
-    the coefficient box u(n, k, l) of every depth up to the cap: the largest
-    depth up to MAX_OUTER_ITERATIONS whose six level slabs and held boxes fit
-    in MAX_HELD_BYTES. The result keeps the box up to the depth it reports.
+    One sweep of the levels writes the coefficients u(n, k, l) of every depth
+    up to the cap into one array, and reads depth n's mass increment
+    sum_(k,l) theta^(n+k+l) u(n, k, l) once, at level n + 2T, where it
+    completes. The cap is the largest depth up to MAX_OUTER_ITERATIONS whose
+    six level slabs and coefficient boxes fit in MAX_HELD_BYTES. The result
+    keeps the coefficients up to the depth it reports.
 
     The stopping rule compares the truncated-grid mass of successive series
     depths. Near saturation the series stops converging before reaching
@@ -309,8 +295,8 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     theta = theta_from_rho(rho, G)
     T = grid_truncation(rho * rho, epsilon)
 
-    # one sweep: per-depth mass increments dS_n, monitored as levels complete,
-    # while the held box keeps the coefficients of every depth up to the cap
+    # one sweep: the coefficient array holds every depth up to the cap, and
+    # the mass increment dS_n of depth n is read once it completes
     def sweep_bytes(depth: int) -> int:
         # six level slabs of side depth + 2T + 3 and the boxes of depths 0 .. depth
         return 48 * (depth + 2 * T + 3) ** 2 + 8 * (depth + 1) * (T + 1) ** 2
@@ -334,15 +320,13 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     stop_reason = "cap"
     converged = False
     n_final = cap
-    K, L = np.indices((T + 1, T + 1))
-    s_flat = (K + L).ravel()
-    for m, block, held in _sweep(G, T, cap):
-        diag_sums = np.bincount(s_flat, weights=block.ravel(), minlength=2 * T + 1)
-        s_lo = max(m - cap, 0)
-        s_hi = min(2 * T, m)
-        if s_lo <= s_hi:
-            dS[m - np.arange(s_lo, s_hi + 1)] += theta**m * diag_sums[s_lo : s_hi + 1]
+    tpow = theta ** np.arange(cap + 2 * T + 1)
+    KL = np.add.outer(range(T + 1), range(T + 1))
+    for m, u in _sweep(G, T, cap):
         n_done = m - 2 * T
+        if n_done < 0:
+            continue
+        dS[n_done] = (tpow[n_done + KL] * u[n_done]).sum()
         if n_done < 1:
             continue
         running = float(dS[: n_done + 1].sum())
@@ -384,7 +368,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
             f"the first has a sane mass and a smaller change (stop: {stop_reason} after "
             f"{len(rel_hist)} depths)"
         )
-    u = np.reshape(held[: n_final + 1], (n_final + 1, T + 1, T + 1))
+    u = u[: n_final + 1].copy()
     return PsaSolution(
         G=G,
         theta=theta,

@@ -65,6 +65,30 @@ class SimResult:
     per_replication_qsum: tuple[float, ...]
 
 
+def _t_quantile(q: float, df: int) -> float:
+    """Quantile q in [1/2, 1) of Student's t with integer ``df`` >= 1 degrees of freedom.
+
+    Bisects on theta = atan(t / sqrt(df)) until the interval stops shrinking,
+    using the closed form of P(|T| <= t) at integer df (Abramowitz & Stegun
+    26.7.3-4), which increases with theta.
+    """
+    odd = df % 2
+
+    def central(theta: float) -> float:
+        c, total = math.cos(theta), 0.0
+        term = c if odd else 1.0
+        for j in range(1, (df - odd) // 2 + 1):
+            total += term
+            term *= c * c * (2 * j - 1 + odd) / (2 * j + odd)
+        s = math.sin(theta) * total
+        return 2.0 / math.pi * (theta + s) if odd else s
+
+    lo, hi = 0.0, math.pi / 2
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if central(mid) < 2.0 * q - 1.0 else (lo, mid)
+    return math.sqrt(df) * math.tan(mid)
+
+
 def _replication_rng(seed: int, r: int) -> np.random.Generator:
     # replication seeds derive from (seed, index); the pooled entropy keeps
     # replication streams independent of each other and of the base seed
@@ -169,11 +193,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         mean = float(arr.mean())
         if len(arr) < 2:
             return mean, None
-        from scipy import stats  # imported here: it doubles the time to import relayq
-
-        half = float(
-            stats.t.ppf(0.975, len(arr) - 1) * arr.std(ddof=1) / math.sqrt(len(arr))
-        )
+        half = float(_t_quantile(0.975, len(arr) - 1) * arr.std(ddof=1) / math.sqrt(len(arr)))
         return mean, half
 
     e_qsum, ci_qsum = mean_ci(qsums)

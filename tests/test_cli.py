@@ -461,3 +461,37 @@ def test_import_loads_no_scipy():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert out.stdout.split("\n")[:2] == ["[]", "True True"]
+
+
+def test_every_subcommand_runs_without_scipy():
+    """With scipy unimportable, every subcommand still exits 0 at small sizes."""
+    sim = ["--slots", "2000", "--warmup", "100", "--reps", "3"]
+    argvs = [
+        ["stability", "--rho", "0.4"],
+        ["solve", "--rho", "0.4"],
+        ["solve", "--method", "psa", "--rho", "0.4"],
+        ["solve", "--method", "oracle", "--rho", "0.4"],
+        ["solve", "--method", "sim", "--rho", "0.4", *sim],
+        ["compare", "--rho", "0.4"],
+        ["table1", "--epsilon", "1e-4"],
+        ["decay", "--rho", "0.4"],
+        ["vs-single-server", "--lambda", "0.2"],
+        ["simulate", "--lambda", "0.3", *sim],
+    ]
+    assert {argv[0] for argv in argvs} == set(_MINIMAL_ARGV)
+    code = (
+        "import contextlib, io, json, sys\n"
+        "sys.modules['scipy'] = None\n"
+        "from relayq import cli\n"
+        "codes = []\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(cli.main(argv))\n"
+        "print(codes)"
+    )
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(argvs)], env=env, capture_output=True, text=True, check=True
+    )
+    assert out.stdout.strip() == str([0] * len(argvs)), out.stderr

@@ -40,18 +40,19 @@ def test_oversized_box_rejected_before_allocation(base_params, monkeypatch):
 
 def test_interior_rows_match_angle_law(base_params):
     p = base_params
-    ch = oracle.build(p, 12, ORIGINAL)
+    T = 12
+    ch = oracle.build(p, T, ORIGINAL)
     i, j = 4, 2  # upper angle, stencil well inside the box
-    row = ch.matrix[ch.state_index(i, j)]
+    row = ch.matrix[i * (T + 1) + j]
     fwd = p.lam * (p.abar**2 + p.a**2)
     dep = p.lbar * p.a * p.abar
     both = p.lam * p.a * p.abar
     hold = p.lbar * (p.abar**2 + p.a**2) + both
-    assert row[ch.state_index(i, j + 1)] == pytest.approx(fwd, abs=1e-15)
-    assert row[ch.state_index(i, j - 1)] == pytest.approx(dep, abs=1e-15)
-    assert row[ch.state_index(i - 1, j)] == pytest.approx(dep, abs=1e-15)
-    assert row[ch.state_index(i - 1, j + 1)] == pytest.approx(both, abs=1e-15)
-    assert row[ch.state_index(i, j)] == pytest.approx(hold, abs=1e-15)
+    assert row[i * (T + 1) + j + 1] == pytest.approx(fwd, abs=1e-15)
+    assert row[i * (T + 1) + j - 1] == pytest.approx(dep, abs=1e-15)
+    assert row[(i - 1) * (T + 1) + j] == pytest.approx(dep, abs=1e-15)
+    assert row[(i - 1) * (T + 1) + j + 1] == pytest.approx(both, abs=1e-15)
+    assert row[i * (T + 1) + j] == pytest.approx(hold, abs=1e-15)
 
 
 def test_original_matrix_commutes_with_swap(base_params):
@@ -100,7 +101,7 @@ def test_gth_matches_power_iteration(base_params):
 def test_reducible_chain_reports_state(base_params):
     ch = oracle.build(base_params, 4)
     bad = ch.matrix.copy()
-    idx = ch.state_index(4, 4)
+    idx = 4 * 5 + 4  # state (4, 4), flattened as k * (T + 1) + l
     bad[idx, :] = 0.0
     bad[idx, idx] = 1.0  # absorbing corner: a second closed class
     with pytest.raises(RelayQError, match=r"\(4, 4\)"):

@@ -1,4 +1,5 @@
 import math
+import statistics
 
 import numpy as np
 import pytest
@@ -195,3 +196,24 @@ def test_stability_boundary_smoke():
     cfg = SimConfig(seed=17)
     est = estimate_stability_boundary(0.5, cfg, slots=120_000)
     assert est == pytest.approx(0.5, abs=0.02)
+
+
+def test_t_quantile_closed_forms():
+    """The 0.975 quantile of Student's t matches its closed forms at df = 1, 2, 4."""
+    # df = 4: P(|T| <= t) = s (3 - s^2) / 2 with s = sin(atan(t / 2)); the cubic's trigonometric root
+    alpha = 4 * 0.975 * 0.025
+    q = math.cos(math.acos(math.sqrt(alpha)) / 3) / math.sqrt(alpha)
+    closed = {
+        1: math.tan(0.475 * math.pi),
+        2: 0.95 / math.sqrt(2 * 0.975 * 0.025),
+        4: 2 * math.sqrt(q - 1),
+    }
+    for df, t in closed.items():
+        assert simulator._t_quantile(0.975, df) == pytest.approx(t, rel=1e-13, abs=0)
+
+
+def test_t_quantile_decreases_to_normal():
+    z = statistics.NormalDist().inv_cdf(0.975)
+    ts = [simulator._t_quantile(0.975, df) for df in (1, 2, 3, 5, 10, 30, 100, 1000, 10_000)]
+    assert all(a > b > z for a, b in zip(ts, ts[1:]))
+    assert ts[-1] - z < 1e-3
