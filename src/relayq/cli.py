@@ -448,7 +448,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     spec = RunSpec(**vars(args))
     try:
-        artifact = run(spec)
+        text = emit(run(spec), spec)
     except (UsageError, UnsupportedParameterError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -458,7 +458,10 @@ def main(argv: list[str] | None = None) -> int:
     except (NumericsError, GridError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    text = emit(artifact, spec)
+    except MemoryError as exc:
+        # numpy's message names the allocation that failed; a bare MemoryError has none
+        print(f"numerical failure: out of memory{f': {exc}' if str(exc) else ''}", file=sys.stderr)
+        return EXIT_NUMERICAL
     if not spec.out:
         sys.stdout.write(text)
     return EXIT_OK

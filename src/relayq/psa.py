@@ -16,13 +16,17 @@ w = (k + l) + k from the top down, one array step per wavefront, since a state
 reads only states of wavefront w + 1 at its own level; then the k = 0 column
 from l = 1 upward, and finally the normalization entry (0, 0). The slabs are
 allocated once, for the last level. A solve sweeps the levels once into one
-coefficient array u[n, k, l], preallocated to the depth cap that a byte budget
-bounds, and reads each depth's series mass once, when the depth completes.
+coefficient array u[n, k, l] and reads each depth's series mass once, when the
+depth completes. One number bounds a solve: the last level its sweep may
+reach, MAX_OUTER_ITERATIONS. Depth n completes at level n + 2T, so the depth
+cap is MAX_OUTER_ITERATIONS - 2T, and the slabs and the coefficient array,
+sized from the levels, stay within tens of megabytes.
 """
 
 from __future__ import annotations
 
 import math
+import mmap
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +44,7 @@ __all__ = [
     "solve",
 ]
 
-MAX_OUTER_ITERATIONS = 500
-MAX_HELD_BYTES = 64 * 2**20  # level slabs and coefficient box of a solve; bounds its depth
+MAX_OUTER_ITERATIONS = 500  # last level a solve may sweep; bounds its depth, time and memory
 _DIVERGENCE_PATIENCE = 10
 _IMPROVEMENT_PATIENCE = 50
 
@@ -85,13 +88,21 @@ class PsaSolution:
     diagnostics: PsaDiagnostics
 
 
+def _lazy_zeros(shape: tuple[int, ...]) -> np.ndarray:
+    """Float zeros in a fresh anonymous mapping, whose pages the kernel commits
+    when they are first written. ``np.zeros`` may take recycled heap memory
+    instead, which it must clear, and so commit, in full; which of the two it
+    gets depends on the allocator's history in the process."""
+    return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
+
+
 class _LevelMachine:
     """Exact coefficient slabs in diagonal-major layout slab[s, k] = u(m-s, k, s-k).
 
     Zero-extension for negative coefficient indices is automatic: a state
     outside a slab's triangle was never written at that level and the buffers
     start (and stay) zero there. The buffers are allocated once, for the last
-    level (``np.zeros`` commits a page when a level first writes to it); a row
+    level (a page is committed when a level first writes to it); a row
     stride above m + 1 keeps the normalization sum's order fixed.
     """
 
@@ -100,9 +111,9 @@ class _LevelMachine:
         self.G = G
         self.Gp = G + 1.0
         self.size = size = last + 3
-        self.prev, self.cur = np.zeros((size, size)), np.zeros((size, size))
+        self.prev, self.cur = _lazy_zeros((size, size)), _lazy_zeros((size, size))
         # prev-only products of the k >= 1 recursion, refreshed once per level
-        self.products = [np.zeros((size, size)) for _ in range(4)]
+        self.products = [_lazy_zeros((size, size)) for _ in range(4)]
         self.tmp = np.empty(size)
 
     def advance(self, m: int) -> np.ndarray:
@@ -217,7 +228,7 @@ def _sweep(G: float, T: int, depth: int):
     in [0, depth], so depth n is complete from level n + 2T on.
     """
     machine = _LevelMachine(G, depth + 2 * T)
-    u = np.zeros((depth + 1, T + 1, T + 1))
+    u = _lazy_zeros((depth + 1, T + 1, T + 1))
     K, L = np.indices((T + 1, T + 1))
     KL = K + L
     for m in range(depth + 2 * T + 1):
@@ -268,21 +279,21 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     One sweep of the levels writes the coefficients u(n, k, l) of every depth
     up to the cap into one array, and reads depth n's mass increment
     sum_(k,l) theta^(n+k+l) u(n, k, l) once, at level n + 2T, where it
-    completes. The cap is the largest depth up to MAX_OUTER_ITERATIONS whose
-    six level slabs and coefficient boxes fit in MAX_HELD_BYTES. The result
-    keeps the coefficients up to the depth it reports.
+    completes. The sweep stops at level MAX_OUTER_ITERATIONS at the latest,
+    so the cap is MAX_OUTER_ITERATIONS - 2T depths. The result keeps the coefficients up
+    to the depth it reports.
 
     The stopping rule compares the truncated-grid mass of successive series
     depths. Near saturation the series stops converging before reaching
     epsilon (the radius of the accelerated series is finite); the solver then
     keeps the best iterate seen — minimum relative change — and flags the
     result as not converged, aborting early when the relative change has
-    grown for ten consecutive depths or at the iteration cap. Only depths
-    whose partial mass lies in (0.05, 20) qualify as that iterate. When none
-    does, or the best is depth 1 (no later depth improved on the first
-    increment), it raises :class:`NumericsError` rather than return a partial
-    sum that is no answer; it raises it before the sweep when the budget holds
-    no depth beyond the first.
+    grown for ten consecutive depths or at the cap. Only depths whose partial
+    mass lies in (0.05, 20) qualify as that iterate. When none does, or the
+    best is depth 1 (no later depth improved on the first increment), it
+    raises :class:`NumericsError` rather than return a partial sum that is no
+    answer; it raises it before the sweep when the level budget completes no
+    depth beyond the first.
     """
     if abs(params.a - 0.5) > 1e-15:
         raise UnsupportedParameterError(
@@ -295,21 +306,16 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     theta = theta_from_rho(rho, G)
     T = grid_truncation(rho * rho, epsilon)
 
-    # one sweep: the coefficient array holds every depth up to the cap, and
-    # the mass increment dS_n of depth n is read once it completes
-    def sweep_bytes(depth: int) -> int:
-        # six level slabs of side depth + 2T + 3 and the boxes of depths 0 .. depth
-        return 48 * (depth + 2 * T + 3) ** 2 + 8 * (depth + 1) * (T + 1) ** 2
-
-    cap = MAX_OUTER_ITERATIONS
-    while cap >= 2 and sweep_bytes(cap) > MAX_HELD_BYTES:
-        cap -= 1
+    # one sweep up to level MAX_OUTER_ITERATIONS: the coefficient array holds
+    # every depth up to the cap, and the mass increment dS_n of depth n is
+    # read once it completes
+    cap = MAX_OUTER_ITERATIONS - 2 * T
     if cap < 2:
         # depth 1 is never an answer, so no depth under the cap could be
         raise NumericsError(
-            f"power series at load {rho:.4g} needs {sweep_bytes(2) / 2**20:.3g} MiB for six level "
-            f"slabs of side {2 * T + 5} and three held depths on its T = {T} grid, above the "
-            f"{MAX_HELD_BYTES / 2**20:g} MiB budget"
+            f"power series at load {rho:.4g} completes depth n at level n + {2 * T} on its "
+            f"T = {T} grid, so the budget of {MAX_OUTER_ITERATIONS} levels completes no depth "
+            f"beyond the first"
         )
     dS = np.zeros(cap + 1)
     rel_hist: list[float] = []

@@ -13,7 +13,9 @@ The slot walk is sequential by nature: join-the-shortest-queue keeps the
 chain near the boundary, where each slot's step depends on the state, so
 there are no long i.i.d. stretches to vectorize. ``_paths`` therefore walks
 each chunk of draws on plain Python values, and the bookkeeping (grid counts,
-overflow, moment sums) is done once per chunk with numpy.
+overflow, moment sums) is done once per chunk with numpy. The grid counts grow
+with the states visited: the empirical grid is the smallest square that holds
+every visited state inside the grid cap.
 """
 
 from __future__ import annotations
@@ -59,7 +61,7 @@ class SimResult:
     e_sojourn_ci: float | None
     correlation: float | None
     correlation_ci: float | None
-    empirical: ProbabilityGrid  # transformed coordinates, overflow excluded
+    empirical: ProbabilityGrid  # transformed, overflow excluded, side up to grid_cap + 1
     overflow_mass: float
     grid_cap: int
     per_replication_qsum: tuple[float, ...]
@@ -129,8 +131,7 @@ def _paths(lam: float, a: float, slots: int, rng: np.random.Generator, q1: int =
 
 def _run_one(params: ModelParams, config: SimConfig, r: int, cap: int):
     rng = _replication_rng(config.seed, r)
-    width = cap + 1
-    counts = np.zeros(width * width, dtype=np.int64)
+    counts = np.zeros((1, 1), dtype=np.int64)
     overflow = 0
     s1 = s2 = s11 = s22 = s12 = 0.0
     skip = config.warmup_slots
@@ -146,9 +147,12 @@ def _run_one(params: ModelParams, config: SimConfig, r: int, cap: int):
         k = np.minimum(q1, q2)
         l = np.abs(q1 - q2)
         inside = (k <= cap) & (l <= cap)
-        cells = (k * width + l)[inside]
-        counts += np.bincount(cells, minlength=width * width)
-        overflow += len(q1) - len(cells)
+        k, l = k[inside], l[inside]
+        overflow += len(q1) - len(k)
+        if len(k):
+            side = max(len(counts), int(k.max()) + 1, int(l.max()) + 1)
+            counts = np.pad(counts, (0, side - len(counts)))
+            counts += np.bincount(k * side + l, minlength=side * side).reshape(side, side)
         # float64 sums of non-negative integers are exact below 2**53, so the
         # order of summation cannot change them; floats cannot wrap either
         f1 = q1.astype(np.float64)
@@ -160,7 +164,7 @@ def _run_one(params: ModelParams, config: SimConfig, r: int, cap: int):
         s12 += float((f1 * f2).sum())
     m = float(config.measure_slots)
     mom = dict(q1=s1 / m, q2=s2 / m, q11=s11 / m, q22=s22 / m, q12=s12 / m)
-    return counts.reshape(width, width), overflow, mom
+    return counts, overflow, mom
 
 
 def simulate(params: ModelParams, config: SimConfig) -> SimResult:
@@ -173,11 +177,12 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     cap = 2 * choose_truncation(params, 1e-10) if is_stable(params).stable else 100
 
     qsums, sojourns, correls = [], [], []
-    counts = np.zeros((cap + 1, cap + 1), dtype=np.int64)
+    counts = np.zeros((1, 1), dtype=np.int64)
     overflow = 0
     for r in range(config.replications):
         c, ov, mom = _run_one(params, config, r, cap)
-        counts += c
+        side = max(len(counts), len(c))
+        counts = np.pad(counts, (0, side - len(counts))) + np.pad(c, (0, side - len(c)))
         overflow += ov
         qsum = mom["q1"] + mom["q2"]
         qsums.append(qsum)

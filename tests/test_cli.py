@@ -160,6 +160,26 @@ def test_numerical_exit_code(capsys, monkeypatch):
     assert "numerical failure" in err
 
 
+@pytest.mark.parametrize(
+    "message, line",
+    [
+        ("Unable to allocate 1.42 GiB for an array with shape (13810, 13810) and data type float64",
+         "numerical failure: out of memory: Unable to allocate 1.42 GiB"),
+        ("", "numerical failure: out of memory"),
+    ],
+)
+def test_out_of_memory_is_a_numerical_failure(message, line, capsys, monkeypatch):
+    """A failed allocation exits 4 with one line on stderr, not a traceback."""
+    def no_memory(*a, **k):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli.compensation, "solve", no_memory)
+    for args in (["solve", "--rho", "0.999"], ["decay", "--rho", "0.999"]):
+        code, out, err = run_cli(args, capsys)
+        assert (code, out) == (4, "")
+        assert err.startswith(line) and err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_solve_psa_warns_when_series_does_not_converge(capsys, monkeypatch):
     """A non-converged series still exits 0 with the same stdout, but says so on stderr."""
     args = ["solve", "--method", "psa", "--rho", "0.1", "--a", "0.5"]
@@ -398,6 +418,25 @@ def test_psa_that_never_settles_is_a_numerical_failure(capsys, monkeypatch):
     assert high["psa_converged"] is False and high["e_sojourn_ca"] > 0
     assert [high[c] for c in ("e_sojourn_psa", "abs_diff_e_sojourn", "correlation_psa",
                               "abs_diff_correlation")] == [None] * 4
+
+
+def test_table1_at_all_five_loads(capsys):
+    """The paper's five loads: the series converges up to rho = 0.7, reports a
+    flagged best iterate at 0.9, and at 0.95 leaves its cells empty, with one
+    warning, since its level budget completes no depth beyond the first."""
+    code, out, err = run_cli(["table1", "--format", "json"], capsys)
+    assert code == 0
+    rows = json.loads(out)["table1"]
+    assert [r["rho"] for r in rows] == list(cli._TABLE1_LOADS) == [0.1, 0.4, 0.7, 0.9, 0.95]
+    psa_cells = ("e_sojourn_psa", "abs_diff_e_sojourn", "correlation_psa", "abs_diff_correlation")
+    for row in rows[:3]:
+        assert row["psa_converged"] is True
+        assert row["abs_diff_e_sojourn"] < 1e-6 and row["abs_diff_correlation"] < 1e-6
+    assert rows[3]["psa_converged"] is False
+    assert all(rows[3][c] is not None for c in psa_cells)
+    assert rows[4]["psa_converged"] is False and rows[4]["e_sojourn_ca"] > 0
+    assert [rows[4][c] for c in psa_cells] == [None] * 4
+    assert err.count("warning:") == 1 and "budget" in err
 
 
 def test_output_dir_env(tmp_path, capsys, monkeypatch):

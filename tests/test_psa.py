@@ -233,29 +233,44 @@ def test_one_pass_holds_the_explicit_sweep(rho, G):
 
 
 def test_held_box_stays_within_budget(monkeypatch, params_rho04, psa_rho04):
+    """The level budget alone bounds the depth: depth n completes at level n + 2T."""
     T = psa_rho04.T_psa
-
-    def sweep_bytes(depth):
-        # six level slabs of side depth + 2T + 3 and the boxes of depths 0 .. depth
-        return 48 * (depth + 2 * T + 3) ** 2 + 8 * (depth + 1) * (T + 1) ** 2
-
-    monkeypatch.setattr(psa, "MAX_HELD_BYTES", (sweep_bytes(10) + sweep_bytes(11)) // 2)
+    monkeypatch.setattr(psa, "MAX_OUTER_ITERATIONS", 2 * T + 10)
     s = psa.solve(params_rho04)
     assert s.diagnostics.stop_reason == "cap" and not s.diagnostics.converged
     assert s.N_psa == len(s.diagnostics.rel_change_history) == 10
-    assert s.u.nbytes <= psa.MAX_HELD_BYTES
     assert np.array_equal(s.u, psa_rho04.u[:11])
-    # a budget that holds depths 0 and 1 only cannot hold an answer
-    monkeypatch.setattr(psa, "MAX_HELD_BYTES", sweep_bytes(2) - 1)
+    # a budget that completes depths 0 and 1 only cannot hold an answer
+    monkeypatch.setattr(psa, "MAX_OUTER_ITERATIONS", 2 * T + 1)
     with pytest.raises(NumericsError, match="budget"):
         psa.solve(params_rho04)
 
 
-def test_budget_refuses_near_saturation_before_the_sweep():
-    """At rho = 0.99 the six level slabs alone exceed the budget, so the
-    solve fails at once instead of sweeping thousands of levels."""
-    with pytest.raises(NumericsError, match="budget"):
-        psa.solve(ModelParams(lam=lambda_for_load(0.99, 0.5), a=0.5))
+def test_budget_refuses_near_saturation_before_the_sweep(monkeypatch):
+    """Where 2T >= MAX_OUTER_ITERATIONS - 1 the budget completes no depth
+    beyond the first, so the solve fails at once instead of sweeping hundreds
+    or thousands of levels."""
+
+    def no_sweep(*args):
+        raise AssertionError("swept levels")
+
+    monkeypatch.setattr(psa, "_sweep", no_sweep)
+    for rho in (0.95, 0.97, 0.99):
+        with pytest.raises(NumericsError, match="budget"):
+            psa.solve(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5))
+
+
+@pytest.mark.parametrize(
+    "rho, N, stop",
+    [(0.1, 13, "epsilon"), (0.4, 36, "epsilon"), (0.7, 96, "epsilon"), (0.9, 56, "divergence")],
+)
+def test_depth_and_stop_reason_pinned(rho, N, stop):
+    """Tripwire on the depth and stop reason at G = 1: every point stops
+    well inside the level budget, so a change to it or to the stop rules
+    that moves them shows here."""
+    s = psa.solve(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5))
+    assert (s.N_psa, s.diagnostics.stop_reason) == (N, stop)
+    assert s.N_psa < psa.MAX_OUTER_ITERATIONS - 2 * s.T_psa
 
 
 def test_small_load_matches_oracle():

@@ -1,11 +1,15 @@
 import math
+import os
 import statistics
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from relayq import oracle, simulator
-from relayq.model import ModelParams, transition_distribution
+from relayq.model import ModelParams, lambda_for_load, transition_distribution
 from relayq.simulator import SimConfig, estimate_stability_boundary, simulate, step
 
 
@@ -79,7 +83,34 @@ def test_sample_path_pinned():
     )
     assert res.per_replication_qsum == (0.7205999999999999, 0.7174499999999999)
     assert res.overflow_mass == 0.0
-    assert res.empirical.values.sum() == 0.9999999999999999
+    assert res.empirical.values.shape == (5, 5)
+    assert res.empirical.values.sum() == 1.0
+
+
+def test_grid_holds_only_visited_states():
+    """Near saturation the grid cap is tens of thousands of states wide, yet a
+    short run visits a corner of it; the grid is the square of the visits. The
+    run gets 2 GiB of address space, so counts sized to the cap (6.4 GiB at
+    this load) fail here instead of exhausting the host's memory."""
+    pytest.importorskip("resource")
+    code = (
+        "import resource\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (2**31, resource.getrlimit(resource.RLIMIT_AS)[1]))\n"
+        "from relayq.model import ModelParams, lambda_for_load\n"
+        "from relayq.simulator import SimConfig, simulate\n"
+        "res = simulate(ModelParams(lam=lambda_for_load(0.999, 0.5), a=0.5),\n"
+        "               SimConfig(seed=3, warmup_slots=0, measure_slots=1_000, replications=2))\n"
+        "v = res.empirical.values\n"
+        "print(res.grid_cap, res.empirical.T, res.overflow_mass, v.sum(), v[-1].any() or v[:, -1].any())"
+    )
+    src = str(Path(simulator.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    cap, T, overflow, mass, edge_visited = out.stdout.split()
+    assert int(cap) > 20_000 and int(T) < 100
+    assert float(overflow) == 0.0 and float(mass) == pytest.approx(1.0, abs=1e-12)
+    assert edge_visited == "True"  # no all-zero outer row and column
 
 
 def test_chunk_bookkeeping(monkeypatch):
