@@ -14,7 +14,6 @@ from .errors import (
     NumericsError,
     RelayQError,
     StabilityError,
-    UnsupportedParameterError,
 )
 from .grids import ProbabilityGrid
 from .measures import MeasureReport, moments_from_transformed
@@ -40,7 +39,6 @@ __all__ = [
     "RelayQError",
     "StabilityError",
     "NumericsError",
-    "UnsupportedParameterError",
     "GridError",
     "is_stable",
     "transform_state",

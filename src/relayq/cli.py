@@ -40,7 +40,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import compensation, measures, oracle, psa, simulator
-from .errors import GridError, NumericsError, RelayQError, StabilityError, UnsupportedParameterError
+from .errors import GridError, NumericsError, RelayQError, StabilityError
 from .grids import ProbabilityGrid
 from .model import EPSILON_FLOOR, ModelParams, is_stable, lambda_for_load
 
@@ -236,8 +236,6 @@ def run(spec: RunSpec) -> dict:
 
     if spec.command == "compare":
         params = _resolve_params(spec)
-        if abs(params.a - 0.5) > 1e-15:
-            raise UsageError("compare runs the power-series method and needs a = 1/2")
         # build the oracle chain first: an oversized box fails before any solve
         chain = oracle.build(params, oracle.choose_truncation(params, min(spec.epsilon, 1e-10)))
         both = _solve_ca_and_psa(params, spec)
@@ -449,7 +447,7 @@ def main(argv: list[str] | None = None) -> int:
     spec = RunSpec(**vars(args))
     try:
         text = emit(run(spec), spec)
-    except (UsageError, UnsupportedParameterError) as exc:
+    except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except StabilityError as exc:

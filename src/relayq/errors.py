@@ -1,4 +1,10 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every solver either returns an answer or raises one of these: a load >= 1
+(:class:`StabilityError`), a numerical routine that cannot deliver
+(:class:`NumericsError`), or an unusable grid (:class:`GridError`). Bad
+argument values raise ``ValueError``.
+"""
 
 
 class RelayQError(Exception):
@@ -11,10 +17,6 @@ class StabilityError(RelayQError):
 
 class NumericsError(RelayQError):
     """A numerical routine failed (lost bracket, singular system, divergence)."""
-
-
-class UnsupportedParameterError(RelayQError):
-    """Parameters outside the supported regime (e.g. PSA with a != 1/2)."""
 
 
 class GridError(RelayQError):

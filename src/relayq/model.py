@@ -126,6 +126,8 @@ def lambda_for_load(rho: float, a: float) -> float:
     """Arrival probability giving load ``rho`` at attempt probability ``a``."""
     if rho <= 0:
         raise ValueError("load must be positive")
+    if not (0.0 < a < 1.0):
+        raise ValueError(f"attempt probability must be in (0,1), got {a}")
     ab = 1.0 - a
     c = 2 * rho * ab * a
     return c / (ab * ab + a * a + c)

@@ -1,28 +1,27 @@
-"""Power-series reconstruction of the equilibrium distribution (a = 1/2).
+"""Power-series reconstruction of the equilibrium distribution.
 
 The equilibrium probabilities are expanded as a power series in the variable
 theta = (1+G)*rho / (1+G*rho), a bilinear map of the load that stretches the
-series' useful range toward saturation. Substituting the expansion into the
-balance equations and matching powers of theta turns them into an explicit
-recursion for the coefficients u(n, k, l); the normalization condition pins
-the u(n, 0, 0) entries. The derivation (and therefore this module) is
-restricted to the symmetric half-attempt case a = 1/2, where the balance
-equations collapse to one-parameter form in the load.
+series' useful range toward saturation. Write the one-slot law as
+P = (1 - lam) Q0 + lam Q1, with Q0 and Q1 the laws of :func:`model.step`
+given no arrival and given one; the balance equations pi (I - P) = 0 become
+pi (I - Q0) = (lam / (1 - lam)) pi (Q1 - I), and lam / (1 - lam) = rho / c
+with c = (a^2 + (1-a)^2) / (2a(1-a)). Matching powers of theta gives one
+recursion for the coefficient U_m of theta^m at every attempt probability a;
+the normalization condition pins U_m(0, 0). The coefficients depend on a and
+G only, not on the load. They are reported as u(n, k, l) = U_(n+k+l)(k, l).
 
-Coefficients are computed exactly, ordered by total level m = n + k + l:
-every recursion reference lives at level m or m-1, so two triangular slabs
-suffice. Within a level, states with k >= 1 are filled by anti-wavefronts
-w = (k + l) + k from the top down, one array step per wavefront, since a state
-reads only states of wavefront w + 1 at its own level; then the k = 0 column
-from l = 1 upward, and finally the normalization entry (0, 0). The slabs are
-allocated once, for the last level. A solve sweeps the levels once into one
-coefficient array u[n, k, l] and reads each depth's series mass once, when the
-depth completes. One number bounds a solve: the last level its sweep may
-reach, MAX_OUTER_ITERATIONS. Depth n completes at level n + 2T, so the depth
-cap is MAX_OUTER_ITERATIONS - 2T, and the slabs and the coefficient array,
-sized from the levels, stay within tens of megabytes.
+U_m lives on the states of total t = 2k + l <= m, stored by (t, k) so that a
+total is one row. Each level takes one 3x3 stencil product of U_(m-1) for its
+right-hand side and then solves its rows from the top down, one array step
+per row, since Q0 keeps a state or lowers its total by one. A solve sweeps
+the levels once into one coefficient array u[n, k, l] and reads each depth's
+series mass once, when the depth completes. One number bounds a solve: the
+last level its sweep may reach, MAX_OUTER_ITERATIONS. Depth n completes at
+level n + 2T, so the depth cap is MAX_OUTER_ITERATIONS - 2T, and the level
+arrays and the coefficient array, sized from the levels, stay within tens of
+megabytes.
 """
-
 from __future__ import annotations
 
 import math
@@ -31,9 +30,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, StabilityError, UnsupportedParameterError
+from .errors import NumericsError, StabilityError
 from .grids import TRANSFORMED, ProbabilityGrid
-from .model import EPSILON_FLOOR, ModelParams, grid_truncation
+from .model import EPSILON_FLOOR, ModelParams, _draws, grid_truncation, step
 
 __all__ = [
     "PsaDiagnostics",
@@ -96,159 +95,125 @@ def _lazy_zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
 
 
-class _LevelMachine:
-    """Exact coefficient slabs in diagonal-major layout slab[s, k] = u(m-s, k, s-k).
-
-    Zero-extension for negative coefficient indices is automatic: a state
-    outside a slab's triangle was never written at that level and the buffers
-    start (and stay) zero there. The buffers are allocated once, for the last
-    level (a page is committed when a level first writes to it); a row
-    stride above m + 1 keeps the normalization sum's order fixed.
-    """
-
-    def __init__(self, G: float, last: int):
-        """Buffers for the levels m = 0 .. ``last``, allocated once at side last + 3."""
-        self.G = G
-        self.Gp = G + 1.0
-        self.size = size = last + 3
-        self.prev, self.cur = _lazy_zeros((size, size)), _lazy_zeros((size, size))
-        # prev-only products of the k >= 1 recursion, refreshed once per level
-        self.products = [_lazy_zeros((size, size)) for _ in range(4)]
-        self.tmp = np.empty(size)
-
-    def advance(self, m: int) -> np.ndarray:
-        """Compute level m (requires calls with m = 0, 1, 2, ...); returns the slab."""
-        with np.errstate(over="ignore", invalid="ignore"):
-            return self._advance(m)
-
-    def _advance(self, m: int) -> np.ndarray:
-        # overflow near a diverging series is expected; the solver's monitor
-        # detects it through the mass increments and stops
-        G, Gp = self.G, self.Gp
-        prev, cur = self.prev, self.cur
-        if m == 0:
-            cur[0, 0] = 1.0
-            self.prev, self.cur = cur, prev
-            return cur
-        # States with k >= 1 go by anti-wavefronts w = s + k from the top down:
-        # (s, k) reads (s+1, k) and (s, k+1) of this level, both on wavefront
-        # w + 1, so a wavefront is one step. Each entry adds its terms in the
-        # order of the per-state formulas; the recursion amplifies round-off,
-        # so another order gives other coefficients.
-        c1, c2, c3, c4 = (G - 1.5) / Gp, 0.5 * G / Gp, 1.0 / Gp, 0.5 / Gp
-        c5, c6 = (G - 1.0) / Gp, G / Gp
-        top = slice(0, m + 2)
-        for prod, c in zip(self.products, (c1, c2, c3, c4)):
-            np.multiply(prev[top, top], c, out=prod[top, top])
-        f1, f2, f3, f4 = (prod.ravel() for prod in self.products)
-        cf, tmp = cur.ravel(), self.tmp
-        S = self.size
-        D = S - 1  # flat stride along a wavefront, k decreasing
-        d0 = prev.diagonal()[: m + 2].tolist()  # prev[s, s]
-        d1 = prev.diagonal(-1)[: m + 2].tolist()  # prev[s + 1, s]
-        d2 = prev.diagonal(-2)[: m + 2].tolist()  # prev[s + 2, s]
-        d3 = prev.diagonal(-3)[: m + 2].tolist()  # prev[s + 3, s]
-        l0 = l1 = 0.0  # the edge entries cur[s, s] and cur[s + 1, s] one wavefront up
-        for w in range(2 * m, 1, -1):
-            if w % 2 == 0:
-                # state (s, 0): diagonal entry cur[s, s]
-                s = w // 2
-                l0 = (
-                    c1 * d0[s]
-                    + 0.5 * l1
-                    - c2 * d1[s]
-                    + c4 * d2[s - 1]
-                    + c3 * d1[s - 1]
-                )
-                cur[s, s] = l0
-            elif w >= 3:
-                # state (s-1, 1): cur[s, s-1]
-                s = (w + 1) // 2
-                l1 = (
-                    c5 * d1[s - 1]
-                    + 0.5 * cur.item(s + 1, s - 1)
-                    - c2 * d2[s - 1]
-                    + c4 * d3[s - 2]
-                    + c3 * d2[s - 2]
-                    - c6 * d0[s]
-                    + c3 * d0[s - 1]
-                    + l0
-                )
-                cur[s, s - 1] = l1
-            # states (k, l >= 2) of the wavefront, k from k_hi down to k_lo
-            k_hi = (w - 2) // 2
-            n = k_hi - max(1, w - m) + 1
-            if n <= 0:
-                continue
-            i0 = (w - k_hi) * S + k_hi
-            i1 = i0 + n * D
-            half = 0.5 * cf[i0 + 1 : i1 + S : D]  # 0.5 * wavefront w + 1
-            a = np.add(f1[i0:i1:D], half[1:], out=tmp[:n])
-            np.subtract(a, f2[i0 + S : i1 + S : D], out=a)
-            np.add(a, f3[i0 - 1 : i1 - 1 : D], out=a)
-            np.add(a, f4[i0 + D : i1 + D : D], out=a)
-            np.subtract(a, f2[i0 + 1 : i1 + 1 : D], out=a)
-            if w % 2 == 0:
-                # l = 2 tap from the diagonal row below (only the k = k_hi entry)
-                a[0] += c4 * d0[w // 2]
-            np.add(a, half[:-1], out=cf[i0:i1:D])
-        # k = 0 column, bottom-up
-        cur[1, 0] = G / Gp * prev[1, 0] + 1.0 / Gp * prev[0, 0]
-        if m >= 2:
-            cur[2, 0] = (
-                G / Gp * prev[2, 0]
-                - (G - 1.0) / Gp * prev[1, 0]
-                + cur[1, 0]
-                - cur[1, 1]
-                + G / Gp * prev[1, 1]
-                - 1.0 / Gp * prev[0, 0]
-            )
-        if m >= 3:
-            Ls = np.arange(3, m + 1)
-            b = (
-                G / Gp * prev[Ls, 0]
-                - (G - 1.5) / Gp * prev[Ls - 1, 0]
-                + 0.5 * G / Gp * prev[Ls - 1, 1]
-                - 0.5 * cur[Ls - 1, 1]
-            )
-            b[0] = b[0] - 0.5 / Gp * prev[1, 1]
-            cur[Ls, 0] = cur[2, 0] + np.cumsum(b)
-        # normalization entry (0, 0) at coefficient index m
-        cur[0, 0] = 0.0
-        cur[0, 0] = -(cur[: m + 1, : m + 1].sum())
-        self.prev, self.cur = cur, prev
-        return cur
+def _draw_arrays(a: float) -> tuple[np.ndarray, ...]:
+    """The slot's 16 draws as columns (arrival, tie, att1, att2, prob) of shape
+    (16, 1), prob conditional on the arrival draw: drawn at lam = 1/2 and
+    divided by 1/2, both exact."""
+    draws = list(_draws(ModelParams(lam=0.5, a=a)))
+    arrival, tie, att1, att2 = (np.array([[d[i]] for d, _ in draws]) for i in range(4))
+    return arrival, tie, att1, att2, np.array([[p / 0.5] for _, p in draws])
 
 
-def _sweep(G: float, T: int, depth: int):
+def _row_laws(t: int, draws, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Laws (Q0, Q1) out of the states (k, t - 2k) of total t, given no arrival
+    and given one: :func:`step` on every state of the row and every draw at
+    once. Each is a (9, width) array law[3(dt + 1) + dk + 1, k + 1] of the
+    moves (dt, dk) in (total, k), zero at k = -1 and beyond the row."""
+    arrival, tie, att1, att2, prob = draws
+    k = np.arange(t // 2 + 1)
+    q1, q2 = step(k, t - k, arrival, tie, att1, att2)
+    move = 3 * (q1 + q2 - t + 1) + np.minimum(q1, q2) - k + 1
+    law = np.zeros((2, 9, width))
+    np.add.at(law, (arrival.astype(int), move, k + 1), np.broadcast_to(prob, move.shape))
+    return law[0], law[1]
+
+
+def _sweep(G: float, T: int, depth: int, a: float = 0.5):
     """Yield (m, u) for the levels m = 0 .. depth + 2T.
 
-    u[n, k, l] = u(n, k, l) for 0 <= n <= depth is one preallocated array;
+    Level m is U_m, the coefficient of theta^m in the equilibrium law, on the
+    states of total t = 2k + l <= m. With c = (a^2 + (1-a)^2) / (2a(1-a)), so
+    that rho = c lam / (1 - lam), matching powers of theta in the balance
+    equations gives
+    U_m (I - Q0) = [U_(m-1) (Q1 - I) / c + G U_(m-1) (I - Q0)] / (1 + G),
+    with U_0 = delta_(0,0) and U_m(0, 0) = -(sum of the others). Q0 keeps a
+    state or lowers its total by one, so U_m is solved one row of totals at a
+    time from the top.
+
+    u[n, k, l] = U_(n+k+l)(k, l) for 0 <= n <= depth is one preallocated array;
     level m writes the entries of its T-box whose depth n = m - (k + l) lies
     in [0, depth], so depth n is complete from level n + 2T on.
     """
-    machine = _LevelMachine(G, depth + 2 * T)
+    last = depth + 2 * T
+    rows, cols = last + 1, last // 2 + 1
+    c = (a * a + (1.0 - a) ** 2) / (2.0 * a * (1.0 - a))
+    draws = _draw_arrays(a)
+    # Per destination state, each divided by its 1 - Q0(stay): the weight in
+    # the right-hand side of the move into it from each source, and Q0's
+    # weights from the row above, at the same k and at k + 1. Row m is filled
+    # when the sweep reaches level m, so only reached rows commit pages.
+    into = _lazy_zeros((9, rows, cols))
+    keep, lower = _lazy_zeros((rows, cols)), _lazy_zeros((rows, cols))
+    moves: list[int] = []  # the moves into some filled row
+    # U_m, padded by a zero row and column on each side: (t, k) at [t + 1, k + 1]
+    U = _lazy_zeros((rows + 2, cols + 2))
+    rhs, tap, part = np.empty((rows, cols)), np.empty((rows, cols)), np.empty(cols)
+    solve_rows = []  # the views of each row's solve step, from row 1 up
+
+    def row_moves(t: int) -> tuple[np.ndarray, np.ndarray]:
+        """Q0 and the right-hand side's weights of the moves out of the row of total t."""
+        q0, q1 = _row_laws(t, draws, cols + 2)
+        stay = np.zeros_like(q0)
+        stay[4, 1 : t // 2 + 2] = 1.0
+        return q0, ((q1 - stay) / c + G * (stay - q0)) / (1.0 + G)
+
+    laws = {0: row_moves(0)}
     u = _lazy_zeros((depth + 1, T + 1, T + 1))
     K, L = np.indices((T + 1, T + 1))
     KL = K + L
-    for m in range(depth + 2 * T + 1):
-        slab = machine.advance(m)
-        at = (m - depth <= KL) & (KL <= m)
-        u[m - KL[at], K[at], L[at]] = slab[KL[at], K[at]]
+    U[1, 1] = 1.0  # U_0
+    for m in range(last + 1):
+        n = m // 2 + 1  # states in row m
+        laws[m + 1] = row_moves(m + 1)
+        laws.pop(m - 2, None)
+        if m:
+            # the moves into row m come from the rows m - 1, m and m + 1
+            inv = 1.0 / (1.0 - laws[m][0][4, 1 : n + 1])
+            for move in range(9):
+                dt, dk = divmod(move, 3)  # the move is (dt - 1, dk - 1)
+                into[move, m, :n] = laws[m + 1 - dt][1][move, 2 - dk : n + 2 - dk] * inv
+            moves = [i for i in range(9) if i in moves or into[i, m, :n].any()]
+            q0 = laws[m + 1][0]
+            keep[m, :n] = q0[1, 1 : n + 1] * inv
+            lower[m, :n] = q0[0, 2 : n + 2] * inv
+            solve_rows.append((U[m + 1, 1 : n + 1], rhs[m, :n], U[m + 2, 1 : n + 1],
+                               U[m + 2, 2 : n + 2], keep[m, :n], lower[m, :n], part[:n]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                # overflow near a diverging series is expected; the solver's
+                # monitor sees it through the mass increments and stops
+                out = rhs[: m + 1, :n]
+                for i, move in enumerate(moves):
+                    dt, dk = divmod(move, 3)
+                    # U_(m-1) at the source (t + 1 - dt, k + 1 - dk) of the move into (t, k)
+                    src = U[2 - dt : m + 3 - dt, 2 - dk : n + 2 - dk]
+                    if i == 0:
+                        np.multiply(into[move, : m + 1, :n], src, out=out)
+                    else:
+                        np.multiply(into[move, : m + 1, :n], src, out=tap[: m + 1, :n])
+                        np.add(out, tap[: m + 1, :n], out=out)
+                # U_m row by row from the top; a row overwrites U_(m-1) there
+                for row, r, same, next_k, kt, lt, p in reversed(solve_rows):
+                    np.multiply(kt, same, out=row)
+                    np.add(row, r, out=row)
+                    np.multiply(lt, next_k, out=p)
+                    np.add(row, p, out=row)
+                U[1, 1] = 0.0
+                U[1, 1] = -U[1 : m + 2, 1 : n + 1].sum()
+        at = (m - depth <= KL) & (KL + K <= m)
+        u[m - KL[at], K[at], L[at]] = U[KL[at] + K[at] + 1, K[at] + 1]
         yield m, u
 
 
-def compute_coefficients(N_psa: int, T_psa: int, G: float) -> np.ndarray:
-    """Exact coefficient array u(n, k, l), 0 <= n <= N_psa, 0 <= k, l <= T_psa.
+def compute_coefficients(N_psa: int, T_psa: int, G: float, a: float = 0.5) -> np.ndarray:
+    """Coefficient array u(n, k, l), 0 <= n <= N_psa, 0 <= k, l <= T_psa, at attempt probability a.
 
-    u(0, 0, 0) = 1 by the normalization condition; spatially out-of-range
-    references are zero. Only the half-attempt model is represented.
+    u(0, 0, 0) = 1 by the normalization condition.
     """
     if N_psa < 0 or T_psa < 0:
         raise ValueError("truncations must be non-negative")
     if not (math.isfinite(G) and G >= 0.0):
         raise ValueError(f"acceleration parameter must be finite and >= 0, got {G}")
-    for _, u in _sweep(G, T_psa, N_psa):
+    for _, u in _sweep(G, T_psa, N_psa, a):
         pass
     return u
 
@@ -280,25 +245,21 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     up to the cap into one array, and reads depth n's mass increment
     sum_(k,l) theta^(n+k+l) u(n, k, l) once, at level n + 2T, where it
     completes. The sweep stops at level MAX_OUTER_ITERATIONS at the latest,
-    so the cap is MAX_OUTER_ITERATIONS - 2T depths. The result keeps the coefficients up
-    to the depth it reports.
+    so the cap is MAX_OUTER_ITERATIONS - 2T depths. The result keeps the
+    coefficients up to the depth it reports. Any attempt probability a works.
 
     The stopping rule compares the truncated-grid mass of successive series
-    depths. Near saturation the series stops converging before reaching
-    epsilon (the radius of the accelerated series is finite); the solver then
-    keeps the best iterate seen — minimum relative change — and flags the
-    result as not converged, aborting early when the relative change has
-    grown for ten consecutive depths or at the cap. Only depths whose partial
-    mass lies in (0.05, 20) qualify as that iterate. When none does, or the
-    best is depth 1 (no later depth improved on the first increment), it
-    raises :class:`NumericsError` rather than return a partial sum that is no
-    answer; it raises it before the sweep when the level budget completes no
-    depth beyond the first.
+    depths. When no depth reaches epsilon, as near saturation, where the
+    level budget ends the sweep first, or where the series or its round-off
+    grows, the solver keeps the best iterate seen — minimum relative change —
+    and flags the result as not converged. It stops at the cap, or early when
+    the relative change has grown for ten consecutive depths or has not
+    improved for fifty. Only depths whose partial mass lies in (0.05, 20)
+    qualify as that iterate. When none does, or the best is depth 1 (no later
+    depth improved on the first increment), it raises :class:`NumericsError`
+    rather than return a partial sum that is no answer; it raises it before
+    the sweep when the level budget completes no depth beyond the first.
     """
-    if abs(params.a - 0.5) > 1e-15:
-        raise UnsupportedParameterError(
-            f"power-series recursions are derived for a = 1/2 only, got a = {params.a}"
-        )
     rho = params.rho
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; equilibrium does not exist")
@@ -328,7 +289,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     n_final = cap
     tpow = theta ** np.arange(cap + 2 * T + 1)
     KL = np.add.outer(range(T + 1), range(T + 1))
-    for m, u in _sweep(G, T, cap):
+    for m, u in _sweep(G, T, cap, params.a):
         n_done = m - 2 * T
         if n_done < 0:
             continue

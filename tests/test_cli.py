@@ -55,12 +55,6 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, err = run_cli(["solve", "--a", "0.5"], capsys)
     assert code == 2
-    # power series needs a = 1/2
-    code, _, err = run_cli(
-        ["solve", "--method", "psa", "--lambda", "0.2", "--a", "0.4"], capsys
-    )
-    assert code == 2
-    assert "1/2" in err
     # argparse-level garbage
     assert cli.main(["solve", "--method", "bogus", "--rho", "0.4"]) == 2
 
@@ -83,12 +77,17 @@ def test_usage_errors(capsys):
         ["decay", "--rho", "0.4", "--epsilon", "inf"],
         ["solve", "--method", "psa", "--rho", "0.4", "--G", "nan"],
         ["solve", "--method", "psa", "--rho", "0.4", "--G", "inf"],
+        ["solve", "--rho", "0.4", "--a", "0"],
+        ["solve", "--rho", "0.4", "--a", "1.0"],
+        ["solve", "--rho", "0.4", "--a", "1.5"],
     ],
 )
 def test_bad_values_are_usage_errors(args, capsys):
     code, _, err = run_cli(args, capsys)
     assert code == 2
     assert "usage error" in err
+    if "--a" in args:
+        assert "attempt probability" in err
 
 
 @pytest.mark.parametrize(
@@ -454,9 +453,13 @@ def test_compare_command(capsys):
     assert rows["abs_diff_e_sojourn"] < 1e-3
 
 
-def test_compare_requires_half(capsys):
-    code, _, err = run_cli(["compare", "--rho", "0.4", "--a", "0.6"], capsys)
-    assert code == 2
+def test_power_series_runs_at_any_attempt_probability(capsys):
+    code, _, _ = run_cli(["solve", "--method", "psa", "--lambda", "0.2", "--a", "0.4"], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["compare", "--rho", "0.4", "--a", "0.3"], capsys)
+    assert code == 0
+    rows = {r["name"]: float(r["value"]) for r in parse_csv(out)["compare"]}
+    assert rows["maxnorm_psa_oracle"] < 1e-6
 
 
 def test_decay_command(capsys):
