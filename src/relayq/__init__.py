@@ -4,8 +4,9 @@ A single saturated source feeds two relay queues under join-the-shortest-queue
 routing; relays transmit over a collision channel. The package computes the
 joint equilibrium queue-length distribution by three mutually cross-checking
 routes — a boundary-compensation series, a power-series expansion in the
-load, and a direct truncated-chain solve — plus a Monte Carlo simulator, and
-derives sojourn-time, correlation, and decay measures from any of them.
+load, and a matrix-geometric solve of the chain — plus a Monte Carlo
+simulator, and derives sojourn-time, correlation, and decay measures from any
+of them.
 """
 
 from . import compensation, grids, measures, model, oracle, psa, simulator

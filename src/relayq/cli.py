@@ -144,8 +144,7 @@ def _solve_grid(params: ModelParams, spec: RunSpec) -> ProbabilityGrid:
             )
         return _psa_reporting_grid(solution)
     if spec.method == "oracle":
-        T = oracle.choose_truncation(params, spec.epsilon)
-        return oracle.stationary(oracle.build(params, T))
+        return oracle.stationary(oracle.build(params, oracle.choose_truncation(params, spec.epsilon)))
     raise UsageError(f"unknown method {spec.method!r}")
 
 
@@ -236,10 +235,8 @@ def run(spec: RunSpec) -> dict:
 
     if spec.command == "compare":
         params = _resolve_params(spec)
-        # build the oracle chain first: an oversized box fails before any solve
-        chain = oracle.build(params, oracle.choose_truncation(params, min(spec.epsilon, 1e-10)))
         both = _solve_ca_and_psa(params, spec)
-        orc = oracle.stationary(chain)
+        orc = oracle.stationary(oracle.build(params, oracle.choose_truncation(params, min(spec.epsilon, 1e-10))))
 
         def maxnorm(g1: ProbabilityGrid | None, g2: ProbabilityGrid | None) -> float | None:
             if g1 is None or g2 is None:

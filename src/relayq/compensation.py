@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericsError, StabilityError
-from .grids import TRANSFORMED, ProbabilityGrid
+from .grids import ProbabilityGrid
 from .model import EPSILON_FLOOR, ModelParams, grid_truncation, transformed_inflows
 
 __all__ = [
@@ -413,7 +413,7 @@ def solve(
         raise NumericsError(f"normalized grid has negative entry {grid_vals.min():.3e}")
 
     series = replace(series, normalization=1.0 / total)
-    grid = ProbabilityGrid(grid_vals, TRANSFORMED).clipped().normalized()
+    grid = ProbabilityGrid(grid_vals).clipped().normalized()
     grid.validate(sum_tol=1e-12, neg_tol=0.0)
     return CompensationResult(
         series=series,

@@ -1,4 +1,4 @@
-"""Finite equilibrium-distribution grids and coordinate mapping helpers."""
+"""Finite equilibrium-distribution grids of the transformed chain."""
 
 from __future__ import annotations
 
@@ -8,32 +8,25 @@ import numpy as np
 
 from .errors import GridError
 
-TRANSFORMED = "transformed"  # (k, l) = (min, |difference|)
-ORIGINAL = "original"        # (Q1, Q2)
-
-__all__ = ["ProbabilityGrid", "TRANSFORMED", "ORIGINAL"]
+__all__ = ["ProbabilityGrid"]
 
 
 @dataclass(frozen=True)
 class ProbabilityGrid:
     """Equilibrium probabilities on a square truncation of the state space.
 
-    ``values[k, l]`` (transformed coordinates) or ``values[i, j]`` (original
-    coordinates), 0 <= index <= T. Producers decide how strictly to validate:
-    the direct solvers emit exactly normalized, non-negative grids, while the
-    power-series reconstruction may carry round-off-scale negatives that are
-    clipped only when reporting.
+    ``values[k, l]`` over (k, l) = (min, |difference|), 0 <= k, l <= T.
+    Producers decide how strictly to validate: the direct solvers emit exactly
+    normalized, non-negative grids, while the power-series reconstruction may
+    carry round-off-scale negatives that are clipped only when reporting.
     """
 
     values: np.ndarray
-    coords: str = TRANSFORMED
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
         if v.ndim != 2 or v.shape[0] != v.shape[1]:
             raise GridError(f"grid must be square 2-D, got shape {v.shape}")
-        if self.coords not in (TRANSFORMED, ORIGINAL):
-            raise GridError(f"unknown coordinate tag {self.coords!r}")
         object.__setattr__(self, "values", v)
 
     @property
@@ -56,17 +49,8 @@ class ProbabilityGrid:
         tot = self.total()
         if tot <= 0:
             raise GridError("cannot normalize a grid with non-positive mass")
-        return ProbabilityGrid(self.values / tot, self.coords)
+        return ProbabilityGrid(self.values / tot)
 
     def clipped(self) -> "ProbabilityGrid":
         """Non-negative copy (for reporting; does not renormalize)."""
-        return ProbabilityGrid(np.maximum(self.values, 0.0), self.coords)
-
-    def to_transformed(self) -> "ProbabilityGrid":
-        """Push an original-coordinate grid forward through (min, |diff|)."""
-        if self.coords != TRANSFORMED:
-            i, j = np.indices(self.values.shape)
-            pi = np.zeros_like(self.values)
-            np.add.at(pi, (np.minimum(i, j), np.abs(i - j)), self.values)
-            return ProbabilityGrid(pi, TRANSFORMED)
-        return self
+        return ProbabilityGrid(np.maximum(self.values, 0.0))

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, StabilityError
-from .grids import TRANSFORMED, ProbabilityGrid
+from .grids import ProbabilityGrid
 from .model import ModelParams
 from . import compensation
 # not called here: benchmarks/tracing.py, its only user, patches measures.gth_stationary
@@ -54,8 +54,6 @@ _FIXED_L = (0, 1, 3)  # the columns l whose decay along k is reported
 
 
 def _check_normalized(grid: ProbabilityGrid, tol: float = 1e-6) -> np.ndarray:
-    if grid.coords != TRANSFORMED:
-        raise GridError("measures expect a grid in transformed (min, diff) coordinates")
     tot = grid.total()
     if abs(tot - 1.0) > tol:
         raise GridError(f"grid is not normalized: mass {tot!r}")

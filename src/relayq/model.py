@@ -16,12 +16,12 @@ from it: :func:`transition_distribution` sums the rule over the slot's 16
 draws, and :func:`transformed_transition_distribution` pushes that law
 through :func:`transform_state`. Every move on a finite box comes from
 :func:`box_moves`, which runs the same rule on all states of the box at once,
-draw by draw, and returns the moves as plain (source, destination,
-probability) arrays. :func:`box_matrix` scatters them into the dense matrix
-of the oracle's truncated chains and, transposed as
-:func:`transformed_inflows`, of the compensation solver's inner box; the
-balance check :func:`balance_residuals` sums them without a matrix. The two
-scalar laws are the per-state reference the moves are tested against.
+draw by draw, and returns the transformed chain's moves as plain (source,
+destination, probability) arrays. :func:`box_matrix` scatters them into the
+dense matrix whose blocks the oracle's quasi-birth-death solve reads and,
+transposed as :func:`transformed_inflows`, of the compensation solver's inner
+box; the balance check :func:`balance_residuals` sums them without a matrix.
+The two scalar laws are the per-state reference the moves are tested against.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError
-from .grids import ORIGINAL, TRANSFORMED
 
 __all__ = [
     "ModelParams",
@@ -216,22 +215,19 @@ def transformed_transition_distribution(
     return _grouped(moves)
 
 
-def box_moves(
-    params: ModelParams, T_k: int, T_l: int, variant: str = TRANSFORMED
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-step moves (src, dst, prob) of either chain on the box [0,T_k] x [0,T_l].
+def box_moves(params: ModelParams, T_k: int, T_l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One-step moves (src, dst, prob) of the transformed chain on the box [0,T_k] x [0,T_l].
 
-    ``variant`` is ``TRANSFORMED`` (states (k, l)) or ``ORIGINAL`` (states
-    (Q1, Q2)). States are flattened as k*(T_l+1)+l; steps leaving the box are
-    dropped, so states next to the far edges lose mass. :func:`step` runs on
-    every state of the box at once, once per draw, so the moves out of each
-    state are the law at that state. At most two moves of a source share a
-    destination, and only in the transformed chain.
+    States are flattened as k*(T_l+1)+l; steps leaving the box are dropped,
+    so states next to the far edges lose mass. :func:`step` runs on every
+    state (k, k+l) of the box at once, once per draw, and each destination
+    is pushed through (min, |diff|), so the moves out of each state are the
+    law at that state. At most two moves of a source share a destination.
     """
     n_l = T_l + 1
     n = (T_k + 1) * n_l
     k, l = np.divmod(np.arange(n), n_l)
-    i, j = {TRANSFORMED: (k, k + l), ORIGINAL: (k, l)}[variant]  # unknown variant: KeyError
+    i, j = k, k + l
     # law[s, di+1, dj+1]: probability of the original move (di, dj) at state s,
     # equal moves added in draw order as the scalar law adds them
     law = np.zeros((n, 3, 3))
@@ -240,21 +236,20 @@ def box_moves(
         law[np.arange(n), i2 - i + 1, j2 - j + 1] += prob
     src, di, dj = np.nonzero(law)
     k2, l2 = i[src] + di - 1, j[src] + dj - 1
-    if variant == TRANSFORMED:
-        k2, l2 = np.minimum(k2, l2), np.abs(k2 - l2)
+    k2, l2 = np.minimum(k2, l2), np.abs(k2 - l2)
     inside = (k2 <= T_k) & (l2 <= T_l)
     return src[inside], k2[inside] * n_l + l2[inside], law[src, di, dj][inside]
 
 
-def box_matrix(params: ModelParams, T_k: int, T_l: int, variant: str = TRANSFORMED) -> np.ndarray:
-    """Dense one-step matrix of either chain on the box [0,T_k] x [0,T_l].
+def box_matrix(params: ModelParams, T_k: int, T_l: int) -> np.ndarray:
+    """Dense one-step matrix of the transformed chain on the box [0,T_k] x [0,T_l].
 
     The moves of :func:`box_moves` added into their cells, so each row is the
-    law at its own state and matches :func:`transition_distribution` and
-    :func:`transformed_transition_distribution` bit for bit: two moves that
-    share a cell have a sum that does not depend on their order.
+    law at its own state and matches :func:`transformed_transition_distribution`
+    bit for bit: two moves that share a cell have a sum that does not depend
+    on their order.
     """
-    src, dst, prob = box_moves(params, T_k, T_l, variant)
+    src, dst, prob = box_moves(params, T_k, T_l)
     n = (T_k + 1) * (T_l + 1)
     P = np.zeros((n, n))
     np.add.at(P, (src, dst), prob)

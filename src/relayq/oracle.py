@@ -1,41 +1,30 @@
-"""Brute-force ground truth: truncated chains solved by GTH state reduction.
+"""Brute-force ground truth: a matrix-geometric solve of the transformed chain.
 
-The truncated chain is the box matrix of either chain
-(:func:`relayq.model.box_matrix`, the slot rule run on every state of the
-box) with the mass of every step that would leave the box folded back into
-the current state (a self-loop), which keeps every row stochastic; the
-induced error is controlled by ``choose_truncation`` and shrinks
-geometrically with the box size.
-
-In the flattened order k*(T+1)+l every nonzero lies within bw = T+1 of the
-diagonal (bw = T for the transformed chain). GTH elimination keeps its
-fill-in inside that band, so a solve of n states costs O(n*bw^2), and it is
-also the reducibility check: it fails exactly when a state cannot reach 0.
+For k >= 1 both relays are busy, so the law of (k, l) does not depend on k,
+and k moves by at most one per slot: the chain is a quasi-birth-death
+process (QBD) with level k and phase l. Its stationary law is
+pi_(k+1) = pi_k R for k >= 1, with R the minimal nonnegative solution of
+R = A0 + R A1 + R^2 A2 (Neuts 1981; Latouche & Ramaswami 1999, ch. 6 and 8).
+The blocks are read off :func:`relayq.model.box_matrix` on [0,2] x [0,T_l],
+with the mass of every step to l > T_l folded back into its self-loop, so
+only the phase is truncated. GTH state reduction solves the chain censored on
+levels 0 and 1; it fails exactly when a state cannot reach (0, 0).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, RelayQError, StabilityError
-from .grids import ORIGINAL, TRANSFORMED, ProbabilityGrid
+from .errors import GridError, NumericsError, RelayQError, StabilityError
+from .grids import ProbabilityGrid
 from .model import ModelParams, box_matrix, grid_truncation
 # not called here: benchmarks/tracing.py, its only user, patches this name
 from .model import transformed_transition_distribution  # noqa: F401
 
-__all__ = [
-    "MAX_STATES",
-    "TruncatedChain",
-    "build",
-    "stationary",
-    "choose_truncation",
-    "gth_stationary",
-]
-
-# largest box the dense matrix may take: T = 50, 54 MB for the matrix and as much for GTH's copy
-MAX_STATES = 2601
+__all__ = ["QBDChain", "build", "stationary", "choose_truncation", "gth_stationary"]
 
 
 def __getattr__(name: str):
@@ -50,28 +39,55 @@ def __getattr__(name: str):
 
 
 @dataclass(frozen=True)
-class TruncatedChain:
-    T: int
-    variant: str  # "original" | "transformed"
-    matrix: np.ndarray  # row-stochastic, states flattened as k*(T+1)+l
-    params: ModelParams
+class QBDChain:
+    T: int  # the grid reports levels k and phases l in [0, T]
+    R: np.ndarray  # (T_l+1)^2 rate matrix: pi_(k+1) = pi_k R for k >= 1
+    boundary: np.ndarray  # row-stochastic chain censored on levels 0 and 1, states k*(T_l+1)+l
 
 
-def build(params: ModelParams, T: int, variant: str = TRANSFORMED) -> TruncatedChain:
-    """Row-stochastic transition matrix of either chain on the (T+1)^2 box."""
+def _rate_matrix(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
+    """Minimal nonnegative solution R of R = A0 + R A1 + R^2 A2.
+
+    Logarithmic reduction (Latouche & Ramaswami 1999, ch. 8) sums G, the
+    first-passage matrix one level down, over time scales that double at each
+    step. ``T`` holds the paths not yet resolved, so what later steps can
+    add to G is at most its largest row sum. Then R = A0 (I - A1 - A0 G)^-1.
+    """
+    I = np.eye(A1.shape[0])
+    up, down = np.linalg.solve(I - A1, A0), np.linalg.solve(I - A1, A2)
+    G, T = down.copy(), up.copy()
+    # step n covers 2^n slots; a stable chain needs about 4 + log2(1/(1 - rho^2)) steps
+    for _ in range(32):
+        U = up @ down + down @ up
+        up, down = np.linalg.solve(I - U, up @ up), np.linalg.solve(I - U, down @ down)
+        G += T @ down
+        T = T @ up
+        if T.sum(axis=1).max() < 1e-16:
+            return np.linalg.solve((I - A1 - A0 @ G).T, A0.T).T
+    raise NumericsError("logarithmic reduction for R did not converge in 32 steps")
+
+
+def build(params: ModelParams, T: int) -> QBDChain:
+    """The QBD of the transformed chain, its phase truncated at T_l <= T.
+
+    Mass decays along l faster than rho^2/2 (CA's delta < gamma/2), so column
+    T_l = grid_truncation(rho^2/2, rho^(2T)) holds no more mass than level T.
+    It is computed in logs, since rho^(2T) underflows at tiny loads.
+    """
     if T < 3:
         raise GridError("truncation level must be at least 3")
-    if variant not in (TRANSFORMED, ORIGINAL):
-        raise RelayQError(f"unknown chain variant {variant!r}")
-    if (T + 1) ** 2 > MAX_STATES:
-        raise GridError(
-            f"truncated chain at T = {T} has {(T + 1) ** 2} states, above the dense "
-            f"oracle's limit of {MAX_STATES}; use --method ca at this load"
-        )
-    P = box_matrix(params, T, T, variant)
-    # fold the mass of the dropped steps back into each row's self-loop
-    P[np.diag_indices_from(P)] += 1.0 - P.sum(axis=1)
-    return TruncatedChain(T=T, variant=variant, matrix=P, params=params)
+    rho = params.rho
+    if rho >= 1.0:
+        raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")
+    T_l = min(T, max(math.ceil(2 * T * math.log(rho) / math.log(rho * rho / 2)), 3))
+    n = T_l + 1
+    P = box_matrix(params, 2, T_l)[: 2 * n]
+    # fold the mass of the steps to l > T_l back into each row's self-loop
+    P[np.diag_indices(2 * n)] += 1.0 - P.sum(axis=1)
+    B00, B01 = P[:n, :n], P[:n, n : 2 * n]
+    A2, A1, A0 = P[n:, :n], P[n:, n : 2 * n], P[n:, 2 * n :]
+    R = _rate_matrix(A0, A1, A2)
+    return QBDChain(T=T, R=R, boundary=np.block([[B00, B01], [A2, A1 + R @ A2]]))
 
 
 class _Unreachable(RelayQError):
@@ -118,19 +134,26 @@ def gth_stationary(P: np.ndarray) -> np.ndarray:
     return pi / pi.sum()
 
 
-def stationary(chain: TruncatedChain) -> ProbabilityGrid:
-    """Stationary distribution of the truncated chain as a grid."""
+def stationary(chain: QBDChain) -> ProbabilityGrid:
+    """Stationary distribution on the box [0,T]^2, zero for l > T_l, normalized on the box."""
+    n = chain.R.shape[0]
     try:
-        pi = gth_stationary(chain.matrix)
+        pi = gth_stationary(chain.boundary)
     except _Unreachable as exc:
-        k, l = divmod(exc.state, chain.T + 1)
+        k, l = divmod(exc.state, n)
         raise RelayQError(
-            f"truncated chain is reducible: state ({k}, {l}) cannot reach the origin (0, 0)"
+            f"chain is reducible: state ({k}, {l}) cannot reach the origin (0, 0)"
         ) from None
-    resid = float(np.max(np.abs(pi @ chain.matrix - pi)))
+    resid = float(np.max(np.abs(pi @ chain.boundary - pi)))
     if resid > 1e-12:
         raise RelayQError(f"stationary solve residual {resid:.3e} exceeds 1e-12")
-    return ProbabilityGrid(pi.reshape(chain.T + 1, chain.T + 1), coords=chain.variant)
+    values = np.zeros((chain.T + 1, chain.T + 1))
+    values[0, :n] = pi[:n]
+    row = pi[n:]
+    for k in range(1, chain.T + 1):
+        values[k, :n] = row
+        row = row @ chain.R
+    return ProbabilityGrid(values).normalized()
 
 
 def choose_truncation(params: ModelParams, epsilon: float) -> int:

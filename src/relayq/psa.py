@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, StabilityError
-from .grids import TRANSFORMED, ProbabilityGrid
+from .grids import ProbabilityGrid
 from .model import EPSILON_FLOOR, ModelParams, _draws, grid_truncation, step
 
 __all__ = [
@@ -226,7 +226,7 @@ def _reconstruct(u: np.ndarray, theta: float) -> ProbabilityGrid:
     vals = np.zeros((T + 1, T + 1))
     for n in range(N + 1):
         vals += tpow[n + K + L] * u[n]
-    return ProbabilityGrid(vals, TRANSFORMED)
+    return ProbabilityGrid(vals)
 
 
 def evaluate(rho: float, solution: PsaSolution) -> ProbabilityGrid:
@@ -335,7 +335,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
             f"the first has a sane mass and a smaller change (stop: {stop_reason} after "
             f"{len(rel_hist)} depths)"
         )
-    u = u[: n_final + 1].copy()
+    u = u[: n_final + 1]
     return PsaSolution(
         G=G,
         theta=theta,

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RelayQError
-from .grids import TRANSFORMED, ProbabilityGrid
+from .grids import ProbabilityGrid
 from .model import ModelParams, is_stable, step
 from .oracle import choose_truncation
 
@@ -210,7 +210,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         corr, ci_corr = None, None
 
     total = counts.sum() + overflow
-    empirical = ProbabilityGrid(counts / total, TRANSFORMED)
+    empirical = ProbabilityGrid(counts / total)
     return SimResult(
         e_qsum=e_qsum,
         e_qsum_ci=ci_qsum,

@@ -3,8 +3,9 @@ import pytest
 
 from relayq import compensation, measures, oracle
 from relayq.errors import GridError, StabilityError
-from relayq.grids import ORIGINAL, TRANSFORMED, ProbabilityGrid
+from relayq.grids import ProbabilityGrid
 from relayq.model import ModelParams, lambda_for_load
+from conftest import original_box, push_forward
 
 
 def test_sojourn_identity_exact(params_rho04, ca_rho04):
@@ -16,7 +17,7 @@ def test_sojourn_identity_exact(params_rho04, ca_rho04):
 def test_point_mass_degenerate(base_params):
     vals = np.zeros((8, 8))
     vals[0, 0] = 1.0
-    rep = measures.moments_from_transformed(ProbabilityGrid(vals, TRANSFORMED), base_params)
+    rep = measures.moments_from_transformed(ProbabilityGrid(vals), base_params)
     assert rep.e_sojourn == 0.0
     assert rep.correlation is None
 
@@ -30,7 +31,7 @@ def test_reference_point_values(params_rho04, ca_rho04):
 def test_unnormalized_grid_rejected(base_params):
     with pytest.raises(GridError):
         measures.moments_from_transformed(
-            ProbabilityGrid(np.full((6, 6), 0.1), TRANSFORMED), base_params
+            ProbabilityGrid(np.full((6, 6), 0.1)), base_params
         )
 
 
@@ -38,15 +39,14 @@ def test_transformed_moments_equal_direct_original_moments(base_params):
     """Computing moments through the (min, diff) identities agrees with the
     direct computation over the original (Q1, Q2) stationary grid."""
     T = 25
-    orig = oracle.stationary(oracle.build(base_params, T, ORIGINAL))
+    w = oracle.gth_stationary(original_box(base_params, T)).reshape(T + 1, T + 1)
     I, J = np.meshgrid(np.arange(T + 1), np.arange(T + 1), indexing="ij")
-    w = orig.values
     e_qsum = float(((I + J) * w).sum())
     e_q1 = float((I * w).sum())
     e_q1q2 = float(((I * J) * w).sum())
     var_q1 = float((I**2 * w).sum()) - e_q1**2
     corr = (e_q1q2 - e_q1 * float((J * w).sum())) / var_q1
-    rep = measures.moments_from_transformed(orig.to_transformed(), base_params)
+    rep = measures.moments_from_transformed(ProbabilityGrid(push_forward(w)), base_params)
     assert rep.e_qsum == pytest.approx(e_qsum, abs=1e-10)
     assert rep.correlation == pytest.approx(corr, abs=1e-10)
     assert rep.e_sojourn == pytest.approx(e_qsum / base_params.lam, abs=1e-10)
@@ -57,7 +57,7 @@ def test_decay_on_geometric_toy_grid(base_params):
     k = np.arange(30)
     vals = np.outer((1 - g) * g**k, (1 - h) * h**k)
     vals /= vals.sum()  # finite-grid renormalization
-    diag = measures.decay_diagnostics(ProbabilityGrid(vals, TRANSFORMED), base_params)
+    diag = measures.decay_diagnostics(ProbabilityGrid(vals), base_params)
     for l in (0, 1, 3):
         assert diag.fixed_l_estimates[l] == pytest.approx(g, rel=1e-12)
     assert diag.marginal_estimate == pytest.approx(g, rel=1e-12)
@@ -76,7 +76,7 @@ def test_decay_without_tail_mass_is_none(base_params):
     """A grid whose tail is exactly zero has no ratio to report, not NaN."""
     vals = np.zeros((30, 30))
     vals[:10, :10] = 0.01
-    grid = ProbabilityGrid(vals, TRANSFORMED)
+    grid = ProbabilityGrid(vals)
     diag = measures.decay_diagnostics(grid, base_params)
     assert diag.fixed_l_estimates == {0: None, 1: None, 3: None}
     assert diag.marginal_estimate is None
@@ -87,7 +87,7 @@ def test_decay_without_tail_mass_is_none(base_params):
 def test_decay_requires_large_grid(base_params):
     with pytest.raises(GridError):
         measures.decay_diagnostics(
-            ProbabilityGrid(np.full((10, 10), 0.01), TRANSFORMED), base_params
+            ProbabilityGrid(np.full((10, 10), 0.01)), base_params
         )
 
 

@@ -5,7 +5,6 @@ import pytest
 
 from relayq import oracle
 from relayq.errors import GridError
-from relayq.grids import ORIGINAL, TRANSFORMED
 from relayq.model import (
     ModelParams,
     balance_residuals,
@@ -18,7 +17,7 @@ from relayq.model import (
     transformed_transition_distribution,
     transition_distribution,
 )
-from conftest import random_params, random_stable_params
+from conftest import law_matrix, original_box, random_params, random_stable_params, transformed_box
 
 
 def test_params_reject_boundaries():
@@ -210,49 +209,35 @@ def test_balance_residuals_reject_small(base_params):
 
 def test_balance_residuals_oracle_grid(base_params, oracle_base):
     assert max_interior_residual(oracle_base.values, base_params) < 1e-10
+    # near saturation too, where the oracle's grid is 249^2
+    p = ModelParams(lam=lambda_for_load(0.95, 0.3), a=0.3)
+    grid = oracle.stationary(oracle.build(p, oracle.choose_truncation(p, 1e-10)))
+    assert max_interior_residual(grid.values, p) < 1e-10
 
 
 def test_balance_residuals_compensation_grid(params_rho04, ca_rho04):
     assert max_interior_residual(ca_rho04.grid.values, params_rho04) < 1e-9
 
 
-# (variant as passed to box_matrix, per-state steps (dk, dl, prob))
-LAWS = (
-    (ORIGINAL, transition_distribution),
-    (TRANSFORMED, transformed_transition_distribution),
-)
-
-
-def law_matrix(steps_at, p, T_k, T_l):
-    """Per-state reference for box_matrix: the law at every state of the box."""
-    n_l = T_l + 1
-    P = np.zeros(((T_k + 1) * n_l, (T_k + 1) * n_l))
-    for k in range(T_k + 1):
-        for l in range(n_l):
-            for dk, dl, pr in steps_at((k, l), p):
-                if 0 <= k + dk <= T_k and 0 <= l + dl <= T_l:
-                    P[k * n_l + l, (k + dk) * n_l + l + dl] += pr
-    return P
-
-
 def test_box_matrix_rows_are_the_law():
     rng = np.random.default_rng(13)
     for p in random_params(rng, 20):
-        for variant, steps_at in LAWS:
-            for T_k, T_l in ((5, 7), (7, 5), (1, 9), (9, 1), (15, 2)):
-                P = box_matrix(p, T_k, T_l, variant)
-                assert isinstance(P, np.ndarray)
-                assert np.array_equal(P, law_matrix(steps_at, p, T_k, T_l))
+        for T_k, T_l in ((5, 7), (7, 5), (1, 9), (9, 1), (15, 2)):
+            P = box_matrix(p, T_k, T_l)
+            assert isinstance(P, np.ndarray)
+            assert np.array_equal(P, law_matrix(transformed_transition_distribution, p, T_k, T_l))
 
 
 def test_oracle_folds_dropped_steps_into_self_loops():
+    """The dense references of both chains: the unfolded box off the diagonal, stochastic rows."""
     rng = np.random.default_rng(14)
     T = 5
     off_diagonal = ~np.eye((T + 1) ** 2, dtype=bool)
     for p in random_params(rng, 20):
-        for variant, _ in LAWS:
-            M = oracle.build(p, T, variant).matrix
-            P = box_matrix(p, T, T, variant)
+        for M, P in (
+            (transformed_box(p, T), box_matrix(p, T, T)),
+            (original_box(p, T), law_matrix(transition_distribution, p, T, T)),
+        ):
             assert np.allclose(M.sum(axis=1), 1.0, rtol=0.0, atol=1e-14)
             assert np.array_equal(M[off_diagonal], P[off_diagonal])
 

@@ -1,21 +1,19 @@
-import math
+import dataclasses
 
 import numpy as np
 import pytest
 
-from relayq import oracle
-from relayq.errors import GridError, RelayQError, StabilityError
-from relayq.grids import ORIGINAL, TRANSFORMED
+from relayq import compensation, oracle
+from relayq.errors import GridError, NumericsError, RelayQError, StabilityError
 from relayq.model import ModelParams, lambda_for_load
-from conftest import random_stable_params
+from conftest import maxnorm, original_box, push_forward, random_stable_params, transformed_box
 
 
 def test_rows_sum_to_one():
     rng = np.random.default_rng(21)
     for p in random_stable_params(rng, 10):
-        for variant in (TRANSFORMED, ORIGINAL):
-            ch = oracle.build(p, 10, variant)
-            assert np.allclose(ch.matrix.sum(axis=1), 1.0, atol=1e-14)
+        for P in (transformed_box(p, 10), original_box(p, 10), oracle.build(p, 10).boundary):
+            assert np.allclose(P.sum(axis=1), 1.0, atol=1e-14)
 
 
 def test_small_truncation_rejected(base_params):
@@ -23,27 +21,11 @@ def test_small_truncation_rejected(base_params):
         oracle.build(base_params, 2)
 
 
-def test_oversized_box_rejected_before_allocation(base_params, monkeypatch):
-    class Built(Exception):
-        pass
-
-    def no_matrix(*args, **kwargs):
-        raise Built
-
-    monkeypatch.setattr(oracle, "box_matrix", no_matrix)
-    T = math.isqrt(oracle.MAX_STATES) - 1
-    with pytest.raises(Built):
-        oracle.build(base_params, T)  # at the limit the matrix is built
-    with pytest.raises(GridError, match=rf"{oracle.MAX_STATES}.*--method ca"):
-        oracle.build(base_params, T + 1)
-
-
 def test_interior_rows_match_angle_law(base_params):
     p = base_params
     T = 12
-    ch = oracle.build(p, T, ORIGINAL)
     i, j = 4, 2  # upper angle, stencil well inside the box
-    row = ch.matrix[i * (T + 1) + j]
+    row = original_box(p, T)[i * (T + 1) + j]
     fwd = p.lam * (p.abar**2 + p.a**2)
     dep = p.lbar * p.a * p.abar
     both = p.lam * p.a * p.abar
@@ -57,19 +39,19 @@ def test_interior_rows_match_angle_law(base_params):
 
 def test_original_matrix_commutes_with_swap(base_params):
     T = 8
-    ch = oracle.build(base_params, T, ORIGINAL)
+    P = original_box(base_params, T)
     n = T + 1
     perm = np.array([j * n + i for i in range(n) for j in range(n)])
-    swapped = ch.matrix[np.ix_(perm, perm)]
-    assert np.allclose(swapped, ch.matrix, atol=1e-15)
+    swapped = P[np.ix_(perm, perm)]
+    assert np.allclose(swapped, P, atol=1e-15)
 
 
 def test_stationary_residual_and_symmetry(base_params):
-    ch = oracle.build(base_params, 20, ORIGINAL)
-    grid = oracle.stationary(ch)
-    pi = grid.values.ravel()
-    assert np.max(np.abs(pi @ ch.matrix - pi)) < 1e-12
-    assert np.max(np.abs(grid.values - grid.values.T)) < 1e-15
+    P = original_box(base_params, 20)
+    pi = oracle.gth_stationary(P)
+    assert np.max(np.abs(pi @ P - pi)) < 1e-12
+    values = pi.reshape(21, 21)
+    assert np.max(np.abs(values - values.T)) < 1e-15
 
 
 def test_near_empty_system():
@@ -80,17 +62,15 @@ def test_near_empty_system():
 
 def test_pushforward_matches_transformed_solve(base_params):
     T = 40
-    orig = oracle.stationary(oracle.build(base_params, T, ORIGINAL))
-    push = orig.to_transformed()
-    tran = oracle.stationary(oracle.build(base_params, T, TRANSFORMED))
-    assert np.max(np.abs(push.values - tran.values)) < 1e-10
+    push = push_forward(oracle.gth_stationary(original_box(base_params, T)).reshape(T + 1, T + 1))
+    tran = oracle.stationary(oracle.build(base_params, T))
+    assert np.max(np.abs(push - tran.values)) < 1e-10
 
 
 def test_gth_matches_power_iteration(base_params):
-    ch = oracle.build(base_params, 10)
-    pi = oracle.gth_stationary(ch.matrix)
+    P = transformed_box(base_params, 10)
+    pi = oracle.gth_stationary(P)
     # 2^20 > 1e6 one-step applications, via repeated squaring
-    P = ch.matrix.copy()
     for _ in range(20):
         P = P @ P
         P /= P.sum(axis=1, keepdims=True)  # control round-off drift
@@ -100,12 +80,13 @@ def test_gth_matches_power_iteration(base_params):
 
 def test_reducible_chain_reports_state(base_params):
     ch = oracle.build(base_params, 4)
-    bad = ch.matrix.copy()
-    idx = 4 * 5 + 4  # state (4, 4), flattened as k * (T + 1) + l
+    bad = ch.boundary.copy()
+    T_l = ch.R.shape[0] - 1
+    idx = 2 * T_l + 1  # state (1, T_l), flattened as k * (T_l + 1) + l
     bad[idx, :] = 0.0
     bad[idx, idx] = 1.0  # absorbing corner: a second closed class
-    with pytest.raises(RelayQError, match=r"\(4, 4\)"):
-        oracle.stationary(oracle.TruncatedChain(4, TRANSFORMED, bad, base_params))
+    with pytest.raises(RelayQError, match=rf"\(1, {T_l}\)"):
+        oracle.stationary(dataclasses.replace(ch, boundary=bad))
 
 
 def _dense_gth(P):
@@ -137,9 +118,9 @@ def _corner_matrix(n, rng):
 
 def test_banded_gth_matches_dense_elimination(base_params):
     matrices = [
-        oracle.build(base_params, T, variant).matrix
+        box(base_params, T)
         for T in (5, 13, 20)
-        for variant in (TRANSFORMED, ORIGINAL)
+        for box in (transformed_box, original_box, lambda p, T: oracle.build(p, T).boundary)
     ]
     matrices.append(_corner_matrix(12, np.random.default_rng(5)))
     for P in matrices:
@@ -148,13 +129,13 @@ def test_banded_gth_matches_dense_elimination(base_params):
 
 def test_chain_that_never_enters_origin_reports_state(base_params):
     ch = oracle.build(base_params, 6)
-    bad = ch.matrix.copy()
+    bad = ch.boundary.copy()
     into_origin = np.flatnonzero(bad[1:, 0]) + 1
     assert into_origin.size
     bad[into_origin, into_origin] += bad[into_origin, 0]
     bad[into_origin, 0] = 0.0
     with pytest.raises(RelayQError, match=r"\(\d+, \d+\)"):
-        oracle.stationary(oracle.TruncatedChain(6, TRANSFORMED, bad, base_params))
+        oracle.stationary(dataclasses.replace(ch, boundary=bad))
 
 
 def test_choose_truncation():
@@ -181,3 +162,38 @@ def test_truncation_doubling_consistency():
     g1 = oracle.stationary(oracle.build(p, T))
     g2 = oracle.stationary(oracle.build(p, 2 * T))
     assert np.max(np.abs(g1.values[: T // 2, : T // 2] - g2.values[: T // 2, : T // 2])) < 1e-10
+
+
+def _point(rho, a):
+    return ModelParams(lam=lambda_for_load(rho, a), a=a)
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("rho", [0.9, 0.95, 0.97, 0.99])
+def test_matches_compensation_near_saturation(rho, a):
+    """The QBD route checks CA where the dense box could not go; the bound is
+    the truncation tolerance, not the ~1e-12 agreement measured. R decays
+    like the minimum queue, at rate rho^2."""
+    p = _point(rho, a)
+    eps = 1e-10
+    chain = oracle.build(p, oracle.choose_truncation(p, eps))
+    assert maxnorm(compensation.solve(p).grid, oracle.stationary(chain)) < eps
+    assert abs(np.max(np.abs(np.linalg.eigvals(chain.R))) - rho**2) < 1e-12
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("rho", [0.4, 0.7])
+def test_matches_dense_reference(rho, a):
+    p = _point(rho, a)
+    eps = 1e-10
+    T = oracle.choose_truncation(p, eps)
+    dense = oracle.gth_stationary(transformed_box(p, T)).reshape(T + 1, T + 1)
+    assert np.max(np.abs(oracle.stationary(oracle.build(p, T)).values - dense)) < eps
+
+
+def test_unstable_or_transient_chain_fails_fast():
+    with pytest.raises(StabilityError):
+        oracle.build(ModelParams(lam=0.6, a=0.5), 10)
+    # a level walk with upward drift: the reduction never resolves its paths
+    with pytest.raises(NumericsError, match="did not converge"):
+        oracle._rate_matrix(np.array([[0.6]]), np.zeros((1, 1)), np.array([[0.4]]))
