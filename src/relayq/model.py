@@ -14,14 +14,14 @@ Two Markov chains describe the system: the original queue-length pair
 There is one slot rule, :func:`step`, and both one-step laws are computed
 from it: :func:`transition_distribution` sums the rule over the slot's 16
 draws, and :func:`transformed_transition_distribution` pushes that law
-through :func:`transform_state`. Every move on a finite box comes from
-:func:`box_moves`, which runs the same rule on all states of the box at once,
-draw by draw, and returns the transformed chain's moves as plain (source,
-destination, probability) arrays. :func:`box_matrix` scatters them into the
-dense matrix whose blocks the oracle's quasi-birth-death solve reads and,
-transposed as :func:`transformed_inflows`, of the compensation solver's inner
-box; the balance check :func:`balance_residuals` sums them without a matrix.
-The two scalar laws are the per-state reference the moves are tested against.
+through :func:`transform_state`. The transformed law depends only on whether
+k = 0 and whether l is 0, 1 or at least 2: :func:`region_law` holds it for
+these six regions, and every box tiles it one step (dk, dl) at a time.
+:func:`box_matrix` writes the tiles into the dense matrix whose blocks the
+oracle's quasi-birth-death solve reads and, transposed as
+:func:`transformed_inflows`, of the compensation solver's inner box;
+:func:`balance_residuals` multiplies them with shifted slices of a grid.
+The scalar laws are the per-state reference the table is tested against.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ __all__ = [
     "transition_distribution",
     "transformed_transition_distribution",
     "transform_state",
-    "box_moves",
+    "region_law",
     "box_matrix",
     "transformed_inflows",
     "balance_residuals",
@@ -215,44 +215,49 @@ def transformed_transition_distribution(
     return _grouped(moves)
 
 
-def box_moves(params: ModelParams, T_k: int, T_l: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One-step moves (src, dst, prob) of the transformed chain on the box [0,T_k] x [0,T_l].
+def region_law(params: ModelParams) -> np.ndarray:
+    """One-step law of the transformed chain by region, a (2, 3, 3, 5) table.
 
-    States are flattened as k*(T_l+1)+l; steps leaving the box are dropped,
-    so states next to the far edges lose mass. :func:`step` runs on every
-    state (k, k+l) of the box at once, once per draw, and each destination
-    is pushed through (min, |diff|), so the moves out of each state are the
-    law at that state. At most two moves of a source share a destination.
+    law[min(k, 1), min(l, 2), dk + 1, dl + 2] is the probability of the step
+    (dk, dl) out of (k, l). A slot sees only whether the shorter relay is
+    empty and whether the queues tie, differ by one or by more, so the table
+    matches :func:`transformed_transition_distribution` at every state, bit for bit.
     """
-    n_l = T_l + 1
-    n = (T_k + 1) * n_l
-    k, l = np.divmod(np.arange(n), n_l)
-    i, j = k, k + l
-    # law[s, di+1, dj+1]: probability of the original move (di, dj) at state s,
-    # equal moves added in draw order as the scalar law adds them
-    law = np.zeros((n, 3, 3))
-    for draw, prob in _draws(params):
-        i2, j2 = step(i, j, *draw)
-        law[np.arange(n), i2 - i + 1, j2 - j + 1] += prob
-    src, di, dj = np.nonzero(law)
-    k2, l2 = i[src] + di - 1, j[src] + dj - 1
-    k2, l2 = np.minimum(k2, l2), np.abs(k2 - l2)
-    inside = (k2 <= T_k) & (l2 <= T_l)
-    return src[inside], k2[inside] * n_l + l2[inside], law[src, di, dj][inside]
+    law = np.zeros((2, 3, 3, 5))
+    for k, l in itertools.product(range(2), range(3)):
+        for dk, dl, prob in transformed_transition_distribution((k, l), params):
+            law[k, l, dk + 1, dl + 2] = prob
+    return law
+
+
+def _tiles(params: ModelParams, T_k: int, T_l: int):
+    """:func:`region_law` tiled over the box [0,T_k] x [0,T_l], one step (dk, dl) at a time.
+
+    Yields (src, dst, w) per step: slices selecting the states whose step stays
+    in the box and their destinations, and the step's probability at ``src``.
+    """
+    law = region_law(params)
+    k = np.minimum(np.arange(T_k + 1), 1)[:, None]
+    l = np.minimum(np.arange(T_l + 1), 2)
+    for dk, dl in itertools.product(range(-1, 2), range(-2, 3)):
+        rows = slice(max(-dk, 0), T_k + 1 - max(dk, 0))
+        cols = slice(max(-dl, 0), T_l + 1 - max(dl, 0))
+        dst = (slice(rows.start + dk, rows.stop + dk), slice(cols.start + dl, cols.stop + dl))
+        yield (rows, cols), dst, law[k[rows], l[cols], dk + 1, dl + 2]
 
 
 def box_matrix(params: ModelParams, T_k: int, T_l: int) -> np.ndarray:
     """Dense one-step matrix of the transformed chain on the box [0,T_k] x [0,T_l].
 
-    The moves of :func:`box_moves` added into their cells, so each row is the
-    law at its own state and matches :func:`transformed_transition_distribution`
-    bit for bit: two moves that share a cell have a sum that does not depend
-    on their order.
+    States are flattened as k*(T_l+1)+l; steps leaving the box are dropped.
+    The tiles of :func:`region_law` are written into their cells, one cell per
+    step of a state, so each row matches :func:`transformed_transition_distribution`
+    bit for bit.
     """
-    src, dst, prob = box_moves(params, T_k, T_l)
-    n = (T_k + 1) * (T_l + 1)
-    P = np.zeros((n, n))
-    np.add.at(P, (src, dst), prob)
+    state = np.arange((T_k + 1) * (T_l + 1)).reshape(T_k + 1, T_l + 1)
+    P = np.zeros((state.size, state.size))
+    for src, dst, w in _tiles(params, T_k, T_l):
+        P[state[src], state[dst]] = w
     return P
 
 
@@ -269,31 +274,26 @@ def transformed_inflows(params: ModelParams, T_k: int, T_l: int) -> np.ndarray:
 def balance_residuals(values: np.ndarray, params: ModelParams) -> np.ndarray:
     """Residual |pi - inflow| of the transformed-chain balance equations.
 
-    ``values`` is a (T+1)x(T+1) array over 0 <= k, l <= T. An entry is NaN
-    when some state that steps into it lies outside the array, so that its
-    equation cannot be evaluated. An exact stationary vector of the
-    (untruncated) chain has residual ~ solver precision on every non-NaN
-    entry.
+    ``values`` is a (T+1)x(T+1) array over 0 <= k, l <= T. The inflow sums,
+    over the 15 steps, the tile of :func:`region_law` times the shifted slice
+    of the grid it moves. An entry is NaN when some state that steps into it
+    lies outside the array, so that its equation cannot be evaluated. An
+    exact stationary vector of the (untruncated) chain has residual ~ solver
+    precision on every non-NaN entry.
     """
     pi = np.asarray(values, dtype=float)
     if pi.ndim != 2 or pi.shape[0] != pi.shape[1] or pi.shape[0] < 5:
         raise GridError("need a square grid of size at least 5x5")
     n = pi.shape[0]
-    # steps move k by at most 1 and l by at most 2: this box holds every source
-    box = (n + 1, n + 2)
-    src, dst, prob = box_moves(params, n, n + 1)
-    padded = np.zeros(box)
+    # steps move k by at most 1 and l by at most 2: this box, NaN off the grid, holds every source
+    padded = np.full((n + 1, n + 2), np.nan)
     padded[:n, :n] = pi
-    beyond = np.ones(box)
-    beyond[:n, :n] = 0.0
-    inflow = np.bincount(dst, prob * padded.ravel()[src], padded.size).reshape(box)[:n, :n]
-    reach = np.bincount(dst, prob * beyond.ravel()[src], beyond.size).reshape(box)[:n, :n]
-    res = np.abs(pi - inflow)
-    res[reach > 0.0] = np.nan
-    return res
+    inflow = np.zeros_like(padded)
+    for src, dst, w in _tiles(params, n, n + 1):
+        inflow[dst] += np.where(w > 0.0, w * padded[src], 0.0)
+    return np.abs(pi - inflow[:n, :n])
 
 
 def max_interior_residual(values: np.ndarray, params: ModelParams) -> float:
     """Largest balance residual over states with a full in-grid stencil."""
-    res = balance_residuals(values, params)
-    return float(np.nanmax(res))
+    return float(np.nanmax(balance_residuals(values, params)))

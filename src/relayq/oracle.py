@@ -5,7 +5,7 @@ and k moves by at most one per slot: the chain is a quasi-birth-death
 process (QBD) with level k and phase l. Its stationary law is
 pi_(k+1) = pi_k R for k >= 1, with R the minimal nonnegative solution of
 R = A0 + R A1 + R^2 A2 (Neuts 1981; Latouche & Ramaswami 1999, ch. 6 and 8).
-The blocks are read off :func:`relayq.model.box_matrix` on [0,2] x [0,T_l],
+The blocks are :func:`relayq.model.region_law` tiled over [0,2] x [0,T_l],
 with the mass of every step to l > T_l folded back into its self-loop, so
 only the phase is truncated. GTH state reduction solves the chain censored on
 levels 0 and 1; it fails exactly when a state cannot reach (0, 0).
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, NumericsError, RelayQError, StabilityError
+from .errors import GridError, NumericsError, StabilityError
 from .grids import ProbabilityGrid
 from .model import ModelParams, box_matrix, grid_truncation
 # not called here: benchmarks/tracing.py, its only user, patches this name
@@ -90,7 +90,7 @@ def build(params: ModelParams, T: int) -> QBDChain:
     return QBDChain(T=T, R=R, boundary=np.block([[B00, B01], [A2, A1 + R @ A2]]))
 
 
-class _Unreachable(RelayQError):
+class _Unreachable(NumericsError):
     """GTH met the state with index ``state``, which cannot reach state 0."""
 
     def __init__(self, state: int) -> None:
@@ -107,7 +107,7 @@ def gth_stationary(P: np.ndarray) -> np.ndarray:
     fill-in never leaves that band, so the cost is O(n*bw^2).
 
     The chain must have one closed class holding state 0, that is, every
-    state must reach state 0; otherwise a ``RelayQError`` names the index of
+    state must reach state 0; otherwise a ``NumericsError`` names the index of
     a state that cannot. The lowest-indexed such state reaches only states
     above it, so its censored row is exactly 0.0 below the diagonal and the
     elimination stops there if not before, while no pivot is zero when every
@@ -141,12 +141,10 @@ def stationary(chain: QBDChain) -> ProbabilityGrid:
         pi = gth_stationary(chain.boundary)
     except _Unreachable as exc:
         k, l = divmod(exc.state, n)
-        raise RelayQError(
-            f"chain is reducible: state ({k}, {l}) cannot reach the origin (0, 0)"
-        ) from None
+        raise NumericsError(f"chain is reducible: state ({k}, {l}) cannot reach the origin (0, 0)") from None
     resid = float(np.max(np.abs(pi @ chain.boundary - pi)))
     if resid > 1e-12:
-        raise RelayQError(f"stationary solve residual {resid:.3e} exceeds 1e-12")
+        raise NumericsError(f"stationary solve residual {resid:.3e} exceeds 1e-12")
     values = np.zeros((chain.T + 1, chain.T + 1))
     values[0, :n] = pi[:n]
     row = pi[n:]

@@ -104,6 +104,7 @@ def _draw_arrays(a: float) -> tuple[np.ndarray, ...]:
     return arrival, tie, att1, att2, np.array([[p / 0.5] for _, p in draws])
 
 
+# Not from model.region_law: its arrival halves do not re-add bit for bit, and the pinned rho = 0.9 depth needs that
 def _row_laws(t: int, draws, width: int) -> tuple[np.ndarray, np.ndarray]:
     """Laws (Q0, Q1) out of the states (k, t - 2k) of total t, given no arrival
     and given one: :func:`step` on every state of the row and every draw at

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RelayQError
+from .errors import NumericsError
 from .grids import ProbabilityGrid
 from .model import ModelParams, is_stable, step
 from .oracle import choose_truncation
@@ -249,7 +249,7 @@ def estimate_stability_boundary(a: float, config: SimConfig, *, slots: int = 250
     2*a*(1-a).
     """
     if not (0.0 < a < 1.0):
-        raise RelayQError("attempt probability must be in (0,1)")
+        raise ValueError(f"attempt probability must be in (0,1), got {a}")
     threshold = 1.2e-3
     lo, hi = 0.01, 0.99
     probe = 0
@@ -261,7 +261,7 @@ def estimate_stability_boundary(a: float, config: SimConfig, *, slots: int = 250
         return _growth_slope(lam, a, slots, rng) > threshold
 
     if unstable(lo) or not unstable(hi):
-        raise RelayQError("bisection endpoints do not bracket the boundary")
+        raise NumericsError("bisection endpoints do not bracket the boundary")
     while hi - lo > 0.008:
         mid = 0.5 * (lo + hi)
         if unstable(mid):

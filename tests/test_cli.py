@@ -179,6 +179,23 @@ def test_out_of_memory_is_a_numerical_failure(message, line, capsys, monkeypatch
         assert err.startswith(line) and err.count("\n") == 1 and "Traceback" not in err
 
 
+def test_unreachable_oracle_chain_is_a_numerical_failure(capsys, monkeypatch):
+    """A boundary chain whose last state cannot reach (0, 0) exits 4 with one line."""
+    build = cli.oracle.build
+
+    def unreachable(params, T):
+        chain = build(params, T)
+        bad = chain.boundary.copy()
+        bad[-1, :] = 0.0
+        bad[-1, -1] = 1.0  # absorbing: a second closed class
+        return dataclasses.replace(chain, boundary=bad)
+
+    monkeypatch.setattr(cli.oracle, "build", unreachable)
+    code, out, err = run_cli(["solve", "--method", "oracle", "--rho", "0.4"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("numerical failure: chain is reducible") and err.count("\n") == 1
+
+
 def test_solve_psa_warns_when_series_does_not_converge(capsys, monkeypatch):
     """A non-converged series still exits 0 with the same stdout, but says so on stderr."""
     args = ["solve", "--method", "psa", "--rho", "0.1", "--a", "0.5"]

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -266,3 +267,15 @@ def test_balance_residuals_nan_exactly_where_a_source_is_outside():
                     assert np.isnan(res[k, l]), (k, l)
                 else:
                     assert res[k, l] == pytest.approx(abs(pi[k, l] - inflow), abs=1e-15), (k, l)
+
+
+def test_balance_residuals_peak_memory_is_a_few_grids():
+    """The stencil is applied one step at a time, never as a move list over the box."""
+    pi = np.random.default_rng(16).random((200, 200))
+    tracemalloc.start()
+    try:
+        balance_residuals(pi, ModelParams(lam=0.3, a=0.4))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * pi.nbytes
