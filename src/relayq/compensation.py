@@ -36,7 +36,7 @@ import numpy as np
 
 from .errors import NumericsError, StabilityError
 from .grids import ProbabilityGrid
-from .model import EPSILON_FLOOR, ModelParams, grid_truncation, transformed_inflows
+from .model import EPSILON_FLOOR, ModelParams, check_epsilon, grid_truncation, transformed_inflows
 
 __all__ = [
     "CompensationSeries",
@@ -376,7 +376,7 @@ def solve(
     consumer needs more states (decay diagnostics want a deep tail, for
     instance).
     """
-    epsilon_requested = epsilon
+    epsilon_requested = check_epsilon(epsilon)
     epsilon = max(epsilon, EPSILON_FLOOR)
     T = max(grid_truncation(initial_gamma(params), epsilon), T_min or 3)
     w, w_hat = asymptotic_ratios(params)

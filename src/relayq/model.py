@@ -48,6 +48,7 @@ __all__ = [
     "balance_residuals",
     "lambda_for_load",
     "EPSILON_FLOOR",
+    "check_epsilon",
     "grid_truncation",
 ]
 
@@ -130,6 +131,13 @@ def lambda_for_load(rho: float, a: float) -> float:
     ab = 1.0 - a
     c = 2 * rho * ab * a
     return c / (ab * ab + a * a + c)
+
+
+def check_epsilon(epsilon: float) -> float:
+    """``epsilon`` unchanged if it is a precision target (finite and > 0); ValueError if not."""
+    if not (math.isfinite(epsilon) and epsilon > 0):
+        raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
+    return epsilon
 
 
 def grid_truncation(decay: float, epsilon: float) -> int:

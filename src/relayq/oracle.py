@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import GridError, NumericsError, StabilityError
 from .grids import ProbabilityGrid
-from .model import ModelParams, box_matrix, grid_truncation
+from .model import ModelParams, box_matrix, check_epsilon, grid_truncation
 # not called here: benchmarks/tracing.py, its only user, patches this name
 from .model import transformed_transition_distribution  # noqa: F401
 
@@ -160,6 +160,7 @@ def choose_truncation(params: ModelParams, epsilon: float) -> int:
     Geometric-tail sizing: the minimum queue decays at rate rho^2, so the
     mass beyond level T is of order rho^(2T)/(1 - rho^2).
     """
+    check_epsilon(epsilon)
     rho = params.rho
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")

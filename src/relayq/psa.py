@@ -12,15 +12,23 @@ the normalization condition pins U_m(0, 0). The coefficients depend on a and
 G only, not on the load. They are reported as u(n, k, l) = U_(n+k+l)(k, l).
 
 U_m lives on the states of total t = 2k + l <= m, stored by (t, k) so that a
-total is one row. Each level takes one 3x3 stencil product of U_(m-1) for its
-right-hand side and then solves its rows from the top down, one array step
-per row, since Q0 keeps a state or lowers its total by one. A solve sweeps
-the levels once into one coefficient array u[n, k, l] and reads each depth's
-series mass once, when the depth completes. One number bounds a solve: the
-last level its sweep may reach, MAX_OUTER_ITERATIONS. Depth n completes at
-level n + 2T, so the depth cap is MAX_OUTER_ITERATIONS - 2T, and the level
-arrays and the coefficient array, sized from the levels, stay within tens of
-megabytes.
+total is one row. Row t of U_m comes from a 3x3 stencil product of rows
+t - 1 .. t + 1 of U_(m-1) and a step from row t + 1 of U_m, since Q0 keeps a
+state or lowers its total by one. All of these are solved before wave
+2m - t, the wave of row t of level m, so one wave solves a row of each of up
+to _WAVE_LEVELS levels at once, laid side by side, and each term is one
+array operation over the wave. Each entry still takes the operations of a
+level-by-level sweep in their order, and the normalization adds the same
+partial sums as numpy's sum over the level, from row 0 up, as the rows come
+(:func:`_row_groups`): the coefficients do not depend on the schedule in the
+last bit.
+
+A solve sweeps the levels once into one coefficient array u[n, k, l] and
+reads each depth's series mass once, when the depth completes. One number
+bounds a solve: the last level its sweep may reach, MAX_OUTER_ITERATIONS.
+Depth n completes at level n + 2T, so the depth cap is
+MAX_OUTER_ITERATIONS - 2T. Beside the coefficient array the sweep holds its
+weights, one level and a ring of the last waves, a few megabytes.
 """
 from __future__ import annotations
 
@@ -32,7 +40,7 @@ import numpy as np
 
 from .errors import NumericsError, StabilityError
 from .grids import ProbabilityGrid
-from .model import EPSILON_FLOOR, ModelParams, _draws, grid_truncation, step
+from .model import EPSILON_FLOOR, ModelParams, _draws, check_epsilon, grid_truncation, step
 
 __all__ = [
     "PsaDiagnostics",
@@ -46,6 +54,7 @@ __all__ = [
 MAX_OUTER_ITERATIONS = 500  # last level a solve may sweep; bounds its depth, time and memory
 _DIVERGENCE_PATIENCE = 10
 _IMPROVEMENT_PATIENCE = 50
+_WAVE_LEVELS = 32  # levels a wave solves one row of each; bounds the ring of waves
 
 
 def __getattr__(name: str):
@@ -119,6 +128,101 @@ def _row_laws(t: int, draws, width: int) -> tuple[np.ndarray, np.ndarray]:
     return law[0], law[1]
 
 
+def _region(t, k):
+    """Region 3 min(k, 1) + min(l, 2) of the state (k, l = t - 2k), 6 off the states."""
+    l = t - 2 * k
+    return np.where((k >= 0) & (l >= 0), 3 * np.minimum(k, 1) + np.minimum(l, 2), 6)
+
+
+def _row_groups(rows: int, n: int) -> list[tuple[int, int]]:
+    """(first row, rows) of the groups in which ``.sum()`` adds a strided (rows, n) box.
+
+    numpy reduces a box whose rows are not adjacent through its buffer of
+    ``np.getbufsize()`` elements: it sums each group of that many // n whole
+    rows pairwise, as one contiguous run, and adds the group sums to 0.0 from
+    row 0 up. The sweep's normalization repeats that order one group at a
+    time, so it never holds a level whole.
+    """
+    step = np.getbufsize() // n
+    return [(t, min(step, rows - t)) for t in range(0, rows, step)]
+
+
+class _Weights:
+    """The sweep's weights per destination state (t, k), each divided by its
+    1 - Q0(stay): the weight in the right-hand side of the move into it from
+    each source (kinds 0-8), and Q0's weights from the row above at the same k
+    (kind 9) and at k + 1 (kind 10).
+
+    A state's laws depend only on its region: whether k = 0 and whether l is 0,
+    1 or at least 2. Every weight is thus a product of two values taken from
+    :func:`_row_laws` at one state of each region, whose draws add in the same
+    order as at every other state of the region, so each weight has the bits
+    of a row-by-row evaluation. table[kind, t % 2] holds the rows t // 2 of the
+    levels swept so far at one pitch, zero beyond each row; only rows laid out
+    commit pages.
+    """
+
+    def __init__(self, G: float, a: float, last: int):
+        draws = _draw_arrays(a)  # first, as it rejects an a outside (0, 1)
+        laws = np.zeros((2, 7, 9))  # [arrival, region, move]; region 6 is off the states
+        for region, (t, k) in enumerate([(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (4, 1)]):
+            for arrived, law in enumerate(_row_laws(t, draws, 4)):
+                laws[arrived, region] = law[:, k + 1]
+        self.q0, q1 = laws
+        c = (a * a + (1.0 - a) ** 2) / (2.0 * a * (1.0 - a))
+        stay = np.zeros_like(q1)
+        stay[:6, 4] = 1.0
+        self.rhs = ((q1 - stay) / c + G * (stay - self.q0)) / (1.0 + G)
+        self.inv = np.ones(7)  # region 0 is row 0 alone, which the normalization sets
+        self.inv[1:] = 1.0 / (1.0 - self.q0[1:, 4])
+        self.last, cols = last, last // 2 + 1
+        self.table = _lazy_zeros((11, 2, cols * (cols + 2)))
+        self.moves = [()]  # per level, the moves into some row up to it
+        self.pitch = 0
+
+    def rows(self, t0: int, t1: int) -> np.ndarray:
+        """The weights of the rows t0 .. t1 by [kind, t - t0, k], zero beyond each row."""
+        t, k = np.arange(t0, t1 + 1)[:, None], np.arange(t1 // 2 + 1)
+        into = _region(t, k)
+        inv = self.inv[into]
+        rows = np.empty((11, t1 - t0 + 1, t1 // 2 + 1))
+        for move in range(9):
+            dt, dk = divmod(move, 3)  # the move (dt - 1, dk - 1), from (t + 1 - dt, k + 1 - dk)
+            rows[move] = self.rhs[_region(t + 1 - dt, k + 1 - dk), move] * inv
+        rows[9] = self.q0[_region(t + 1, k), 1] * inv
+        rows[10] = self.q0[_region(t + 1, k + 1), 0] * inv
+        return np.where(into < 6, rows, 0.0)
+
+    def extend(self, m0: int, levels: int) -> int:
+        """Lay out the rows of the levels m0 .. m1: at most ``levels`` of them,
+        all with the moves of level m0. Every row laid out moves to pitch
+        m1 // 2 + 3: a row, its k + 1 read and a zero before the next. Returns m1."""
+        rows = self.rows(m0, min(self.last, m0 + levels - 1))
+        for found in rows[:9].any(axis=2).T:
+            met = tuple(sorted({*self.moves[-1], *np.flatnonzero(found).tolist()}))
+            if len(self.moves) > m0 and met != self.moves[m0]:
+                break
+            self.moves.append(met)
+        m1 = len(self.moves) - 1
+        old, P = self.pitch, m1 // 2 + 3
+        kinds = (*self.moves[m1], 9, 10)  # the others are zero up to row m1
+        laid = (m0 - 1) // 2 + 1 if old else 0  # rows of each parity below m0
+        for kind in kinds:
+            for flat in self.table[kind]:
+                # numpy copies the overlapping old rows aside before writing
+                block = flat[: laid * P].reshape(laid, P)
+                block[:, :old] = flat[: laid * old].reshape(laid, old)
+                block[:, old:] = 0.0
+        for p in (0, 1):
+            first = m0 + (p - m0) % 2
+            if first <= m1:
+                table = self.table[:, p, first // 2 * P : ((m1 - p) // 2 + 1) * P].reshape(11, -1, P)
+                for kind in kinds:
+                    table[kind, :, : m1 // 2 + 1] = rows[kind, first - m0 : m1 - m0 + 1 : 2, : m1 // 2 + 1]
+        self.pitch = P
+        return m1
+
+
 def _sweep(G: float, T: int, depth: int, a: float = 0.5):
     """Yield (m, u) for the levels m = 0 .. depth + 2T.
 
@@ -128,81 +232,147 @@ def _sweep(G: float, T: int, depth: int, a: float = 0.5):
     equations gives
     U_m (I - Q0) = [U_(m-1) (Q1 - I) / c + G U_(m-1) (I - Q0)] / (1 + G),
     with U_0 = delta_(0,0) and U_m(0, 0) = -(sum of the others). Q0 keeps a
-    state or lowers its total by one, so U_m is solved one row of totals at a
-    time from the top.
+    state or lowers its total by one, so row t of U_m needs rows t - 1 .. t + 1
+    of U_(m-1) and row t + 1 of U_m, and each of those is solved in an earlier
+    wave than w = 2m - t, the wave of row t of level m. A wave solves one row
+    of each of up to _WAVE_LEVELS levels, a chunk; the chunk's last level is
+    held whole as the next chunk's boundary. The rows of a wave lie side by
+    side at the chunk's pitch, one slot per level, in a ring of the last
+    waves, and the weights of rows t, t + 2, ... lie side by side in a table
+    of one parity of t, so each term of the stencil product and of the row
+    step is one array operation over the wave. Row 0 of level m comes last,
+    at wave 2m.
 
-    u[n, k, l] = U_(n+k+l)(k, l) for 0 <= n <= depth is one preallocated array;
-    level m writes the entries of its T-box whose depth n = m - (k + l) lies
-    in [0, depth], so depth n is complete from level n + 2T on.
+    Every entry takes the operations of a level-by-level sweep in their
+    order: the stencil terms move by move, over the moves met in the rows up
+    to m, then the row step. U_m(0, 0) adds the box sums of
+    :func:`_row_groups` from row 0 up, which is the order in which
+    ``U_m[box].sum()`` adds them, each as its rows complete. Entries beyond
+    a row stay 0.0, as a box padded with zeros has them. So the coefficients
+    keep every bit.
+
+    u[n, k, l] = U_(n+k+l)(k, l) for 0 <= n <= depth is one preallocated
+    array; entry (n, k, l) is solved at wave 2n + l, and depth n is complete
+    from level n + 2T on.
     """
     last = depth + 2 * T
-    rows, cols = last + 1, last // 2 + 1
-    c = (a * a + (1.0 - a) ** 2) / (2.0 * a * (1.0 - a))
-    draws = _draw_arrays(a)
-    # Per destination state, each divided by its 1 - Q0(stay): the weight in
-    # the right-hand side of the move into it from each source, and Q0's
-    # weights from the row above, at the same k and at k + 1. Row m is filled
-    # when the sweep reaches level m, so only reached rows commit pages.
-    into = _lazy_zeros((9, rows, cols))
-    keep, lower = _lazy_zeros((rows, cols)), _lazy_zeros((rows, cols))
-    moves: list[int] = []  # the moves into some filled row
-    # U_m, padded by a zero row and column on each side: (t, k) at [t + 1, k + 1]
-    U = _lazy_zeros((rows + 2, cols + 2))
-    rhs, tap, part = np.empty((rows, cols)), np.empty((rows, cols)), np.empty(cols)
-    solve_rows = []  # the views of each row's solve step, from row 1 up
+    L = _WAVE_LEVELS
+    weights = _Weights(G, a, last)
+    table, pitch = weights.table, last // 2 + 3
+    rhs, tap, box = np.empty(L * pitch), np.empty(L * pitch), np.empty(np.getbufsize())
+    # u, with room for a wave's view to step past k = 0 and k = T where the
+    # mask of the write keeps it out; in_box[i, L + x] is 0 <= x + i <= T
+    SN, SK = (T + 1) ** 2, T + 1
+    spare = L * SK
+    u_held = _lazy_zeros((2 * spare + (depth + 1) * SN,))
+    u = u_held[spare : spare + (depth + 1) * SN].reshape(depth + 1, T + 1, T + 1)
+    in_box = np.add.outer(np.arange(L), np.arange(-L, T + L + 1))
+    in_box = (in_box >= 0) & (in_box <= T)
+    held = _lazy_zeros((last + 1, pitch))  # the boundary level by (t, k), at first U_0
+    held[0, 0] = u[0, 0, 0] = 1.0
+    yield 0, u
 
-    def row_moves(t: int) -> tuple[np.ndarray, np.ndarray]:
-        """Q0 and the right-hand side's weights of the moves out of the row of total t."""
-        q0, q1 = _row_laws(t, draws, cols + 2)
-        stay = np.zeros_like(q0)
-        stay[4, 1 : t // 2 + 2] = 1.0
-        return q0, ((q1 - stay) / c + G * (stay - q0)) / (1.0 + G)
+    m0 = 1
+    while m0 <= last:
+        m1 = weights.extend(m0, L)
+        P, slots = weights.pitch, m1 - m0 + 2  # slot 0 replays the boundary; level m is slot m - m0 + 1
+        # the box sums that complete at each wave, and the ring's depth R
+        groups: dict[int, list[tuple[int, int, int]]] = {}
+        for m in range(m0, m1 + 1):
+            for t, r in _row_groups(m + 1, m // 2 + 1):
+                groups.setdefault(2 * m - t, []).append((m, t, r))
+        R = max(4, *(r for events in groups.values() for _, _, r in events))
+        partial: dict[int, list] = {}
+        # The ring holds the last R waves, wave v at the rows of (-v) % R, so
+        # that a group's rows come up in order; its edges keep views inside.
+        edge = (T + 2 * L) // P + 2
+        ring = _lazy_zeros(((2 * edge + R * slots) * P,))
+        plain = ring.reshape(-1, P)
 
-    laws = {0: row_moves(0)}
-    u = _lazy_zeros((depth + 1, T + 1, T + 1))
-    K, L = np.indices((T + 1, T + 1))
-    KL = K + L
-    U[1, 1] = 1.0  # U_0
-    for m in range(last + 1):
-        n = m // 2 + 1  # states in row m
-        laws[m + 1] = row_moves(m + 1)
-        laws.pop(m - 2, None)
-        if m:
-            # the moves into row m come from the rows m - 1, m and m + 1
-            inv = 1.0 / (1.0 - laws[m][0][4, 1 : n + 1])
-            for move in range(9):
-                dt, dk = divmod(move, 3)  # the move is (dt - 1, dk - 1)
-                into[move, m, :n] = laws[m + 1 - dt][1][move, 2 - dk : n + 2 - dk] * inv
-            moves = [i for i in range(9) if i in moves or into[i, m, :n].any()]
-            q0 = laws[m + 1][0]
-            keep[m, :n] = q0[1, 1 : n + 1] * inv
-            lower[m, :n] = q0[0, 2 : n + 2] * inv
-            solve_rows.append((U[m + 1, 1 : n + 1], rhs[m, :n], U[m + 2, 1 : n + 1],
-                               U[m + 2, 2 : n + 2], keep[m, :n], lower[m, :n], part[:n]))
+        def row(v: int, m: int) -> int:
+            """Row of the ring of wave v's slot for level m."""
+            return edge + (-v) % R * slots + m - m0 + 1
+
+        plain[row(m0 - 1, m0 - 1)] = held[m0 - 1, :P]
+        # per move (dt - 1, dk - 1): its weights by parity of t, the wave it
+        # reads, w - 3 + dt, as an index into back below, and its k shift
+        terms = [(table[move, 0], table[move, 1], 2 - move // 3, 1 - move % 3) for move in weights.moves[m0]]
+        for w in range(m0, 2 * m1 + 1):
+            m_lo, m_hi = max(m0, (w + 1) // 2), min(m1, w)
+            rows = m_hi - m_lo + 1
+            span = rows * P
+            t_lo = 2 * m_lo - w
+            p, h = t_lo % 2, t_lo // 2 * P  # rows t_lo, t_lo + 2, ... of the weights
+            x = row(w, m_lo)
+            back = [row(w - ago, m_lo - 1) * P for ago in (1, 2, 3)]  # level m_lo - 1
+            out, acc, tmp = ring[x * P : x * P + span], rhs[:span], tap[:span]
             with np.errstate(over="ignore", invalid="ignore"):
                 # overflow near a diverging series is expected; the solver's
-                # monitor sees it through the mass increments and stops
-                out = rhs[: m + 1, :n]
-                for i, move in enumerate(moves):
-                    dt, dk = divmod(move, 3)
-                    # U_(m-1) at the source (t + 1 - dt, k + 1 - dk) of the move into (t, k)
-                    src = U[2 - dt : m + 3 - dt, 2 - dk : n + 2 - dk]
-                    if i == 0:
-                        np.multiply(into[move, : m + 1, :n], src, out=out)
-                    else:
-                        np.multiply(into[move, : m + 1, :n], src, out=tap[: m + 1, :n])
-                        np.add(out, tap[: m + 1, :n], out=out)
-                # U_m row by row from the top; a row overwrites U_(m-1) there
-                for row, r, same, next_k, kt, lt, p in reversed(solve_rows):
-                    np.multiply(kt, same, out=row)
-                    np.add(row, r, out=row)
-                    np.multiply(lt, next_k, out=p)
-                    np.add(row, p, out=row)
-                U[1, 1] = 0.0
-                U[1, 1] = -U[1 : m + 2, 1 : n + 1].sum()
-        at = (m - depth <= KL) & (KL + K <= m)
-        u[m - KL[at], K[at], L[at]] = U[KL[at] + K[at] + 1, K[at] + 1]
-        yield m, u
+                # monitor sees it through the mass increments and stops.
+                # U_(m-1) at the source (t + 1 - dt, k + 1 - dk) of the move
+                # (dt - 1, dk - 1) into (t, k) was solved at wave w - 3 + dt.
+                for i, (*by_parity, at, shift) in enumerate(terms):
+                    s = back[at] + shift
+                    np.multiply(by_parity[p][h : h + span], ring[s : s + span], out=tmp if i else acc)
+                    if i:
+                        np.add(acc, tmp, out=acc)
+                # the row step, from row t + 1 of the same level at wave w - 1
+                s = back[0] + P
+                np.multiply(table[9, p, h : h + span], ring[s : s + span], out=out)
+                np.add(out, acc, out=out)
+                np.multiply(table[10, p, h : h + span], ring[s + 1 : s + 1 + span], out=tmp)
+                np.add(out, tmp, out=out)
+            # Beyond each row the weights are 0.0, so the entries are 0.0 times
+            # a source: 0.0 wherever the sources are, which holds from two past
+            # the row's end, where they are beyond their rows too, up to the
+            # last column, whose k + 1 read is the next slot's k = 0. Row
+            # t_lo + 2i ends at k = t_lo // 2 + i.
+            s = x * P + t_lo // 2 + 1
+            ring[s : s + rows * (P + 1)].reshape(rows, P + 1)[:, :2] = 0.0
+            out.reshape(rows, P)[:, -1] = 0.0
+
+            for m, t, r in groups.get(w, ()):
+                # rows t .. t + r - 1 of level m, from this wave back, at the
+                # ring rows of (-w) % R on, wrapping at R
+                n, i0, first = m // 2 + 1, (-w) % R, row(w, m)
+                part, r1 = box[: r * n], min(r, R - i0)
+                part.reshape(r, n)[:r1] = plain[first : first + r1 * slots : slots, :n]
+                part.reshape(r, n)[r1:] = plain[row(0, m) : row(0, m) + (r - r1) * slots : slots, :n]
+                if t:
+                    partial.setdefault(m, []).append(part.sum())
+                    continue
+                part[0] = 0.0  # U_m(0, 0) is not among the others
+                total = 0.0
+                for group_sum in (part.sum(), *reversed(partial.pop(m, ()))):
+                    total += group_sum
+                plain[first, 0] = -total
+
+            # u[n, k, w - 2n] of level m = k + w - n: with i = m - m_lo, a
+            # sheared (i, n) view of the wave, kept to 0 <= k <= T by a mask
+            n_a = max(0, (w - T + 1) // 2, w - m_hi)
+            n_b = min(depth, w // 2, T + w - m_lo)
+            if n_a <= n_b:
+                k0, width = n_a + m_lo - w, n_b - n_a + 1
+                src = ring[x * P + k0 : x * P + k0 + rows * (P + 1)].reshape(rows, P + 1)[:, :width]
+                dst = np.ndarray((rows, width), float, u_held,
+                                 8 * (spare + n_a * SN + k0 * SK + w - 2 * n_a),
+                                 (8 * SK, 8 * (SN + SK - 2)))
+                np.copyto(dst, src, where=in_box[:rows, L + k0 : L + k0 + width])
+
+            # slot 0 replays the boundary level: row 2 m0 - 2 - w at wave w
+            t_held = 2 * m0 - 2 - w
+            if t_held >= -1:
+                plain[row(w, m0 - 1)] = held[t_held, :P] if t_held >= 0 else 0.0
+            if w % 2 and m0 <= w // 2 < m1:
+                # level (w - 1) / 2 ended at the last wave; its next level reads row -1 here
+                plain[row(w, w // 2)] = 0.0
+            if w >= m1:
+                # the chunk's last level is the next chunk's boundary
+                held[2 * m1 - w, :P] = plain[row(w, m1)]
+            if w % 2 == 0 and w // 2 >= m0:
+                yield w // 2, u
+        m0 = m1 + 1
+        ring = plain = out = src = None  # drop the chunk's ring, its views too, before the next
 
 
 def compute_coefficients(N_psa: int, T_psa: int, G: float, a: float = 0.5) -> np.ndarray:
@@ -264,7 +434,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     rho = params.rho
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; equilibrium does not exist")
-    epsilon = max(epsilon, EPSILON_FLOOR)
+    epsilon = max(check_epsilon(epsilon), EPSILON_FLOOR)
     theta = theta_from_rho(rho, G)
     T = grid_truncation(rho * rho, epsilon)
 

@@ -98,3 +98,68 @@ def oracle_rho04(params_rho04, ca_rho04):
 def maxnorm(grid_a, grid_b):
     m = min(grid_a.T, grid_b.T)
     return float(np.max(np.abs(grid_a.values[: m + 1, : m + 1] - grid_b.values[: m + 1, : m + 1])))
+
+
+def level_sweep(G, T, depth, a=0.5):
+    """Reference for psa._sweep: the coefficients u[n, k, l] of depths up to
+    ``depth`` by a sweep of whole levels. Each level takes one 3x3 stencil
+    product of the last over the rectangle t <= m, k <= m/2 for its right-hand
+    side, solves its rows one numpy step each from the top, and sets
+    U_m(0, 0) = -U_m[box].sum(); the wave sweep must give every bit of it."""
+    last = depth + 2 * T
+    rows, cols = last + 1, last // 2 + 1
+    c = (a * a + (1.0 - a) ** 2) / (2.0 * a * (1.0 - a))
+    draws = psa._draw_arrays(a)
+    into = np.zeros((9, rows, cols))
+    keep, lower = np.zeros((rows, cols)), np.zeros((rows, cols))
+    moves = []
+    U = np.zeros((rows + 2, cols + 2))  # U_m at [t + 1, k + 1]
+    rhs, tap, part = np.empty((rows, cols)), np.empty((rows, cols)), np.empty(cols)
+    solve_rows = []
+
+    def row_moves(t):
+        q0, q1 = psa._row_laws(t, draws, cols + 2)
+        stay = np.zeros_like(q0)
+        stay[4, 1 : t // 2 + 2] = 1.0
+        return q0, ((q1 - stay) / c + G * (stay - q0)) / (1.0 + G)
+
+    laws = {0: row_moves(0)}
+    u = np.zeros((depth + 1, T + 1, T + 1))
+    K, L = np.indices((T + 1, T + 1))
+    KL = K + L
+    U[1, 1] = 1.0
+    for m in range(last + 1):
+        n = m // 2 + 1
+        laws[m + 1] = row_moves(m + 1)
+        laws.pop(m - 2, None)
+        if m:
+            inv = 1.0 / (1.0 - laws[m][0][4, 1 : n + 1])
+            for move in range(9):
+                dt, dk = divmod(move, 3)
+                into[move, m, :n] = laws[m + 1 - dt][1][move, 2 - dk : n + 2 - dk] * inv
+            moves = [i for i in range(9) if i in moves or into[i, m, :n].any()]
+            q0 = laws[m + 1][0]
+            keep[m, :n] = q0[1, 1 : n + 1] * inv
+            lower[m, :n] = q0[0, 2 : n + 2] * inv
+            solve_rows.append((U[m + 1, 1 : n + 1], rhs[m, :n], U[m + 2, 1 : n + 1],
+                               U[m + 2, 2 : n + 2], keep[m, :n], lower[m, :n], part[:n]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                out = rhs[: m + 1, :n]
+                for i, move in enumerate(moves):
+                    dt, dk = divmod(move, 3)
+                    src = U[2 - dt : m + 3 - dt, 2 - dk : n + 2 - dk]
+                    if i == 0:
+                        np.multiply(into[move, : m + 1, :n], src, out=out)
+                    else:
+                        np.multiply(into[move, : m + 1, :n], src, out=tap[: m + 1, :n])
+                        np.add(out, tap[: m + 1, :n], out=out)
+                for row, r, same, next_k, kt, lt, p in reversed(solve_rows):
+                    np.multiply(kt, same, out=row)
+                    np.add(row, r, out=row)
+                    np.multiply(lt, next_k, out=p)
+                    np.add(row, p, out=row)
+                U[1, 1] = 0.0
+                U[1, 1] = -U[1 : m + 2, 1 : n + 1].sum()
+        at = (m - depth <= KL) & (KL + K <= m)
+        u[m - KL[at], K[at], L[at]] = U[KL[at] + K[at] + 1, K[at] + 1]
+    return u

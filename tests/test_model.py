@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from relayq import oracle
+from relayq import compensation, oracle, psa
 from relayq.errors import GridError
 from relayq.model import (
     ModelParams,
@@ -279,3 +279,18 @@ def test_balance_residuals_peak_memory_is_a_few_grids():
     finally:
         tracemalloc.stop()
     assert peak <= 12 * pi.nbytes
+
+
+@pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -1e-12])
+@pytest.mark.parametrize("solver", ["compensation", "psa", "oracle"])
+def test_a_bad_epsilon_is_a_value_error(solver, epsilon):
+    """CA, PSA and the oracle's truncation refuse an epsilon that is not
+    finite and positive with one message, before any clamp at the floor."""
+    p = ModelParams(lam=lambda_for_load(0.4, 0.5), a=0.5)
+    run = {
+        "compensation": lambda: compensation.solve(p, epsilon=epsilon),
+        "psa": lambda: psa.solve(p, epsilon=epsilon),
+        "oracle": lambda: oracle.choose_truncation(p, epsilon),
+    }[solver]
+    with pytest.raises(ValueError, match="epsilon must be finite and > 0, got"):
+        run()

@@ -6,7 +6,7 @@ import pytest
 from relayq import compensation, oracle, psa
 from relayq.errors import NumericsError, StabilityError
 from relayq.model import ModelParams, lambda_for_load
-from conftest import maxnorm
+from conftest import level_sweep, maxnorm
 
 
 def test_theta_from_rho():
@@ -236,6 +236,38 @@ def test_one_pass_holds_the_explicit_sweep(rho, G, a):
     an explicit sweep to the reported depth computes."""
     s = psa.solve(ModelParams(lam=lambda_for_load(rho, a), a=a), G=G)
     assert np.array_equal(s.u, psa.compute_coefficients(s.N_psa, s.T_psa, G, a))
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("G", [0.0, 1.0, 2.5])
+def test_wave_sweep_is_the_level_sweep_bit_for_bit(G, a):
+    """Solving the rows by waves changes no bit of the coefficients: 101
+    levels span five chunks of the wave sweep, and a numpy that sums a box in
+    another order fails here."""
+    u, reference = psa.compute_coefficients(40, 30, G, a), level_sweep(G, 30, 40, a)
+    assert np.array_equal(u, reference)
+    assert u.tobytes() == reference.tobytes()  # signed zeros too
+
+
+def test_row_groups_add_like_a_box_sum():
+    """The normalization adds the groups of _row_groups from row 0 up, each as
+    one contiguous run; that is how numpy sums a box of non-adjacent rows."""
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        rows, n = int(rng.integers(1, 600)), int(rng.integers(1, 300))
+        held = rng.standard_normal((rows + 2, n + int(rng.integers(2, 9))))
+        held *= 10.0 ** rng.integers(-8, 8, size=held.shape)
+        box = held[1 : rows + 1, 1 : n + 1]
+        total = 0.0
+        for first, count in psa._row_groups(rows, n):
+            total += np.ascontiguousarray(box[first : first + count]).sum()
+        assert total == box.sum(), (rows, n)
+
+
+@pytest.mark.parametrize("a", [0.0, 1.0, 1.5, float("nan")])
+def test_coefficients_reject_an_attempt_probability_outside_the_unit_interval(a):
+    with pytest.raises(ValueError, match="attempt probability"):
+        psa.compute_coefficients(2, 3, 1.0, a)
 
 
 def test_held_box_stays_within_budget(monkeypatch, params_rho04, psa_rho04):
