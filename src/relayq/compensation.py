@@ -35,7 +35,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import NumericsError, StabilityError
-from .grids import ProbabilityGrid
+from .grids import ProbabilityGrid, square
 from .model import EPSILON_FLOOR, ModelParams, check_epsilon, grid_truncation, transformed_inflows
 
 __all__ = [
@@ -332,7 +332,7 @@ def _outer_values(series: CompensationSeries, n: int, T: int, B: int) -> np.ndar
     The pair form is derived for l >= 3; the balance residual of the
     finished grid covers its use on the l = 2 row outside the box.
     """
-    vals = np.full((T + 1, T + 1), np.nan)
+    vals = square(T, np.nan)
     ks = np.arange(T + 1)
     ls2 = np.arange(2, T + 1)
     vals[:, 2:] = _series_values_l2plus(series, n, ks, ls2)

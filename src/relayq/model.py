@@ -52,7 +52,7 @@ __all__ = [
     "grid_truncation",
 ]
 
-EPSILON_FLOOR = 1e-12  # CA and PSA precision floor: 64-bit arithmetic cannot honour less
+EPSILON_FLOOR = 1e-12  # CA, PSA and oracle precision floor: 64-bit arithmetic cannot honour less
 
 
 @dataclass(frozen=True)

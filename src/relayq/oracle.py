@@ -19,8 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, NumericsError, StabilityError
-from .grids import ProbabilityGrid
-from .model import ModelParams, box_matrix, check_epsilon, grid_truncation
+from .grids import ProbabilityGrid, square
+from .model import EPSILON_FLOOR, ModelParams, box_matrix, check_epsilon, grid_truncation
 # not called here: benchmarks/tracing.py, its only user, patches this name
 from .model import transformed_transition_distribution  # noqa: F401
 
@@ -145,7 +145,7 @@ def stationary(chain: QBDChain) -> ProbabilityGrid:
     resid = float(np.max(np.abs(pi @ chain.boundary - pi)))
     if resid > 1e-12:
         raise NumericsError(f"stationary solve residual {resid:.3e} exceeds 1e-12")
-    values = np.zeros((chain.T + 1, chain.T + 1))
+    values = square(chain.T, 0.0)
     values[0, :n] = pi[:n]
     row = pi[n:]
     for k in range(1, chain.T + 1):
@@ -155,12 +155,13 @@ def stationary(chain: QBDChain) -> ProbabilityGrid:
 
 
 def choose_truncation(params: ModelParams, epsilon: float) -> int:
-    """Smallest T with rho^(2T) < epsilon*(1 - rho^2), floored at 3.
+    """Smallest T with rho^(2T) < epsilon*(1 - rho^2), floored at 3, with
+    ``epsilon`` clamped at the 64-bit floor as CA and PSA clamp it.
 
     Geometric-tail sizing: the minimum queue decays at rate rho^2, so the
     mass beyond level T is of order rho^(2T)/(1 - rho^2).
     """
-    check_epsilon(epsilon)
+    epsilon = max(check_epsilon(epsilon), EPSILON_FLOOR)
     rho = params.rho
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")

@@ -17,18 +17,19 @@ t - 1 .. t + 1 of U_(m-1) and a step from row t + 1 of U_m, since Q0 keeps a
 state or lowers its total by one. All of these are solved before wave
 2m - t, the wave of row t of level m, so one wave solves a row of each of up
 to _WAVE_LEVELS levels at once, laid side by side, and each term is one
-array operation over the wave. Each entry still takes the operations of a
-level-by-level sweep in their order, and the normalization adds the same
-partial sums as numpy's sum over the level, from row 0 up, as the rows come
-(:func:`_row_groups`): the coefficients do not depend on the schedule in the
-last bit.
+array operation over the wave. The code fixes the order of every sum: an
+entry adds its stencil terms move by move, over the moves with a weight
+anywhere, and U_m(0, 0) is minus the row sums of level m, each a left fold
+along k, added from row m down. Neither the schedule nor numpy's reduction
+order moves a bit, so a level-by-level sweep gives the same coefficients.
 
 A solve sweeps the levels once into one coefficient array u[n, k, l] and
 reads each depth's series mass once, when the depth completes. One number
 bounds a solve: the last level its sweep may reach, MAX_OUTER_ITERATIONS.
 Depth n completes at level n + 2T, so the depth cap is
 MAX_OUTER_ITERATIONS - 2T. Beside the coefficient array the sweep holds its
-weights, one level and a ring of the last waves, a few megabytes.
+weights, one level and a ring of the four waves its stencil reads and writes,
+a few megabytes.
 """
 from __future__ import annotations
 
@@ -54,7 +55,7 @@ __all__ = [
 MAX_OUTER_ITERATIONS = 500  # last level a solve may sweep; bounds its depth, time and memory
 _DIVERGENCE_PATIENCE = 10
 _IMPROVEMENT_PATIENCE = 50
-_WAVE_LEVELS = 32  # levels a wave solves one row of each; bounds the ring of waves
+_WAVE_LEVELS = 32  # levels a wave solves one row of each; bounds a wave's width
 
 
 def __getattr__(name: str):
@@ -134,19 +135,6 @@ def _region(t, k):
     return np.where((k >= 0) & (l >= 0), 3 * np.minimum(k, 1) + np.minimum(l, 2), 6)
 
 
-def _row_groups(rows: int, n: int) -> list[tuple[int, int]]:
-    """(first row, rows) of the groups in which ``.sum()`` adds a strided (rows, n) box.
-
-    numpy reduces a box whose rows are not adjacent through its buffer of
-    ``np.getbufsize()`` elements: it sums each group of that many // n whole
-    rows pairwise, as one contiguous run, and adds the group sums to 0.0 from
-    row 0 up. The sweep's normalization repeats that order one group at a
-    time, so it never holds a level whole.
-    """
-    step = np.getbufsize() // n
-    return [(t, min(step, rows - t)) for t in range(0, rows, step)]
-
-
 class _Weights:
     """The sweep's weights per destination state (t, k), each divided by its
     1 - Q0(stay): the weight in the right-hand side of the move into it from
@@ -175,9 +163,9 @@ class _Weights:
         self.rhs = ((q1 - stay) / c + G * (stay - self.q0)) / (1.0 + G)
         self.inv = np.ones(7)  # region 0 is row 0 alone, which the normalization sets
         self.inv[1:] = 1.0 / (1.0 - self.q0[1:, 4])
+        self.moves = tuple(np.flatnonzero(self.rhs.any(axis=0)).tolist())  # at most 7 of the 9
         self.last, cols = last, last // 2 + 1
         self.table = _lazy_zeros((11, 2, cols * (cols + 2)))
-        self.moves = [()]  # per level, the moves into some row up to it
         self.pitch = 0
 
     def rows(self, t0: int, t1: int) -> np.ndarray:
@@ -193,19 +181,12 @@ class _Weights:
         rows[10] = self.q0[_region(t + 1, k + 1), 0] * inv
         return np.where(into < 6, rows, 0.0)
 
-    def extend(self, m0: int, levels: int) -> int:
-        """Lay out the rows of the levels m0 .. m1: at most ``levels`` of them,
-        all with the moves of level m0. Every row laid out moves to pitch
-        m1 // 2 + 3: a row, its k + 1 read and a zero before the next. Returns m1."""
-        rows = self.rows(m0, min(self.last, m0 + levels - 1))
-        for found in rows[:9].any(axis=2).T:
-            met = tuple(sorted({*self.moves[-1], *np.flatnonzero(found).tolist()}))
-            if len(self.moves) > m0 and met != self.moves[m0]:
-                break
-            self.moves.append(met)
-        m1 = len(self.moves) - 1
+    def extend(self, m0: int, m1: int) -> None:
+        """Lay out the rows of the levels m0 .. m1. Every row laid out moves to
+        pitch m1 // 2 + 3: a row, its k + 1 read and a zero before the next."""
+        rows = self.rows(m0, m1)
         old, P = self.pitch, m1 // 2 + 3
-        kinds = (*self.moves[m1], 9, 10)  # the others are zero up to row m1
+        kinds = (*self.moves, 9, 10)  # the other moves have no weight anywhere
         laid = (m0 - 1) // 2 + 1 if old else 0  # rows of each parity below m0
         for kind in kinds:
             for flat in self.table[kind]:
@@ -220,7 +201,6 @@ class _Weights:
                 for kind in kinds:
                     table[kind, :, : m1 // 2 + 1] = rows[kind, first - m0 : m1 - m0 + 1 : 2, : m1 // 2 + 1]
         self.pitch = P
-        return m1
 
 
 def _sweep(G: float, T: int, depth: int, a: float = 0.5):
@@ -237,19 +217,20 @@ def _sweep(G: float, T: int, depth: int, a: float = 0.5):
     wave than w = 2m - t, the wave of row t of level m. A wave solves one row
     of each of up to _WAVE_LEVELS levels, a chunk; the chunk's last level is
     held whole as the next chunk's boundary. The rows of a wave lie side by
-    side at the chunk's pitch, one slot per level, in a ring of the last
-    waves, and the weights of rows t, t + 2, ... lie side by side in a table
-    of one parity of t, so each term of the stencil product and of the row
-    step is one array operation over the wave. Row 0 of level m comes last,
-    at wave 2m.
+    side at the chunk's pitch, one slot per level, in a ring of the waves
+    w - 3 .. w, and the weights of rows t, t + 2, ... lie side by side in a
+    table of one parity of t, so each term of the stencil product and of the
+    row step is one array operation over the wave. Row 0 of level m comes
+    last, at wave 2m.
 
-    Every entry takes the operations of a level-by-level sweep in their
-    order: the stencil terms move by move, over the moves met in the rows up
-    to m, then the row step. U_m(0, 0) adds the box sums of
-    :func:`_row_groups` from row 0 up, which is the order in which
-    ``U_m[box].sum()`` adds them, each as its rows complete. Entries beyond
-    a row stay 0.0, as a box padded with zeros has them. So the coefficients
-    keep every bit.
+    The order of every operation is fixed here, whatever the schedule: an
+    entry adds the stencil terms move by move, over the moves with a weight
+    anywhere, then takes the row step. U_m(0, 0) is minus a running total of
+    the row sums of the other entries of level m, added as the waves
+    complete the rows t = m down to 0. Each row sum is a left fold along k,
+    so zeros beyond a row change no bit of the total, however many there
+    are. A level-by-level sweep that takes the same definitions thus gets
+    every bit of these coefficients.
 
     u[n, k, l] = U_(n+k+l)(k, l) for 0 <= n <= depth is one preallocated
     array; entry (n, k, l) is solved at wave 2n + l, and depth n is complete
@@ -259,7 +240,7 @@ def _sweep(G: float, T: int, depth: int, a: float = 0.5):
     L = _WAVE_LEVELS
     weights = _Weights(G, a, last)
     table, pitch = weights.table, last // 2 + 3
-    rhs, tap, box = np.empty(L * pitch), np.empty(L * pitch), np.empty(np.getbufsize())
+    rhs, tap = np.empty(L * pitch), np.empty(L * pitch)
     # u, with room for a wave's view to step past k = 0 and k = T where the
     # mask of the write keeps it out; in_box[i, L + x] is 0 <= x + i <= T
     SN, SK = (T + 1) ** 2, T + 1
@@ -274,29 +255,24 @@ def _sweep(G: float, T: int, depth: int, a: float = 0.5):
 
     m0 = 1
     while m0 <= last:
-        m1 = weights.extend(m0, L)
+        m1 = min(last, m0 + L - 1)
+        weights.extend(m0, m1)
         P, slots = weights.pitch, m1 - m0 + 2  # slot 0 replays the boundary; level m is slot m - m0 + 1
-        # the box sums that complete at each wave, and the ring's depth R
-        groups: dict[int, list[tuple[int, int, int]]] = {}
-        for m in range(m0, m1 + 1):
-            for t, r in _row_groups(m + 1, m // 2 + 1):
-                groups.setdefault(2 * m - t, []).append((m, t, r))
-        R = max(4, *(r for events in groups.values() for _, _, r in events))
-        partial: dict[int, list] = {}
-        # The ring holds the last R waves, wave v at the rows of (-v) % R, so
-        # that a group's rows come up in order; its edges keep views inside.
+        totals = np.zeros(m1 - m0 + 1)  # per level m - m0, the sum of its rows solved so far
+        # The ring holds the waves w - 3 .. w that the stencil reads and
+        # writes, wave v at the rows of v % 4; its edges keep views inside.
         edge = (T + 2 * L) // P + 2
-        ring = _lazy_zeros(((2 * edge + R * slots) * P,))
+        ring = _lazy_zeros(((2 * edge + 4 * slots) * P,))
         plain = ring.reshape(-1, P)
 
         def row(v: int, m: int) -> int:
             """Row of the ring of wave v's slot for level m."""
-            return edge + (-v) % R * slots + m - m0 + 1
+            return edge + v % 4 * slots + m - m0 + 1
 
         plain[row(m0 - 1, m0 - 1)] = held[m0 - 1, :P]
         # per move (dt - 1, dk - 1): its weights by parity of t, the wave it
         # reads, w - 3 + dt, as an index into back below, and its k shift
-        terms = [(table[move, 0], table[move, 1], 2 - move // 3, 1 - move % 3) for move in weights.moves[m0]]
+        terms = [(table[move, 0], table[move, 1], 2 - move // 3, 1 - move % 3) for move in weights.moves]
         for w in range(m0, 2 * m1 + 1):
             m_lo, m_hi = max(m0, (w + 1) // 2), min(m1, w)
             rows = m_hi - m_lo + 1
@@ -331,21 +307,17 @@ def _sweep(G: float, T: int, depth: int, a: float = 0.5):
             ring[s : s + rows * (P + 1)].reshape(rows, P + 1)[:, :2] = 0.0
             out.reshape(rows, P)[:, -1] = 0.0
 
-            for m, t, r in groups.get(w, ()):
-                # rows t .. t + r - 1 of level m, from this wave back, at the
-                # ring rows of (-w) % R on, wrapping at R
-                n, i0, first = m // 2 + 1, (-w) % R, row(w, m)
-                part, r1 = box[: r * n], min(r, R - i0)
-                part.reshape(r, n)[:r1] = plain[first : first + r1 * slots : slots, :n]
-                part.reshape(r, n)[r1:] = plain[row(0, m) : row(0, m) + (r - r1) * slots : slots, :n]
-                if t:
-                    partial.setdefault(m, []).append(part.sum())
-                    continue
-                part[0] = 0.0  # U_m(0, 0) is not among the others
-                total = 0.0
-                for group_sum in (part.sum(), *reversed(partial.pop(m, ()))):
-                    total += group_sum
-                plain[first, 0] = -total
+            # each row's sum, a left fold, joins its level's total; row 0 of
+            # level w / 2, the level's last, is minus the sum of the others
+            if t_lo == 0:
+                out[0] = 0.0
+            cols = t_lo // 2 + rows  # the last row's length; only zeros lie beyond it
+            folds = tmp[: rows * cols].reshape(rows, cols)
+            np.cumsum(out.reshape(rows, P)[:, :cols], axis=1, out=folds)
+            level = totals[m_lo - m0 : m_hi - m0 + 1]
+            np.add(level, folds[:, -1], out=level)
+            if t_lo == 0:
+                out[0] = -level[0]
 
             # u[n, k, w - 2n] of level m = k + w - n: with i = m - m_lo, a
             # sheared (i, n) view of the wave, kept to 0 <= k <= T by a mask

@@ -104,25 +104,28 @@ def level_sweep(G, T, depth, a=0.5):
     """Reference for psa._sweep: the coefficients u[n, k, l] of depths up to
     ``depth`` by a sweep of whole levels. Each level takes one 3x3 stencil
     product of the last over the rectangle t <= m, k <= m/2 for its right-hand
-    side, solves its rows one numpy step each from the top, and sets
-    U_m(0, 0) = -U_m[box].sum(); the wave sweep must give every bit of it."""
+    side, over the moves with a weight anywhere, solves its rows one numpy step
+    each from the top, and sets U_m(0, 0) to minus the row sums, each a left
+    fold along k, added from row m down; the wave sweep must give every bit of
+    it."""
     last = depth + 2 * T
     rows, cols = last + 1, last // 2 + 1
     c = (a * a + (1.0 - a) ** 2) / (2.0 * a * (1.0 - a))
     draws = psa._draw_arrays(a)
     into = np.zeros((9, rows, cols))
     keep, lower = np.zeros((rows, cols)), np.zeros((rows, cols))
-    moves = []
     U = np.zeros((rows + 2, cols + 2))  # U_m at [t + 1, k + 1]
     rhs, tap, part = np.empty((rows, cols)), np.empty((rows, cols)), np.empty(cols)
     solve_rows = []
 
-    def row_moves(t):
-        q0, q1 = psa._row_laws(t, draws, cols + 2)
+    def row_moves(t, width=cols + 2):
+        q0, q1 = psa._row_laws(t, draws, width)
         stay = np.zeros_like(q0)
         stay[4, 1 : t // 2 + 2] = 1.0
         return q0, ((q1 - stay) / c + G * (stay - q0)) / (1.0 + G)
 
+    # the moves with a weight anywhere: every region has a state in rows 0 .. 4
+    moves = [i for i in range(9) if any(row_moves(t, 4)[1][i].any() for t in range(5))]
     laws = {0: row_moves(0)}
     u = np.zeros((depth + 1, T + 1, T + 1))
     K, L = np.indices((T + 1, T + 1))
@@ -137,7 +140,6 @@ def level_sweep(G, T, depth, a=0.5):
             for move in range(9):
                 dt, dk = divmod(move, 3)
                 into[move, m, :n] = laws[m + 1 - dt][1][move, 2 - dk : n + 2 - dk] * inv
-            moves = [i for i in range(9) if i in moves or into[i, m, :n].any()]
             q0 = laws[m + 1][0]
             keep[m, :n] = q0[1, 1 : n + 1] * inv
             lower[m, :n] = q0[0, 2 : n + 2] * inv
@@ -159,7 +161,10 @@ def level_sweep(G, T, depth, a=0.5):
                     np.multiply(lt, next_k, out=p)
                     np.add(row, p, out=row)
                 U[1, 1] = 0.0
-                U[1, 1] = -U[1 : m + 2, 1 : n + 1].sum()
+                total = 0.0
+                for row_sum in np.cumsum(U[1 : m + 2, 1 : n + 1], axis=1)[::-1, -1]:
+                    total += row_sum
+                U[1, 1] = -total
         at = (m - depth <= KL) & (KL + K <= m)
         u[m - KL[at], K[at], L[at]] = U[KL[at] + K[at] + 1, K[at] + 1]
     return u

@@ -179,6 +179,15 @@ def test_out_of_memory_is_a_numerical_failure(message, line, capsys, monkeypatch
         assert err.startswith(line) and err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command", ["solve", "decay", "compare"])
+def test_a_grid_beyond_the_address_space_is_out_of_memory(command, capsys):
+    """At rho = 0.99999999 CA's grid has side 1.38e9, more bytes than numpy
+    can address; the command exits 4 with one line, as any failed allocation."""
+    code, out, err = run_cli([command, "--rho", "0.99999999"], capsys)
+    assert (code, out) == (4, "")
+    assert err.startswith("numerical failure: out of memory: Unable to allocate") and err.count("\n") == 1
+
+
 def test_unreachable_oracle_chain_is_a_numerical_failure(capsys, monkeypatch):
     """A boundary chain whose last state cannot reach (0, 0) exits 4 with one line."""
     build = cli.oracle.build

@@ -147,6 +147,13 @@ def test_choose_truncation():
         oracle.choose_truncation(ModelParams(lam=0.6, a=0.5), 1e-10)
 
 
+def test_choose_truncation_clamps_epsilon_at_the_floor():
+    """Below the 64-bit floor a smaller epsilon asks for no larger grid: at
+    rho = 0.99, 1e-300 would size T = 34,561, a grid of 8.9 GiB."""
+    p = ModelParams(lam=lambda_for_load(0.99, 0.5), a=0.5)
+    assert oracle.choose_truncation(p, 1e-300) == oracle.choose_truncation(p, 1e-12)
+
+
 def test_truncation_edge_mass(params_rho04):
     eps = 1e-10
     T = oracle.choose_truncation(params_rho04, eps)
