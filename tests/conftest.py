@@ -95,6 +95,25 @@ def oracle_rho04(params_rho04, ca_rho04):
     return oracle.stationary(oracle.build(params_rho04, T))
 
 
+@pytest.fixture(scope="session")
+def solution():
+    """solution(method, rho, a): a CA or PSA solution, or the oracle's grid, at
+    load rho and attempt probability a, solved once per session."""
+    solved = {}
+
+    def get(method, rho, a):
+        key = (method, rho, a)
+        if key not in solved:
+            p = ModelParams(lam=lambda_for_load(rho, a), a=a)
+            if method == "oracle":
+                solved[key] = oracle.stationary(oracle.build(p, oracle.choose_truncation(p, 1e-12)))
+            else:
+                solved[key] = {"ca": compensation.solve, "psa": psa.solve}[method](p)
+        return solved[key]
+
+    return get
+
+
 def maxnorm(grid_a, grid_b):
     m = min(grid_a.T, grid_b.T)
     return float(np.max(np.abs(grid_a.values[: m + 1, : m + 1] - grid_b.values[: m + 1, : m + 1])))

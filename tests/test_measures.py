@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -117,7 +119,7 @@ def test_single_server_load_identity():
 
 
 def test_single_server_geometric_check():
-    # birth-death micro-oracle against the closed-form geometric mean
+    # the mean of the geometric law of ratio r, written without 1 - r
     lam, a = 0.3, 0.6
     r = lam * (1 - a) / ((1 - lam) * a)
     expected = r / (1 - r)
@@ -126,10 +128,22 @@ def test_single_server_geometric_check():
 
 @pytest.mark.parametrize("lam", [0.249, 0.2499])
 def test_single_server_near_saturation(lam):
-    # just below a = 1/4 the truncated chain has 6,037 and 60,435 states
     a = 0.25
     r = lam * (1 - a) / ((1 - lam) * a)
     assert measures.single_server_mean_queue(lam, a) == pytest.approx(r / (1 - r), rel=1e-10)
+
+
+def test_single_server_mean_holds_no_chain():
+    """The mean is a closed form: at lam = 0.4999, a = 1/2 a chain truncated
+    at r^T <= 1e-14 has 80,000 states and peaked at 1.8 MiB."""
+    tracemalloc.start()
+    try:
+        mean = measures.single_server_mean_queue(0.4999, 0.5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mean == pytest.approx(2499.5, rel=1e-12)
+    assert peak < 64 * 1024
 
 
 def test_comparison_crossing_and_ordering():
@@ -158,3 +172,40 @@ def test_correlation_monotone_in_load():
         rep = measures.moments_from_transformed(compensation.solve(p).grid, p)
         vals.append(rep.correlation)
     assert all(b > a for a, b in zip(vals, vals[1:]))
+
+
+# (method, rho, a): CA and the oracle at a light and a heavy load, PSA where it converges
+IDENTITY_POINTS = [
+    *((method, rho, a) for method in ("ca", "oracle") for rho in (0.4, 0.9) for a in (0.3, 0.5, 0.7)),
+    *(("psa", rho, a) for rho in (0.4, 0.7) for a in (0.3, 0.5, 0.7)),
+]
+
+
+def _grid(solution, method, rho, a):
+    solved = solution(method, rho, a)
+    if method == "psa":
+        assert solved.diagnostics.converged
+    return solved if method == "oracle" else solved.grid
+
+
+@pytest.mark.parametrize("method, rho, a", IDENTITY_POINTS)
+def test_throughput_equals_the_arrival_rate(solution, method, rho, a):
+    """In equilibrium packets leave at the rate lam they arrive. With both
+    relays busy (k >= 1) one packet leaves when exactly one relay attempts,
+    with b = 2a(1 - a); with one busy (k = 0, l >= 1) an arrival makes both
+    busy, else the lone relay sends with a; an empty system sends only an
+    arrival, with a."""
+    v = _grid(solution, method, rho, a).values
+    lam, b = lambda_for_load(rho, a), 2 * a * (1 - a)
+    departures = b * v[1:].sum() + v[0, 1:].sum() * (lam * b + (1 - lam) * a) + v[0, 0] * lam * a
+    assert abs(departures - lam) < 1e-11
+
+
+@pytest.mark.parametrize(
+    "method, rho", [(m, rho) for m, rho, a in IDENTITY_POINTS if a == 0.5] + [("ca", 0.97)]
+)
+def test_mean_total_at_half_attempt_probability(solution, method, rho):
+    """At a = 1/2 the total queue length has mean rho / (1 - rho)."""
+    v = _grid(solution, method, rho, 0.5).values
+    K, L = np.indices(v.shape)
+    assert float(((2 * K + L) * v).sum()) == pytest.approx(rho / (1 - rho), rel=1e-9)

@@ -269,17 +269,32 @@ def test_coefficients_reject_an_attempt_probability_outside_the_unit_interval(a)
 
 
 def test_held_box_stays_within_budget(monkeypatch, params_rho04, psa_rho04):
-    """The level budget alone bounds the depth: depth n completes at level n + 2T."""
+    """The level budget alone bounds the depth: depth n completes at level n + 2T.
+    A capped series is an answer only once its change is below 1e-6: 20 depths
+    at rho = 0.4 change by 8.2e-8, 10 depths by 1.2e-4."""
     T = psa_rho04.T_psa
-    monkeypatch.setattr(psa, "MAX_OUTER_ITERATIONS", 2 * T + 10)
+    monkeypatch.setattr(psa, "MAX_OUTER_ITERATIONS", 2 * T + 20)
     s = psa.solve(params_rho04)
     assert s.diagnostics.stop_reason == "cap" and not s.diagnostics.converged
-    assert s.N_psa == len(s.diagnostics.rel_change_history) == 10
-    assert np.array_equal(s.u, psa_rho04.u[:11])
+    assert s.N_psa == len(s.diagnostics.rel_change_history) == 20
+    assert np.array_equal(s.u, psa_rho04.u[:21])
+    monkeypatch.setattr(psa, "MAX_OUTER_ITERATIONS", 2 * T + 10)
+    with pytest.raises(NumericsError, match="did not settle"):
+        psa.solve(params_rho04)
     # a budget that completes depths 0 and 1 only cannot hold an answer
     monkeypatch.setattr(psa, "MAX_OUTER_ITERATIONS", 2 * T + 1)
     with pytest.raises(NumericsError, match="budget"):
         psa.solve(params_rho04)
+
+
+@pytest.mark.parametrize("rho, epsilon", [(0.942, 1e-12), (0.95, 1e-8)])
+def test_unsettled_partial_sum_is_no_answer(rho, epsilon):
+    """Where the level budget ends the series long before it settles, the
+    depth of smallest change is depth 3, about 0.15 from CA; the solve
+    raises rather than return it."""
+    p = ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5)
+    with pytest.raises(NumericsError, match="did not settle"):
+        psa.solve(p, G=1.0, epsilon=epsilon)
 
 
 def test_budget_refuses_near_saturation_before_the_sweep(monkeypatch):
@@ -353,11 +368,10 @@ def test_table_values_low_and_mid_load():
 
 @pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
 @pytest.mark.parametrize("rho", [0.1, 0.4, 0.7])
-def test_matches_compensation_at_every_attempt_probability(rho, a):
-    p = ModelParams(lam=lambda_for_load(rho, a), a=a)
-    s = psa.solve(p)
+def test_matches_compensation_at_every_attempt_probability(rho, a, solution):
+    s = solution("psa", rho, a)
     assert s.diagnostics.stop_reason == "epsilon"
-    assert maxnorm(s.grid, compensation.solve(p).grid) < 1e-10
+    assert maxnorm(s.grid, solution("ca", rho, a).grid) < 1e-10
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5])
