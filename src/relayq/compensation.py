@@ -251,6 +251,9 @@ def horizontal_coefficients(
     M[:, :2] = _horizontal_rows(gamma_ip1, params)
     M[:, 2] = -_product_term_rows(gamma_ip1, delta_ip1, params) * delta_ip1**2
     r = _product_term_rows(gamma_ip1, delta_i, params) * c_ip1 * delta_i**2
+    # the rows differ in scale by powers of gamma, far apart at light load; equilibrate them
+    row_scale = np.max(np.abs(M), axis=1)
+    M, r = M / row_scale[:, None], r / row_scale
     try:
         sol = np.linalg.solve(M, r)
     except np.linalg.LinAlgError as exc:

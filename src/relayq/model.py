@@ -11,12 +11,13 @@ Two Markov chains describe the system: the original queue-length pair
 (Q1, Q2) on the quadrant, and the transformed chain
 (k, l) = (min(Q1, Q2), |Q1 - Q2|) that the analytic solvers work on.
 
-There is one slot rule, :func:`step`, and both one-step laws are computed
-from it: :func:`transition_distribution` sums the rule over the slot's 16
-draws, and :func:`transformed_transition_distribution` pushes that law
-through :func:`transform_state`. The transformed law depends only on whether
-k = 0 and whether l is 0, 1 or at least 2: :func:`region_law` holds it for
-these six regions, and every box tiles it one step (dk, dl) at a time.
+There is one slot rule, :func:`step`, and only this module turns it into
+laws: :func:`conditional_laws` sums it over the slot's draws given no arrival
+and given one, and each chain's law is their mix (1 - lam) Q0 + lam Q1. The
+transformed laws depend only on whether k = 0 and whether l is 0, 1 or at
+least 2: :func:`region_laws` holds the halves for these six regions, the
+power-series recursion reads them, and every box tiles their mix
+:func:`region_law` one step (dk, dl) at a time.
 :func:`box_matrix` writes the tiles into the dense matrix whose blocks the
 oracle's quasi-birth-death solve reads and, transposed as
 :func:`transformed_inflows`, of the compensation solver's inner box;
@@ -42,6 +43,8 @@ __all__ = [
     "transition_distribution",
     "transformed_transition_distribution",
     "transform_state",
+    "conditional_laws",
+    "region_laws",
     "region_law",
     "box_matrix",
     "transformed_inflows",
@@ -53,6 +56,12 @@ __all__ = [
 ]
 
 EPSILON_FLOOR = 1e-12  # CA, PSA and oracle precision floor: 64-bit arithmetic cannot honour less
+_Law = tuple[tuple[int, int, float], ...]  # one-step law: (dx, dy, prob) per move
+
+
+def _check_attempt(a: float) -> None:
+    if not (0.0 < a < 1.0):
+        raise ValueError(f"attempt probability must be in (0,1), got {a}")
 
 
 @dataclass(frozen=True)
@@ -71,8 +80,7 @@ class ModelParams:
     def __post_init__(self) -> None:
         if not (0.0 < self.lam < 1.0):
             raise ValueError(f"arrival probability must be in (0,1), got {self.lam}")
-        if not (0.0 < self.a < 1.0):
-            raise ValueError(f"attempt probability must be in (0,1), got {self.a}")
+        _check_attempt(self.a)
 
     @property
     def abar(self) -> float:
@@ -112,22 +120,20 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class StabilityReport:
-    stable: bool
-    margin: float  # lam - 2*a*abar; negative means stable
+    stable: bool  # rho < 1, the criterion every solver applies
+    margin: float  # drift lam - 2*a*abar: negative iff stable, up to its rounding within ulps of rho = 1
 
 
 def is_stable(params: ModelParams) -> StabilityReport:
-    """Stability verdict with the drift margin lam - 2*a*abar."""
-    margin = params.lam - 2 * params.a * params.abar
-    return StabilityReport(stable=margin < 0.0, margin=margin)
+    """Stability verdict rho < 1, as every solver decides it, with the drift margin lam - 2*a*abar."""
+    return StabilityReport(stable=params.rho < 1.0, margin=params.lam - 2 * params.a * params.abar)
 
 
 def lambda_for_load(rho: float, a: float) -> float:
     """Arrival probability giving load ``rho`` at attempt probability ``a``."""
     if rho <= 0:
         raise ValueError("load must be positive")
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"attempt probability must be in (0,1), got {a}")
+    _check_attempt(a)
     ab = 1.0 - a
     c = 2 * rho * ab * a
     return c / (ab * ab + a * a + c)
@@ -165,17 +171,22 @@ def step(q1, q2, arrival, tie_to_q1, att1, att2):
     return q1 - (t1 > t2), q2 - (t2 > t1)
 
 
-def _draws(params: ModelParams):
+def transform_state(i: int, j: int) -> tuple[int, int]:
+    """(Q1, Q2) -> (min, absolute difference)."""
+    return (min(i, j), abs(i - j))
+
+
+def _draws(a: float):
     """The slot's 16 draws (arrival, tie_to_q1, att1, att2), each with its
-    probability: arrival (lam or 1-lam), tie coin (1/2), two attempts (a or 1-a)."""
-    p = params
+    probability given the arrival draw: tie coin (1/2), two attempts (a or 1-a)."""
+    _check_attempt(a)
+    abar = 1.0 - a
     for draw in itertools.product((True, False), repeat=4):
-        arrival, _, att1, att2 = draw
-        yield draw, ((p.lam if arrival else p.lbar) * 0.5
-                     * (p.a if att1 else p.abar) * (p.a if att2 else p.abar))
+        _, _, att1, att2 = draw
+        yield draw, 0.5 * (a if att1 else abar) * (a if att2 else abar)
 
 
-def _grouped(moves) -> tuple[tuple[int, int, float], ...]:
+def _grouped(moves) -> _Law:
     """(dx, dy, prob) triples with the probabilities of equal moves added."""
     law: dict[tuple[int, int], float] = {}
     for dx, dy, prob in moves:
@@ -183,59 +194,68 @@ def _grouped(moves) -> tuple[tuple[int, int, float], ...]:
     return tuple((dx, dy, prob) for (dx, dy), prob in law.items())
 
 
-def transition_distribution(
-    state: tuple[int, int], params: ModelParams
-) -> tuple[tuple[int, int, float], ...]:
-    """One-step law of the original chain (Q1, Q2) at ``state``.
+def conditional_laws(state: tuple[int, int], a: float, transformed: bool = False) -> tuple[_Law, _Law]:
+    """One-step laws (Q0, Q1) at ``state`` given no arrival and given one.
 
-    :func:`step` applied to each of the slot's 16 draws, weighted by the
-    draw's probability, with equal moves added together in draw order.
-    Steps are (di, dj, prob).
+    :func:`step` on each of the slot's 16 draws, weighted by the draw's
+    probability given the arrival draw, equal moves added in draw order. Steps
+    are (di, dj, prob) of (Q1, Q2), or if ``transformed`` (dk, dl, prob) of
+    (min, diff): the state (k, l) is (k, k + l), each destination pushed
+    through :func:`transform_state`.
     """
-    i, j = state
-    moves = []
-    for draw, prob in _draws(params):
+    x, y = state
+    i, j = (x, x + y) if transformed else state
+    halves = ([], [])
+    for draw, prob in _draws(a):
         i2, j2 = step(i, j, *draw)
-        moves.append((i2 - i, j2 - j, prob))
-    return _grouped(moves)
+        x2, y2 = transform_state(i2, j2) if transformed else (i2, j2)
+        halves[draw[0]].append((x2 - x, y2 - y, prob))  # draw[0] is the arrival
+    return _grouped(halves[0]), _grouped(halves[1])
 
 
-def transform_state(i: int, j: int) -> tuple[int, int]:
-    """(Q1, Q2) -> (min, absolute difference)."""
-    return (min(i, j), abs(i - j))
+def _mixed(halves: tuple[_Law, _Law], params: ModelParams) -> _Law:
+    """The law (1 - lam) Q0 + lam Q1 of the halves (Q0, Q1), move by move."""
+    q0, q1 = halves
+    mix = ((params.lam, q1), (params.lbar, q0))  # Q1's moves first, as its draws come first
+    return _grouped((dx, dy, w * prob) for w, half in mix for dx, dy, prob in half)
 
 
-def transformed_transition_distribution(
-    state: tuple[int, int], params: ModelParams
-) -> tuple[tuple[int, int, float], ...]:
-    """One-step law of the transformed chain (min, diff) at ``state``.
+def transition_distribution(state: tuple[int, int], params: ModelParams) -> _Law:
+    """One-step law of the original chain (Q1, Q2) at ``state``, steps (di, dj, prob)."""
+    return _mixed(conditional_laws(state, params.a), params)
+
+
+def transformed_transition_distribution(state: tuple[int, int], params: ModelParams) -> _Law:
+    """One-step law of the transformed chain (min, diff) at ``state``, steps (dk, dl, prob).
 
     Lumping the original chain over the (i, j) <-> (j, i) symmetry gives a
     Markov chain on the quadrant whose balance equations are the ones the
-    analytic solvers consume: the original law at (k, k+l), each destination
-    pushed through :func:`transform_state`. Steps are (dk, dl, prob).
+    analytic solvers consume.
     """
-    k, l = state
-    moves = []
-    for di, dj, prob in transition_distribution((k, k + l), params):
-        k2, l2 = transform_state(k + di, k + l + dj)
-        moves.append((k2 - k, l2 - l, prob))
-    return _grouped(moves)
+    return _mixed(conditional_laws(state, params.a, transformed=True), params)
+
+
+def region_laws(a: float) -> np.ndarray:
+    """The transformed :func:`conditional_laws` by region, a (2, 2, 3, 3, 5) table.
+
+    laws[arrived, min(k, 1), min(l, 2), dk + 1, dl + 2] is the probability of
+    the step (dk, dl) out of (k, l) given ``arrived`` arrivals. A slot sees only
+    whether the shorter relay is empty and whether the queues tie, differ by
+    one or by more, so the table matches every state bit for bit.
+    """
+    laws = np.zeros((2, 2, 3, 3, 5))
+    for k, l in itertools.product(range(2), range(3)):
+        for arrived, half in enumerate(conditional_laws((k, l), a, transformed=True)):
+            for dk, dl, prob in half:
+                laws[arrived, k, l, dk + 1, dl + 2] = prob
+    return laws
 
 
 def region_law(params: ModelParams) -> np.ndarray:
-    """One-step law of the transformed chain by region, a (2, 3, 3, 5) table.
-
-    law[min(k, 1), min(l, 2), dk + 1, dl + 2] is the probability of the step
-    (dk, dl) out of (k, l). A slot sees only whether the shorter relay is
-    empty and whether the queues tie, differ by one or by more, so the table
-    matches :func:`transformed_transition_distribution` at every state, bit for bit.
-    """
-    law = np.zeros((2, 3, 3, 5))
-    for k, l in itertools.product(range(2), range(3)):
-        for dk, dl, prob in transformed_transition_distribution((k, l), params):
-            law[k, l, dk + 1, dl + 2] = prob
-    return law
+    """The mix (1 - lam) R0 + lam R1 of the :func:`region_laws` (R0, R1): the
+    transformed law by region, bit for bit, a (2, 3, 3, 5) table."""
+    r0, r1 = region_laws(params.a)
+    return params.lbar * r0 + params.lam * r1
 
 
 def _tiles(params: ModelParams, T_k: int, T_l: int):

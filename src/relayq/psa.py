@@ -3,9 +3,9 @@
 The equilibrium probabilities are expanded as a power series in the variable
 theta = (1+G)*rho / (1+G*rho), a bilinear map of the load that stretches the
 series' useful range toward saturation. Write the one-slot law as
-P = (1 - lam) Q0 + lam Q1, with Q0 and Q1 the laws of :func:`model.step`
-given no arrival and given one; the balance equations pi (I - P) = 0 become
-pi (I - Q0) = (lam / (1 - lam)) pi (Q1 - I), and lam / (1 - lam) = rho / c
+P = (1 - lam) Q0 + lam Q1, with Q0 and Q1 the laws given no arrival and
+given one (:func:`model.region_laws`); the balance equations pi (I - P) = 0
+become pi (I - Q0) = (lam / (1 - lam)) pi (Q1 - I), and lam / (1 - lam) = rho / c
 with c = (a^2 + (1-a)^2) / (2a(1-a)). Matching powers of theta gives one
 recursion for the coefficient U_m of theta^m at every attempt probability a;
 the normalization condition pins U_m(0, 0). The coefficients depend on a and
@@ -33,6 +33,7 @@ a few megabytes.
 """
 from __future__ import annotations
 
+import itertools
 import math
 import mmap
 from dataclasses import dataclass
@@ -41,7 +42,7 @@ import numpy as np
 
 from .errors import NumericsError, StabilityError
 from .grids import ProbabilityGrid
-from .model import EPSILON_FLOOR, ModelParams, _draws, check_epsilon, grid_truncation, step
+from .model import EPSILON_FLOOR, ModelParams, check_epsilon, grid_truncation, region_laws
 
 __all__ = [
     "PsaDiagnostics",
@@ -107,30 +108,6 @@ def _lazy_zeros(shape: tuple[int, ...]) -> np.ndarray:
     return np.frombuffer(mmap.mmap(-1, 8 * math.prod(shape)), dtype=float).reshape(shape)
 
 
-def _draw_arrays(a: float) -> tuple[np.ndarray, ...]:
-    """The slot's 16 draws as columns (arrival, tie, att1, att2, prob) of shape
-    (16, 1), prob conditional on the arrival draw: drawn at lam = 1/2 and
-    divided by 1/2, both exact."""
-    draws = list(_draws(ModelParams(lam=0.5, a=a)))
-    arrival, tie, att1, att2 = (np.array([[d[i]] for d, _ in draws]) for i in range(4))
-    return arrival, tie, att1, att2, np.array([[p / 0.5] for _, p in draws])
-
-
-# Not from model.region_law: its arrival halves do not re-add bit for bit, and the pinned rho = 0.9 depth needs that
-def _row_laws(t: int, draws, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """Laws (Q0, Q1) out of the states (k, t - 2k) of total t, given no arrival
-    and given one: :func:`step` on every state of the row and every draw at
-    once. Each is a (9, width) array law[3(dt + 1) + dk + 1, k + 1] of the
-    moves (dt, dk) in (total, k), zero at k = -1 and beyond the row."""
-    arrival, tie, att1, att2, prob = draws
-    k = np.arange(t // 2 + 1)
-    q1, q2 = step(k, t - k, arrival, tie, att1, att2)
-    move = 3 * (q1 + q2 - t + 1) + np.minimum(q1, q2) - k + 1
-    law = np.zeros((2, 9, width))
-    np.add.at(law, (arrival.astype(int), move, k + 1), np.broadcast_to(prob, move.shape))
-    return law[0], law[1]
-
-
 def _region(t, k):
     """Region 3 min(k, 1) + min(l, 2) of the state (k, l = t - 2k), 6 off the states."""
     l = t - 2 * k
@@ -143,21 +120,20 @@ class _Weights:
     each source (kinds 0-8), and Q0's weights from the row above at the same k
     (kind 9) and at k + 1 (kind 10).
 
-    A state's laws depend only on its region: whether k = 0 and whether l is 0,
-    1 or at least 2. Every weight is thus a product of two values taken from
-    :func:`_row_laws` at one state of each region, whose draws add in the same
-    order as at every other state of the region, so each weight has the bits
-    of a row-by-row evaluation. table[kind, t % 2] holds the rows t // 2 of the
-    levels swept so far at one pitch, zero beyond each row; only rows laid out
-    commit pages.
+    A state's laws (Q0, Q1) depend only on its region: whether k = 0 and
+    whether l is 0, 1 or at least 2. Every weight is thus a product of two
+    values of :func:`model.region_laws`, the laws of every state bit for bit,
+    its moves (dk, dl) read as moves (dt, dk) = (2dk + dl, dk) in (total, k).
+    table[kind, t % 2] holds the rows t // 2 of the levels swept so far at one
+    pitch, zero beyond each row; only rows laid out commit pages.
     """
 
     def __init__(self, G: float, a: float, last: int):
-        draws = _draw_arrays(a)  # first, as it rejects an a outside (0, 1)
-        laws = np.zeros((2, 7, 9))  # [arrival, region, move]; region 6 is off the states
-        for region, (t, k) in enumerate([(0, 0), (1, 0), (2, 0), (2, 1), (3, 1), (4, 1)]):
-            for arrived, law in enumerate(_row_laws(t, draws, 4)):
-                laws[arrived, region] = law[:, k + 1]
+        by_region = region_laws(a).reshape(2, 6, 3, 5)  # first, as it rejects an a outside (0, 1)
+        laws = np.zeros((2, 7, 9))  # [arrival, region, 3(dt + 1) + dk + 1]; region 6 is off the states
+        for dk, dl in itertools.product(range(-1, 2), range(-2, 3)):
+            if -1 <= 2 * dk + dl <= 1:  # a slot moves the total by at most one
+                laws[:, :6, 3 * (2 * dk + dl + 1) + dk + 1] = by_region[:, :, dk + 1, dl + 2]
         self.q0, q1 = laws
         c = (a * a + (1.0 - a) ** 2) / (2.0 * a * (1.0 - a))
         stay = np.zeros_like(q1)

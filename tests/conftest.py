@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from relayq import compensation, oracle, psa
-from relayq.model import ModelParams, box_matrix, lambda_for_load, transition_distribution
+from relayq.model import ModelParams, box_matrix, conditional_laws, lambda_for_load, transition_distribution
 
 
 def random_stable_params(rng, n):
@@ -119,18 +119,30 @@ def maxnorm(grid_a, grid_b):
     return float(np.max(np.abs(grid_a.values[: m + 1, : m + 1] - grid_b.values[: m + 1, : m + 1])))
 
 
+def row_laws(t, a, width):
+    """Laws (Q0, Q1) out of the states (k, t - 2k) of total t, by
+    [move, k + 1] with move 3(dt + 1) + dk + 1 in (total, k), zero at k = -1
+    and beyond the row: model.conditional_laws at every state of the row."""
+    laws = np.zeros((2, 9, width))
+    for k in range(t // 2 + 1):
+        for arrived, half in enumerate(conditional_laws((k, t - 2 * k), a, transformed=True)):
+            for dk, dl, prob in half:
+                laws[arrived, 3 * (2 * dk + dl + 1) + dk + 1, k + 1] = prob
+    return laws
+
+
 def level_sweep(G, T, depth, a=0.5):
     """Reference for psa._sweep: the coefficients u[n, k, l] of depths up to
-    ``depth`` by a sweep of whole levels. Each level takes one 3x3 stencil
-    product of the last over the rectangle t <= m, k <= m/2 for its right-hand
-    side, over the moves with a weight anywhere, solves its rows one numpy step
-    each from the top, and sets U_m(0, 0) to minus the row sums, each a left
-    fold along k, added from row m down; the wave sweep must give every bit of
-    it."""
+    ``depth`` by a sweep of whole levels, with the laws of each row taken per
+    state from model.conditional_laws, not from PSA's region table. Each level
+    takes one 3x3 stencil product of the last over the rectangle t <= m,
+    k <= m/2 for its right-hand side, over the moves with a weight anywhere,
+    solves its rows one numpy step each from the top, and sets U_m(0, 0) to
+    minus the row sums, each a left fold along k, added from row m down; the
+    wave sweep must give every bit of it."""
     last = depth + 2 * T
     rows, cols = last + 1, last // 2 + 1
     c = (a * a + (1.0 - a) ** 2) / (2.0 * a * (1.0 - a))
-    draws = psa._draw_arrays(a)
     into = np.zeros((9, rows, cols))
     keep, lower = np.zeros((rows, cols)), np.zeros((rows, cols))
     U = np.zeros((rows + 2, cols + 2))  # U_m at [t + 1, k + 1]
@@ -138,7 +150,7 @@ def level_sweep(G, T, depth, a=0.5):
     solve_rows = []
 
     def row_moves(t, width=cols + 2):
-        q0, q1 = psa._row_laws(t, draws, width)
+        q0, q1 = row_laws(t, a, width)
         stay = np.zeros_like(q0)
         stay[4, 1 : t // 2 + 2] = 1.0
         return q0, ((q1 - stay) / c + G * (stay - q0)) / (1.0 + G)

@@ -149,6 +149,20 @@ def test_stability_exit_code(capsys):
     assert "stability" in err
 
 
+@pytest.mark.parametrize(
+    "point",
+    [["--lambda", "0.4443135333059235", "--a", "0.3331370821691103"],  # load 1 - 1 ulp
+     ["--lambda", "0.3529559493000562", "--a", "0.771149452055452"],  # load 1
+     ["--lambda", "0.3", "--a", "0.5"]],
+)
+def test_stability_verdict_agrees_with_solve(point, capsys):
+    """stability says unstable exactly where solve exits 3, within ulps of load 1 too."""
+    _, out, _ = run_cli(["stability", *point], capsys)
+    verdict = parse_csv(out)["stability"][0]["verdict"]
+    code, _, _ = run_cli(["solve", *point], capsys)
+    assert (verdict == "unstable") == (code == 3)
+
+
 def test_numerical_exit_code(capsys, monkeypatch):
     def boom(*a, **k):
         raise GridError("synthetic numerical failure")

@@ -365,7 +365,7 @@ def test_depth_rule_reproduces_deep_series(monkeypatch, rho, a):
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5])
-@pytest.mark.parametrize("rho", [1e-3, 1e-4, 1e-6])
+@pytest.mark.parametrize("rho", [1e-3, 1e-4, 1e-6, 1e-8, 1e-9, 1e-12, 1e-15])
 def test_solve_at_light_load(rho, a):
     params = ModelParams(lam=lambda_for_load(rho, a), a=a)
     res = ca.solve(params)

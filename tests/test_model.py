@@ -10,9 +10,11 @@ from relayq.model import (
     ModelParams,
     balance_residuals,
     box_matrix,
+    conditional_laws,
     is_stable,
     lambda_for_load,
     max_interior_residual,
+    region_laws,
     step,
     transform_state,
     transformed_transition_distribution,
@@ -26,6 +28,9 @@ def test_params_reject_boundaries():
         with pytest.raises(ValueError):
             ModelParams(lam=lam, a=a)
     ModelParams(lam=1e-9, a=1 - 1e-9)  # strictly interior values are fine
+    for a in (0.0, 1.0, float("nan")):
+        with pytest.raises(ValueError, match="attempt probability"):
+            region_laws(a)
 
 
 def test_load_examples():
@@ -51,6 +56,11 @@ def test_is_stable_examples():
     assert rep.stable and rep.margin == pytest.approx(-0.2, abs=1e-15)
     rep = is_stable(ModelParams(lam=0.3, a=0.05))
     assert not rep.stable and rep.margin == pytest.approx(0.205, abs=1e-15)
+    # within ulps of load 1 the margin's sign disagrees with rho < 1, the solvers' criterion
+    rep = is_stable(ModelParams(lam=0.4443135333059235, a=0.3331370821691103))  # load 1 - 1 ulp
+    assert rep.stable and rep.margin == 0.0
+    rep = is_stable(ModelParams(lam=0.3529559493000562, a=0.771149452055452))  # load 1
+    assert not rep.stable and rep.margin < 0.0
 
 
 def test_stability_matches_load_criterion():
@@ -150,6 +160,22 @@ def test_both_laws_match_hand_tables_in_every_region():
             assert_same_law(transformed_transition_distribution(s, p), hand_transformed_steps(s, p))
 
 
+def test_conditional_halves_mix_into_both_laws():
+    """Each half (Q0, Q1) of either chain is a law, and (1 - lam) Q0 + lam Q1,
+    added move by move, is the chain's law bit for bit."""
+    rng = np.random.default_rng(17)
+    for p in random_params(rng, 300):
+        for transformed, law in ((False, transition_distribution), (True, transformed_transition_distribution)):
+            for s in map(tuple, rng.integers(0, 5, size=(4, 2)).tolist()):
+                q0, q1 = conditional_laws(s, p.a, transformed)
+                assert abs(sum(pr for *_, pr in q0) - 1.0) <= 1e-15
+                assert abs(sum(pr for *_, pr in q1) - 1.0) <= 1e-15
+                mixed = {(dx, dy): p.lbar * pr for dx, dy, pr in q0}
+                for dx, dy, pr in q1:
+                    mixed[dx, dy] = mixed.get((dx, dy), 0.0) + p.lam * pr
+                assert {(dx, dy): pr for dx, dy, pr in law(s, p)} == mixed
+
+
 def test_transition_rows_stochastic_and_nonnegative():
     rng = np.random.default_rng(5)
     states = [(0, 0), (1, 0), (0, 1), (2, 2), (4, 1), (1, 4), (7, 0), (0, 9), (3, 3)]
@@ -227,6 +253,18 @@ def test_box_matrix_rows_are_the_law():
             P = box_matrix(p, T_k, T_l)
             assert isinstance(P, np.ndarray)
             assert np.array_equal(P, law_matrix(transformed_transition_distribution, p, T_k, T_l))
+
+
+def test_region_laws_are_the_conditional_laws_at_every_state():
+    rng = np.random.default_rng(18)
+    for p in random_params(rng, 20):
+        laws = region_laws(p.a)
+        for k, l in itertools.product(range(5), range(7)):
+            for arrived, half in enumerate(conditional_laws((k, l), p.a, transformed=True)):
+                table = np.zeros((3, 5))
+                for dk, dl, pr in half:
+                    table[dk + 1, dl + 2] = pr
+                assert np.array_equal(laws[arrived, min(k, 1), min(l, 2)], table), (k, l)
 
 
 def test_oracle_folds_dropped_steps_into_self_loops():
