@@ -42,7 +42,7 @@ import numpy as np
 from . import compensation, measures, oracle, psa, simulator
 from .errors import GridError, NumericsError, RelayQError, StabilityError
 from .grids import ProbabilityGrid
-from .model import EPSILON_FLOOR, ModelParams, is_stable, lambda_for_load
+from .model import EPSILON_FLOOR, ModelParams, is_stable, lambda_for_load, truncation
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -124,12 +124,6 @@ def _measure_rows(report: measures.MeasureReport) -> list[dict]:
     return rows
 
 
-def _psa_reporting_grid(solution) -> ProbabilityGrid:
-    # a non-converged reconstruction carries round-off (or divergence) mass;
-    # measures are reported from the clipped, renormalized grid
-    return solution.grid.clipped().normalized()
-
-
 def _solve_grid(params: ModelParams, spec: RunSpec) -> ProbabilityGrid:
     if spec.method == "ca":
         return compensation.solve(params, epsilon=spec.epsilon).grid
@@ -142,9 +136,9 @@ def _solve_grid(params: ModelParams, spec: RunSpec) -> ProbabilityGrid:
                 f"N = {solution.N_psa}); measures come from the clipped, renormalized partial sum",
                 file=sys.stderr,
             )
-        return _psa_reporting_grid(solution)
+        return solution.grid
     if spec.method == "oracle":
-        return oracle.stationary(oracle.build(params, oracle.choose_truncation(params, spec.epsilon)))
+        return oracle.stationary(oracle.build(params, truncation(params, spec.epsilon)[0]))
     raise UsageError(f"unknown method {spec.method!r}")
 
 
@@ -170,13 +164,12 @@ def _solve_ca_and_psa(params: ModelParams, spec: RunSpec) -> _CaPsa:
     except NumericsError as exc:
         print(f"warning: {exc}; the power-series cells are empty", file=sys.stderr)
         return _CaPsa(ca_grid, None, False, ca_measures, None)
-    psa_grid = _psa_reporting_grid(ps)
     return _CaPsa(
         ca_grid=ca_grid,
-        psa_grid=psa_grid,
+        psa_grid=ps.grid,
         psa_converged=ps.diagnostics.converged,
         ca_measures=ca_measures,
-        psa_measures=measures.moments_from_transformed(psa_grid, params),
+        psa_measures=measures.moments_from_transformed(ps.grid, params),
     )
 
 
@@ -236,7 +229,7 @@ def run(spec: RunSpec) -> dict:
     if spec.command == "compare":
         params = _resolve_params(spec)
         both = _solve_ca_and_psa(params, spec)
-        orc = oracle.stationary(oracle.build(params, oracle.choose_truncation(params, min(spec.epsilon, 1e-10))))
+        orc = oracle.stationary(oracle.build(params, truncation(params, min(spec.epsilon, 1e-10))[0]))
 
         def maxnorm(g1: ProbabilityGrid | None, g2: ProbabilityGrid | None) -> float | None:
             if g1 is None or g2 is None:

@@ -30,13 +30,13 @@ operator's tap block.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import NumericsError, StabilityError
 from .grids import ProbabilityGrid, square
-from .model import EPSILON_FLOOR, ModelParams, check_epsilon, grid_truncation, transformed_inflows
+from .model import ModelParams, transformed_inflows, truncation
 
 __all__ = [
     "CompensationSeries",
@@ -77,7 +77,6 @@ class CompensationSeries:
     c: np.ndarray
     e0: np.ndarray
     e1: np.ndarray
-    normalization: float = float("nan")
 
     @property
     def n_terms(self) -> int:
@@ -222,8 +221,13 @@ def leading_boundary_coefficients(
     r = _product_term_rows(gamma0, delta0, params) * d0 * delta0**2
     # the rows differ in scale by powers of gamma0 = rho^2; equilibrate them
     row_scale = np.max(np.abs(M), axis=1)
-    M, r = M / row_scale[:, None], r / row_scale
-    sol, *_ = np.linalg.lstsq(M, r, rcond=None)
+    try:
+        # a row whose powers of gamma0 underflow is 0/0 here, and NaN would reach LAPACK
+        with np.errstate(invalid="raise"):
+            M, r = M / row_scale[:, None], r / row_scale
+        sol, *_ = np.linalg.lstsq(M, r, rcond=None)
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NumericsError(f"leading-term boundary system unsolvable at gamma0={gamma0!r}: {exc}") from exc
     resid = float(np.linalg.norm(M @ sol - r))
     scale = float(np.linalg.norm(r)) + 1e-300
     if resid > 1e-9 * scale:
@@ -367,10 +371,11 @@ def solve(
     """Full compensation solve: series + origin-box closure + normalization.
 
     Every state outside the box [0,2]^2 takes the value of the series; the
-    box comes from its own balance equations. The series has
-    n = max(ceil(log(epsilon)/log(w/w_hat)), 1) terms, as its terms shrink by
-    the limit-root ratio w/w_hat of :func:`asymptotic_ratios`, with
-    ``epsilon`` clamped at the 64-bit floor; its roots are the kernel's
+    box comes from its own balance equations. :func:`relayq.model.truncation`
+    gates the load and ``epsilon``, clamps ``epsilon`` at the 64-bit floor and
+    sizes the grid. The series has n = max(ceil(log(epsilon)/log(w/w_hat)), 1)
+    terms, as its terms shrink by the limit-root ratio w/w_hat of
+    :func:`asymptotic_ratios`; its roots are the kernel's
     closed forms (:func:`gamma_root`, :func:`delta_root`). It counts as
     converged when its last term moves less than ``epsilon`` of the
     unnormalized mass; otherwise :class:`NumericsError` is raised. Returns
@@ -379,9 +384,9 @@ def solve(
     consumer needs more states (decay diagnostics want a deep tail, for
     instance).
     """
-    epsilon_requested = check_epsilon(epsilon)
-    epsilon = max(epsilon, EPSILON_FLOOR)
-    T = max(grid_truncation(initial_gamma(params), epsilon), T_min or 3)
+    epsilon_requested = epsilon
+    T, epsilon = truncation(params, epsilon)
+    T = max(T, T_min or 3)
     w, w_hat = asymptotic_ratios(params)
     series = compute_series(params, max(math.ceil(math.log(epsilon) / math.log(w / w_hat)), 1))
     n = series.n_terms
@@ -415,9 +420,7 @@ def solve(
     if float(grid_vals.min()) < floor:
         raise NumericsError(f"normalized grid has negative entry {grid_vals.min():.3e}")
 
-    series = replace(series, normalization=1.0 / total)
     grid = ProbabilityGrid(grid_vals).clipped().normalized()
-    grid.validate(sum_tol=1e-12, neg_tol=0.0)
     return CompensationResult(
         series=series,
         grid=grid,

@@ -32,9 +32,9 @@ class ProbabilityGrid:
     """Equilibrium probabilities on a square truncation of the state space.
 
     ``values[k, l]`` over (k, l) = (min, |difference|), 0 <= k, l <= T.
-    Producers decide how strictly to validate: the direct solvers emit exactly
-    normalized, non-negative grids, while the power-series reconstruction may
-    carry round-off-scale negatives that are clipped only when reporting.
+    Every solver returns a normalized, non-negative grid; the power-series
+    reconstruction of :func:`relayq.psa.evaluate` may carry round-off-scale
+    negatives, which its solve clips before it renormalizes.
     """
 
     values: np.ndarray
@@ -51,15 +51,6 @@ class ProbabilityGrid:
 
     def total(self) -> float:
         return float(self.values.sum())
-
-    def validate(self, *, sum_tol: float = 1e-12, neg_tol: float = 0.0) -> None:
-        """Raise GridError unless mass is 1 within sum_tol and entries >= -neg_tol."""
-        tot = self.total()
-        if abs(tot - 1.0) > sum_tol:
-            raise GridError(f"grid mass {tot!r} differs from 1 by more than {sum_tol}")
-        worst = float(self.values.min())
-        if worst < -neg_tol:
-            raise GridError(f"grid has entry {worst} below -{neg_tol}")
 
     def normalized(self) -> "ProbabilityGrid":
         tot = self.total()

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError
+from .errors import GridError, StabilityError
 
 __all__ = [
     "ModelParams",
@@ -51,8 +51,7 @@ __all__ = [
     "balance_residuals",
     "lambda_for_load",
     "EPSILON_FLOOR",
-    "check_epsilon",
-    "grid_truncation",
+    "truncation",
 ]
 
 EPSILON_FLOOR = 1e-12  # CA, PSA and oracle precision floor: 64-bit arithmetic cannot honour less
@@ -139,20 +138,24 @@ def lambda_for_load(rho: float, a: float) -> float:
     return c / (ab * ab + a * a + c)
 
 
-def check_epsilon(epsilon: float) -> float:
-    """``epsilon`` unchanged if it is a precision target (finite and > 0); ValueError if not."""
+def truncation(params: ModelParams, epsilon: float) -> tuple[int, float]:
+    """Side T of every route's box and the precision it is sized for: the one
+    load gate and box rule of CA, PSA, the oracle and the simulator's grid cap.
+
+    ``epsilon`` must be finite and > 0 (ValueError) and is clamped at
+    :data:`EPSILON_FLOOR`; the load must be below 1 (:class:`StabilityError`).
+    The minimum queue decays like rho^2, so T = max(ceil(log(epsilon) /
+    (2 log(rho))), 3) puts the first level beyond the box at about ``epsilon``
+    of the origin's mass. It is computed in logs, since rho^2 underflows at
+    tiny loads. Returns (T, clamped epsilon).
+    """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
-    return epsilon
-
-
-def grid_truncation(decay: float, epsilon: float) -> int:
-    """Side T = max(ceil(log(epsilon) / log(decay)), 3) of the CA and PSA grids.
-
-    ``decay`` is rho^2, the geometric decay rate of the minimum queue, so the
-    first state beyond the grid is about ``epsilon`` of the origin's mass.
-    """
-    return max(math.ceil(math.log(epsilon) / math.log(decay)), 3)
+    rho = params.rho
+    if rho >= 1.0:
+        raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")
+    epsilon = max(epsilon, EPSILON_FLOOR)
+    return max(math.ceil(math.log(epsilon) / (2 * math.log(rho))), 3), epsilon
 
 
 def step(q1, q2, arrival, tie_to_q1, att1, att2):
@@ -310,8 +313,9 @@ def balance_residuals(values: np.ndarray, params: ModelParams) -> np.ndarray:
     precision on every non-NaN entry.
     """
     pi = np.asarray(values, dtype=float)
-    if pi.ndim != 2 or pi.shape[0] != pi.shape[1] or pi.shape[0] < 5:
-        raise GridError("need a square grid of size at least 5x5")
+    # a 3x3 grid holds the whole stencil of (0, 0), k + 1 and l + 2: the smallest checked
+    if pi.ndim != 2 or pi.shape[0] != pi.shape[1] or pi.shape[0] < 3:
+        raise GridError("need a square grid of size at least 3x3")
     n = pi.shape[0]
     # steps move k by at most 1 and l by at most 2: this box, NaN off the grid, holds every source
     padded = np.full((n + 1, n + 2), np.nan)

@@ -7,8 +7,11 @@ pi_(k+1) = pi_k R for k >= 1, with R the minimal nonnegative solution of
 R = A0 + R A1 + R^2 A2 (Neuts 1981; Latouche & Ramaswami 1999, ch. 6 and 8).
 The blocks are :func:`relayq.model.region_law` tiled over [0,2] x [0,T_l],
 with the mass of every step to l > T_l folded back into its self-loop, so
-only the phase is truncated. GTH state reduction solves the chain censored on
-levels 0 and 1; it fails exactly when a state cannot reach (0, 0).
+only the phase is truncated. The CLI reports it on the box of side
+:func:`relayq.model.truncation`, the box rule of CA and PSA too, so the three
+routes report the same box at the same epsilon. GTH state reduction solves the
+chain censored on levels 0 and 1; it fails exactly when a state cannot reach
+(0, 0).
 """
 
 from __future__ import annotations
@@ -20,11 +23,11 @@ import numpy as np
 
 from .errors import GridError, NumericsError, StabilityError
 from .grids import ProbabilityGrid, square
-from .model import EPSILON_FLOOR, ModelParams, box_matrix, check_epsilon, grid_truncation
+from .model import ModelParams, box_matrix
 # not called here: benchmarks/tracing.py, its only user, patches this name
 from .model import transformed_transition_distribution  # noqa: F401
 
-__all__ = ["QBDChain", "build", "stationary", "choose_truncation", "gth_stationary"]
+__all__ = ["QBDChain", "build", "stationary", "gth_stationary"]
 
 
 def __getattr__(name: str):
@@ -71,15 +74,15 @@ def build(params: ModelParams, T: int) -> QBDChain:
     """The QBD of the transformed chain, its phase truncated at T_l <= T.
 
     Mass decays along l faster than rho^2/2 (CA's delta < gamma/2), so column
-    T_l = grid_truncation(rho^2/2, rho^(2T)) holds no more mass than level T.
-    It is computed in logs, since rho^(2T) underflows at tiny loads.
+    T_l = ceil(log(rho^(2T)) / log(rho^2/2)) holds no more mass than level T.
+    It is computed in logs, since rho^2 underflows at tiny loads.
     """
     if T < 3:
         raise GridError("truncation level must be at least 3")
     rho = params.rho
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")
-    T_l = min(T, max(math.ceil(2 * T * math.log(rho) / math.log(rho * rho / 2)), 3))
+    T_l = min(T, max(math.ceil(2 * T * math.log(rho) / (2 * math.log(rho) - math.log(2))), 3))
     n = T_l + 1
     P = box_matrix(params, 2, T_l)[: 2 * n]
     # fold the mass of the steps to l > T_l back into each row's self-loop
@@ -152,17 +155,3 @@ def stationary(chain: QBDChain) -> ProbabilityGrid:
         values[k, :n] = row
         row = row @ chain.R
     return ProbabilityGrid(values).normalized()
-
-
-def choose_truncation(params: ModelParams, epsilon: float) -> int:
-    """Smallest T with rho^(2T) < epsilon*(1 - rho^2), floored at 3, with
-    ``epsilon`` clamped at the 64-bit floor as CA and PSA clamp it.
-
-    Geometric-tail sizing: the minimum queue decays at rate rho^2, so the
-    mass beyond level T is of order rho^(2T)/(1 - rho^2).
-    """
-    epsilon = max(check_epsilon(epsilon), EPSILON_FLOOR)
-    rho = params.rho
-    if rho >= 1.0:
-        raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")
-    return grid_truncation(rho * rho, epsilon * (1 - rho * rho))

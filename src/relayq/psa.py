@@ -40,9 +40,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError, StabilityError
+from .errors import NumericsError
 from .grids import ProbabilityGrid
-from .model import EPSILON_FLOOR, ModelParams, check_epsilon, grid_truncation, region_laws
+from .model import ModelParams, max_interior_residual, region_laws, truncation
 
 __all__ = [
     "PsaDiagnostics",
@@ -56,6 +56,9 @@ __all__ = [
 MAX_OUTER_ITERATIONS = 500  # last level a solve may sweep; bounds its depth, time and memory
 _IMPROVEMENT_PATIENCE = 50
 _SETTLED = 1e-6  # largest change an unconverged answer may have; the tests hold PSA to CA within it
+# largest balance residual of an answer where epsilon is smaller: answers within
+# 1e-6 of CA reach 6.3e-9, those far from it at a large G at least 7.2e-8
+_RESIDUAL_FLOOR = 2e-8
 _WAVE_LEVELS = 32  # levels a wave solves one row of each; bounds a wave's width
 
 
@@ -96,7 +99,7 @@ class PsaSolution:
     u: np.ndarray  # coefficients, shape (N_psa+1, T_psa+1, T_psa+1)
     N_psa: int
     T_psa: int
-    grid: ProbabilityGrid
+    grid: ProbabilityGrid  # the partial sum at theta, clipped at zero and renormalized
     diagnostics: PsaDiagnostics
 
 
@@ -380,13 +383,17 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     did not settle and its partial sums are no answer (Blanc 1992), so it
     raises :class:`NumericsError`; it raises it before the sweep when the
     level budget completes no depth beyond the first.
+
+    :func:`relayq.model.truncation` gates the load and ``epsilon``, clamps
+    ``epsilon`` at the 64-bit floor and sizes the grid. The answer is the
+    partial sum clipped at zero and renormalized. A series can settle on a
+    sum far from the equilibrium, as it does at a large G, so the solve
+    also raises :class:`NumericsError` when the answer's largest balance
+    residual exceeds max(epsilon, 2e-8).
     """
+    T, epsilon = truncation(params, epsilon)
     rho = params.rho
-    if rho >= 1.0:
-        raise StabilityError(f"load {rho:.4f} >= 1; equilibrium does not exist")
-    epsilon = max(check_epsilon(epsilon), EPSILON_FLOOR)
     theta = theta_from_rho(rho, G)
-    T = grid_truncation(rho * rho, epsilon)
 
     # one sweep up to level MAX_OUTER_ITERATIONS: the coefficient array holds
     # every depth up to the cap, and the mass increment dS_n of depth n is
@@ -434,13 +441,20 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
             f"(stop: {stop_reason} after {len(rel_hist)} depths)"
         )
     u = u[: best_n + 1]
+    grid = _reconstruct(u, theta).clipped().normalized()
+    residual, bound = max_interior_residual(grid.values, params), max(epsilon, _RESIDUAL_FLOOR)
+    if not residual <= bound:
+        raise NumericsError(
+            f"power series at load {rho:.4g}, G = {G:g} settled on a grid with balance residual "
+            f"{residual:.3g}, above {bound:g} (depth {best_n}, stop: {stop_reason})"
+        )
     return PsaSolution(
         G=G,
         theta=theta,
         u=u,
         N_psa=best_n,
         T_psa=T,
-        grid=_reconstruct(u, theta),
+        grid=grid,
         diagnostics=PsaDiagnostics(
             converged=converged,
             achieved_rel_change=best_rel,

@@ -27,8 +27,7 @@ import numpy as np
 
 from .errors import NumericsError
 from .grids import ProbabilityGrid
-from .model import ModelParams, is_stable, step
-from .oracle import choose_truncation
+from .model import ModelParams, is_stable, step, truncation
 
 __all__ = ["SimConfig", "SimResult", "simulate", "estimate_stability_boundary", "step"]
 
@@ -174,7 +173,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     queue growth in the averages. Identical (params, config) pairs produce
     bitwise identical results.
     """
-    cap = 2 * choose_truncation(params, 1e-10) if is_stable(params).stable else 100
+    cap = 2 * truncation(params, 1e-10)[0] if is_stable(params).stable else 100
 
     qsums, sojourns, correls = [], [], []
     counts = np.zeros((1, 1), dtype=np.int64)

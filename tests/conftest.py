@@ -2,7 +2,14 @@ import numpy as np
 import pytest
 
 from relayq import compensation, oracle, psa
-from relayq.model import ModelParams, box_matrix, conditional_laws, lambda_for_load, transition_distribution
+from relayq.model import (
+    ModelParams,
+    box_matrix,
+    conditional_laws,
+    lambda_for_load,
+    transition_distribution,
+    truncation,
+)
 
 
 def random_stable_params(rng, n):
@@ -85,13 +92,13 @@ def psa_rho04(params_rho04):
 
 @pytest.fixture(scope="session")
 def oracle_base(base_params, ca_base):
-    T = max(oracle.choose_truncation(base_params, 1e-10), ca_base.T)
+    T = max(truncation(base_params, 1e-10)[0], ca_base.T)
     return oracle.stationary(oracle.build(base_params, T))
 
 
 @pytest.fixture(scope="session")
 def oracle_rho04(params_rho04, ca_rho04):
-    T = max(oracle.choose_truncation(params_rho04, 1e-10), ca_rho04.T)
+    T = max(truncation(params_rho04, 1e-10)[0], ca_rho04.T)
     return oracle.stationary(oracle.build(params_rho04, T))
 
 
@@ -106,7 +113,7 @@ def solution():
         if key not in solved:
             p = ModelParams(lam=lambda_for_load(rho, a), a=a)
             if method == "oracle":
-                solved[key] = oracle.stationary(oracle.build(p, oracle.choose_truncation(p, 1e-12)))
+                solved[key] = oracle.stationary(oracle.build(p, truncation(p, 1e-12)[0]))
             else:
                 solved[key] = {"ca": compensation.solve, "psa": psa.solve}[method](p)
         return solved[key]

@@ -504,6 +504,32 @@ def test_power_series_runs_at_any_attempt_probability(capsys):
     assert rows["maxnorm_psa_oracle"] < 1e-6
 
 
+_TINY_LOAD_COMMANDS = [
+    *(["solve", "--method", method] for method in ("ca", "psa", "oracle")),
+    ["solve", "--method", "sim", *_SMALL_SIM],
+    ["decay"],
+]
+
+
+@pytest.mark.parametrize("rho", ["1e-100", "1e-200", "1e-300"])
+@pytest.mark.parametrize("args", _TINY_LOAD_COMMANDS, ids=lambda args: args[2] if args[0] == "solve" else args[0])
+def test_tiny_loads_answer_or_fail_typed(args, rho, capsys):
+    """rho^2 underflows from rho = 1e-162: every route sizes its box in logs,
+    and CA, which needs rho^2 itself, fails typed."""
+    code, _, err = run_cli([*args, "--rho", rho], capsys)
+    assert code in (0, 4) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rho", [1e-100, 1e-200, 1e-300])
+@pytest.mark.parametrize("method", ["psa", "oracle"])
+def test_tiny_loads_mean_total(method, rho, capsys):
+    """At a = 1/2, E[Q1 + Q2] = rho / (1 - rho), as for one server."""
+    code, out, _ = run_cli(["solve", "--method", method, "--rho", repr(rho)], capsys)
+    assert code == 0
+    rows = {r["name"]: r["value"] for r in parse_csv(out)["measures"]}
+    assert float(rows["e_qsum"]) == pytest.approx(rho / (1 - rho), rel=1e-12)
+
+
 def test_decay_command(capsys):
     code, out, _ = run_cli(["decay", "--rho", "0.4", "--a", "0.5"], capsys)
     assert code == 0

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from relayq import compensation, oracle, psa
-from relayq.errors import GridError
+from relayq.errors import GridError, StabilityError
 from relayq.model import (
     ModelParams,
     balance_residuals,
@@ -19,6 +19,7 @@ from relayq.model import (
     transform_state,
     transformed_transition_distribution,
     transition_distribution,
+    truncation,
 )
 from conftest import law_matrix, original_box, random_params, random_stable_params, transformed_box
 
@@ -230,15 +231,18 @@ def test_balance_residuals_zero_grid(base_params):
 
 
 def test_balance_residuals_reject_small(base_params):
+    """A 3x3 grid, the smallest checked, holds the whole stencil of (0, 0), so
+    PSA's 4x4 grids (T = 3: rho = 0.1 at epsilon 1e-4, tiny loads) are checked."""
     with pytest.raises(GridError):
-        balance_residuals(np.zeros((3, 3)), base_params)
+        balance_residuals(np.zeros((2, 2)), base_params)
+    assert np.isfinite(balance_residuals(np.ones((3, 3)), base_params)[0, 0])
 
 
 def test_balance_residuals_oracle_grid(base_params, oracle_base):
     assert max_interior_residual(oracle_base.values, base_params) < 1e-10
-    # near saturation too, where the oracle's grid is 249^2
+    # near saturation too, where the oracle's grid is 226^2
     p = ModelParams(lam=lambda_for_load(0.95, 0.3), a=0.3)
-    grid = oracle.stationary(oracle.build(p, oracle.choose_truncation(p, 1e-10)))
+    grid = oracle.stationary(oracle.build(p, truncation(p, 1e-10)[0]))
     assert max_interior_residual(grid.values, p) < 1e-10
 
 
@@ -322,13 +326,33 @@ def test_balance_residuals_peak_memory_is_a_few_grids():
 @pytest.mark.parametrize("epsilon", [float("inf"), float("nan"), 0.0, -1e-12])
 @pytest.mark.parametrize("solver", ["compensation", "psa", "oracle"])
 def test_a_bad_epsilon_is_a_value_error(solver, epsilon):
-    """CA, PSA and the oracle's truncation refuse an epsilon that is not
-    finite and positive with one message, before any clamp at the floor."""
+    """CA, PSA and the oracle's box, all sized by model.truncation, refuse an
+    epsilon that is not finite and positive with one message, before any
+    clamp at the floor."""
     p = ModelParams(lam=lambda_for_load(0.4, 0.5), a=0.5)
     run = {
         "compensation": lambda: compensation.solve(p, epsilon=epsilon),
         "psa": lambda: psa.solve(p, epsilon=epsilon),
-        "oracle": lambda: oracle.choose_truncation(p, epsilon),
+        "oracle": lambda: oracle.build(p, truncation(p, epsilon)[0]),
     }[solver]
     with pytest.raises(ValueError, match="epsilon must be finite and > 0, got"):
         run()
+
+
+def test_truncation():
+    """The box of every route: T = max(ceil(log(epsilon) / (2 log(rho))), 3),
+    in logs, since rho^2 underflows to 0 from rho = 1e-162."""
+    p = ModelParams(lam=lambda_for_load(0.4, 0.5), a=0.5)
+    assert truncation(p, 1e-10) == (13, 1e-10)
+    assert truncation(ModelParams(lam=0.001, a=0.5), 1e-6) == (3, 1e-6)
+    for rho in (1e-100, 1e-200, 1e-300):
+        assert truncation(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5), 1e-12) == (3, 1e-12)
+    with pytest.raises(StabilityError):
+        truncation(ModelParams(lam=0.6, a=0.5), 1e-10)
+
+
+def test_truncation_clamps_epsilon_at_the_floor():
+    """Below the 64-bit floor a smaller epsilon asks for no larger grid: at
+    rho = 0.99, 1e-300 would size T = 34,366, a grid of 8.8 GiB."""
+    p = ModelParams(lam=lambda_for_load(0.99, 0.5), a=0.5)
+    assert truncation(p, 1e-300) == truncation(p, 1e-12) == (1375, 1e-12)

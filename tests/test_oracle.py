@@ -5,7 +5,7 @@ import pytest
 
 from relayq import compensation, oracle
 from relayq.errors import GridError, NumericsError, RelayQError, StabilityError
-from relayq.model import ModelParams, lambda_for_load
+from relayq.model import ModelParams, lambda_for_load, truncation
 from conftest import maxnorm, original_box, push_forward, random_stable_params, transformed_box
 
 
@@ -138,25 +138,9 @@ def test_chain_that_never_enters_origin_reports_state(base_params):
         oracle.stationary(dataclasses.replace(ch, boundary=bad))
 
 
-def test_choose_truncation():
-    p = ModelParams(lam=lambda_for_load(0.4, 0.5), a=0.5)
-    assert oracle.choose_truncation(p, 1e-10) == 13
-    tiny = ModelParams(lam=0.001, a=0.5)
-    assert oracle.choose_truncation(tiny, 1e-6) == 3
-    with pytest.raises(StabilityError):
-        oracle.choose_truncation(ModelParams(lam=0.6, a=0.5), 1e-10)
-
-
-def test_choose_truncation_clamps_epsilon_at_the_floor():
-    """Below the 64-bit floor a smaller epsilon asks for no larger grid: at
-    rho = 0.99, 1e-300 would size T = 34,561, a grid of 8.9 GiB."""
-    p = ModelParams(lam=lambda_for_load(0.99, 0.5), a=0.5)
-    assert oracle.choose_truncation(p, 1e-300) == oracle.choose_truncation(p, 1e-12)
-
-
 def test_truncation_edge_mass(params_rho04):
     eps = 1e-10
-    T = oracle.choose_truncation(params_rho04, eps)
+    T = truncation(params_rho04, eps)[0]
     grid = oracle.stationary(oracle.build(params_rho04, T))
     edge = grid.values[T - 1 :, :].sum() + grid.values[: T - 1, T - 1 :].sum()
     assert edge < 10 * eps
@@ -165,7 +149,7 @@ def test_truncation_edge_mass(params_rho04):
 def test_truncation_doubling_consistency():
     # load 0.55 (within the contract's "rho <= 0.7" range, sized for runtime)
     p = ModelParams(lam=lambda_for_load(0.55, 0.5), a=0.5)
-    T = oracle.choose_truncation(p, 1e-11)
+    T = truncation(p, 1e-11)[0]
     g1 = oracle.stationary(oracle.build(p, T))
     g2 = oracle.stationary(oracle.build(p, 2 * T))
     assert np.max(np.abs(g1.values[: T // 2, : T // 2] - g2.values[: T // 2, : T // 2])) < 1e-10
@@ -183,7 +167,7 @@ def test_matches_compensation_near_saturation(rho, a):
     like the minimum queue, at rate rho^2."""
     p = _point(rho, a)
     eps = 1e-10
-    chain = oracle.build(p, oracle.choose_truncation(p, eps))
+    chain = oracle.build(p, truncation(p, eps)[0])
     assert maxnorm(compensation.solve(p).grid, oracle.stationary(chain)) < eps
     assert abs(np.max(np.abs(np.linalg.eigvals(chain.R))) - rho**2) < 1e-12
 
@@ -193,7 +177,7 @@ def test_matches_compensation_near_saturation(rho, a):
 def test_matches_dense_reference(rho, a):
     p = _point(rho, a)
     eps = 1e-10
-    T = oracle.choose_truncation(p, eps)
+    T = truncation(p, eps)[0]
     dense = oracle.gth_stationary(transformed_box(p, T)).reshape(T + 1, T + 1)
     assert np.max(np.abs(oracle.stationary(oracle.build(p, T)).values - dense)) < eps
 

@@ -287,14 +287,25 @@ def test_held_box_stays_within_budget(monkeypatch, params_rho04, psa_rho04):
         psa.solve(params_rho04)
 
 
-@pytest.mark.parametrize("rho, epsilon", [(0.942, 1e-12), (0.95, 1e-8)])
-def test_unsettled_partial_sum_is_no_answer(rho, epsilon):
+@pytest.mark.parametrize(
+    "rho, G, epsilon, match",
+    [
+        pytest.param(0.942, 1.0, 1e-12, "did not settle", id="0.942-1e-12"),
+        pytest.param(0.95, 1.0, 1e-8, "did not settle", id="0.95-1e-08"),
+        pytest.param(0.4, 1000.0, 1e-12, "balance residual", id="0.4-G1000"),
+        pytest.param(0.8, 10.0, 1e-12, "balance residual", id="0.8-G10"),
+        pytest.param(0.4, 1e308, 1e-12, "balance residual", id="0.4-G1e308"),
+    ],
+)
+def test_unsettled_partial_sum_is_no_answer(rho, G, epsilon, match):
     """Where the level budget ends the series long before it settles, the
     depth of smallest change is depth 3, about 0.15 from CA; the solve
-    raises rather than return it."""
+    raises rather than return it. At a large G the series settles, even
+    converges at G = 1e308, on a sum 0.12 to 0.40 from CA at rho = 0.4 and
+    3.1e-6 from it at rho = 0.8: its balance residual refuses it."""
     p = ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5)
-    with pytest.raises(NumericsError, match="did not settle"):
-        psa.solve(p, G=1.0, epsilon=epsilon)
+    with pytest.raises(NumericsError, match=match):
+        psa.solve(p, G=G, epsilon=epsilon)
 
 
 def test_budget_refuses_near_saturation_before_the_sweep(monkeypatch):

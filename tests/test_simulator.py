@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relayq import oracle, simulator
+from relayq import simulator
 from relayq.errors import NumericsError
-from relayq.model import ModelParams, lambda_for_load, transition_distribution
+from relayq.model import ModelParams, lambda_for_load, transition_distribution, truncation
 from relayq.simulator import SimConfig, estimate_stability_boundary, simulate, step
 
 
@@ -193,7 +193,7 @@ def test_empirical_distribution_properties(base_params):
     res = simulate(base_params, small_config())
     total = res.empirical.total() + res.overflow_mass
     assert total == pytest.approx(1.0, abs=1e-12)
-    assert res.grid_cap == 2 * oracle.choose_truncation(base_params, 1e-10)
+    assert res.grid_cap == 2 * truncation(base_params, 1e-10)[0]
     assert res.e_sojourn == pytest.approx(res.e_qsum / base_params.lam, rel=1e-12)
 
 
