@@ -20,8 +20,11 @@ roots (:func:`asymptotic_ratios`), so the series takes
 n = max(ceil(log(epsilon)/log(w/w_hat)), 1) terms.
 
 The kernel and the boundary equations behind the coefficients are written
-in closed form here, because they are the method. The inner-box equations
-are not: they come from the chain's inflow operator
+in closed form here, because they are the method. The leading term's 3x2
+boundary system and each repair step's 3x3 one share one solver, which
+accepts x only if ||M x - r||_2 <= 1e-9 ||r||_2; one evaluator reads both
+series forms from one table gamma_i^k. The inner-box equations are not
+closed forms: they come from the chain's inflow operator
 (:func:`relayq.model.transformed_inflows`, built from the one-step law),
 and the series values on the states around the box feed them through the
 operator's tap block.
@@ -104,10 +107,12 @@ def kernel_residual(gamma: float, delta: float, params: ModelParams) -> float:
 
 
 def initial_gamma(params: ModelParams) -> float:
-    """Starting decay rate gamma_0 = rho^2 (requires a stable system)."""
+    """Starting decay rate gamma_0 = rho^2, for a stable load whose rho^2 does not underflow."""
     rho = params.rho
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; equilibrium does not exist")
+    if not rho * rho > 0.0:
+        raise NumericsError(f"gamma0 = rho^2 underflows to 0 at load {rho!r}")
     return rho * rho
 
 
@@ -206,6 +211,26 @@ def _product_term_rows(gamma: float, delta: float, params: ModelParams) -> np.nd
     )
 
 
+def _solve_rows(M: np.ndarray, r: np.ndarray, what: str) -> np.ndarray:
+    """Solve a boundary system M x = r, whose rows differ in scale by powers of gamma.
+
+    Each row is divided by its largest entry (one that underflowed is 0/0
+    and raises); a square M is solved directly, a taller one by least
+    squares. Any failure, or ||M x - r||_2 > 1e-9 ||r||_2, is a NumericsError.
+    """
+    try:
+        with np.errstate(divide="raise", invalid="raise"):
+            scale = np.max(np.abs(M), axis=1)
+            M, r = M / scale[:, None], r / scale
+        x = np.linalg.solve(M, r) if M.shape[0] == M.shape[1] else np.linalg.lstsq(M, r, rcond=None)[0]
+    except (FloatingPointError, np.linalg.LinAlgError) as exc:
+        raise NumericsError(f"{what} unsolvable: {exc}") from exc
+    resid = float(np.linalg.norm(M @ x - r))
+    if not resid <= 1e-9 * float(np.linalg.norm(r)):
+        raise NumericsError(f"{what} inconsistent (residual {resid:.3e})")
+    return x
+
+
 def leading_boundary_coefficients(
     gamma0: float, delta0: float, d0: float, params: ModelParams
 ) -> tuple[float, float]:
@@ -219,23 +244,8 @@ def leading_boundary_coefficients(
     """
     M = _horizontal_rows(gamma0, params)
     r = _product_term_rows(gamma0, delta0, params) * d0 * delta0**2
-    # the rows differ in scale by powers of gamma0 = rho^2; equilibrate them
-    row_scale = np.max(np.abs(M), axis=1)
-    try:
-        # a row whose powers of gamma0 underflow is 0/0 here, and NaN would reach LAPACK
-        with np.errstate(invalid="raise"):
-            M, r = M / row_scale[:, None], r / row_scale
-        sol, *_ = np.linalg.lstsq(M, r, rcond=None)
-    except (FloatingPointError, np.linalg.LinAlgError) as exc:
-        raise NumericsError(f"leading-term boundary system unsolvable at gamma0={gamma0!r}: {exc}") from exc
-    resid = float(np.linalg.norm(M @ sol - r))
-    scale = float(np.linalg.norm(r)) + 1e-300
-    if resid > 1e-9 * scale:
-        raise NumericsError(
-            f"leading-term boundary system inconsistent (residual {resid:.3e}); "
-            "is gamma0 = rho^2 satisfied?"
-        )
-    return float(sol[0]), float(sol[1])
+    e0, e1 = _solve_rows(M, r, f"leading-term boundary system at gamma0={gamma0!r}")
+    return float(e0), float(e1)
 
 
 def horizontal_coefficients(
@@ -255,17 +265,8 @@ def horizontal_coefficients(
     M[:, :2] = _horizontal_rows(gamma_ip1, params)
     M[:, 2] = -_product_term_rows(gamma_ip1, delta_ip1, params) * delta_ip1**2
     r = _product_term_rows(gamma_ip1, delta_i, params) * c_ip1 * delta_i**2
-    # the rows differ in scale by powers of gamma, far apart at light load; equilibrate them
-    row_scale = np.max(np.abs(M), axis=1)
-    M, r = M / row_scale[:, None], r / row_scale
-    try:
-        sol = np.linalg.solve(M, r)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"horizontal repair system singular: {exc}") from exc
-    resid = float(np.max(np.abs(M @ sol - r)))
-    if not np.all(np.isfinite(sol)) or resid > 1e-8 * (np.max(np.abs(r)) + 1e-300):
-        raise NumericsError("horizontal repair system ill-conditioned")
-    return float(sol[0]), float(sol[1]), float(sol[2])
+    e0, e1, d = _solve_rows(M, r, f"horizontal repair system at gamma={gamma_ip1!r}")
+    return float(e0), float(e1), float(d)
 
 
 def compute_series(params: ModelParams, n_terms: int) -> CompensationSeries:
@@ -307,46 +308,30 @@ def asymptotic_ratios(params: ModelParams) -> tuple[float, float]:
     the quadratic part of :func:`delta_root`'s cubic; w lies inside the unit
     circle and w_hat = p_dep/(p_fwd*w) outside. Successive root ratios
     satisfy delta_i/gamma_i -> w and gamma_{i+1}/delta_i -> 1/w_hat, so the
-    series terms shrink like (w/w_hat)^i.
+    series terms shrink like (w/w_hat)^i. The load must pass the series' own
+    gate, :func:`initial_gamma`; then w/w_hat = 2 rho w^2 stays positive.
     """
-    if params.rho >= 1.0:
-        raise StabilityError("ratio limits require a stable system")
+    initial_gamma(params)
     p = params
     w = _small_root(p.p_fwd, 1.0 - p.p_hold, p.p_dep)
     return w, p.p_dep / (p.p_fwd * w)
 
 
-def _series_values_l2plus(series: CompensationSeries, n: int, ks: np.ndarray, ls: np.ndarray) -> np.ndarray:
-    """Partial series over pair terms for rows l >= 2: sum_i (d_i g_i^k + c_i g_{i+1}^k) delta_i^l."""
-    g = series.gammas
-    gk = np.power.outer(g[: n + 2], ks.astype(float))   # (n+2, K)
-    dl = np.power.outer(series.deltas[: n + 1], ls.astype(float))  # (n+1, L)
-    coef = series.d[: n + 1, None] * gk[: n + 1] + series.c[: n + 1, None] * gk[1 : n + 2]
-    return coef.T @ dl  # (K, L)
+def _outer_values(series: CompensationSeries, n: int, T: int) -> np.ndarray:
+    """Unnormalized values on [0,T]^2 from the first n terms; the solver overwrites the inner box.
 
-
-def _series_values_boundary(series: CompensationSeries, n: int, ks: np.ndarray, l: int) -> np.ndarray:
-    """Partial series for rows l in {0, 1}, valid for k >= 1."""
-    e = series.e0 if l == 0 else series.e1
-    gk = np.power.outer(series.gammas[: n + 1], ks.astype(float))
-    return e[: n + 1] @ gk
-
-
-def _outer_values(series: CompensationSeries, n: int, T: int, B: int) -> np.ndarray:
-    """Unnormalized values on [0,T]^2 with NaN on the inner box [0,B]^2.
-
-    Rows l >= 2 take the pair form and rows l in {0, 1} the boundary form.
-    The pair form is derived for l >= 3; the balance residual of the
-    finished grid covers its use on the l = 2 row outside the box.
+    One table gamma_i^k serves both forms: rows l >= 2 take the pair form
+    sum_i (d_i gamma_i^k + c_i gamma_{i+1}^k) delta_i^l, and rows l in {0, 1}
+    (k >= 1) the boundary form sum_i e_i gamma_i^k. The pair form is derived
+    for l >= 3; the balance residual of the finished grid covers its use on
+    the l = 2 row outside the box.
     """
+    gk = np.power.outer(series.gammas[: n + 2], np.arange(T + 1.0))  # (n+2, T+1)
+    dl = np.power.outer(series.deltas[: n + 1], np.arange(2.0, T + 1))  # (n+1, T-1)
     vals = square(T, np.nan)
-    ks = np.arange(T + 1)
-    ls2 = np.arange(2, T + 1)
-    vals[:, 2:] = _series_values_l2plus(series, n, ks, ls2)
-    ks1 = np.arange(1, T + 1)
-    vals[1:, 0] = _series_values_boundary(series, n, ks1, 0)
-    vals[1:, 1] = _series_values_boundary(series, n, ks1, 1)
-    vals[: B + 1, : B + 1] = np.nan
+    vals[:, 2:] = (series.d[: n + 1, None] * gk[: n + 1] + series.c[: n + 1, None] * gk[1:]).T @ dl
+    vals[1:, 0] = series.e0[: n + 1] @ gk[: n + 1, 1:]
+    vals[1:, 1] = series.e1[: n + 1] @ gk[: n + 1, 1:]
     return vals
 
 
@@ -395,8 +380,8 @@ def solve(
 
     def unnormalized_grid(n_terms: int) -> np.ndarray:
         # the taps reach l = B+2, which exceeds T on the smallest grids
-        outer = _outer_values(series, n_terms, max(T, B + 2), B)
-        vals = outer[: T + 1, : T + 1].copy()
+        outer = _outer_values(series, n_terms, max(T, B + 2))
+        vals = outer[: T + 1, : T + 1]
         rhs = taps @ outer[: B + 2, : B + 3].ravel()[~inner]
         try:
             box = np.linalg.solve(A, rhs)

@@ -94,6 +94,13 @@ class ModelParams:
         """System load; the chain is positive recurrent iff rho < 1."""
         return self.lam * (self.abar**2 + self.a**2) / (2 * self.lbar * self.abar * self.a)
 
+    @property
+    def log_rho(self) -> float:
+        """log(rho), finite where rho underflows to 0: then it is summed from the load's factors."""
+        if self.rho > 0.0:
+            return math.log(self.rho)  # the log of rho itself, so box sizes keep their bits
+        return math.log(self.lam) + math.log(self.abar**2 + self.a**2) - math.log(2 * self.lbar * self.abar * self.a)
+
     # One-slot event probabilities with both relays busy, as they appear in
     # the compensation solver's closed forms.
     @property
@@ -146,8 +153,9 @@ def truncation(params: ModelParams, epsilon: float) -> tuple[int, float]:
     :data:`EPSILON_FLOOR`; the load must be below 1 (:class:`StabilityError`).
     The minimum queue decays like rho^2, so T = max(ceil(log(epsilon) /
     (2 log(rho))), 3) puts the first level beyond the box at about ``epsilon``
-    of the origin's mass. It is computed in logs, since rho^2 underflows at
-    tiny loads. Returns (T, clamped epsilon).
+    of the origin's mass. It is computed in logs (:attr:`ModelParams.log_rho`),
+    since rho^2, and at a subnormal load rho itself, underflows. Returns
+    (T, clamped epsilon).
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -155,7 +163,7 @@ def truncation(params: ModelParams, epsilon: float) -> tuple[int, float]:
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")
     epsilon = max(epsilon, EPSILON_FLOOR)
-    return max(math.ceil(math.log(epsilon) / (2 * math.log(rho))), 3), epsilon
+    return max(math.ceil(math.log(epsilon) / (2 * params.log_rho)), 3), epsilon
 
 
 def step(q1, q2, arrival, tie_to_q1, att1, att2):

@@ -75,14 +75,16 @@ def build(params: ModelParams, T: int) -> QBDChain:
 
     Mass decays along l faster than rho^2/2 (CA's delta < gamma/2), so column
     T_l = ceil(log(rho^(2T)) / log(rho^2/2)) holds no more mass than level T.
-    It is computed in logs, since rho^2 underflows at tiny loads.
+    It is computed from :attr:`~relayq.model.ModelParams.log_rho`, since rho^2
+    underflows at tiny loads and rho itself at subnormal ones.
     """
     if T < 3:
         raise GridError("truncation level must be at least 3")
     rho = params.rho
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")
-    T_l = min(T, max(math.ceil(2 * T * math.log(rho) / (2 * math.log(rho) - math.log(2))), 3))
+    log_rho = params.log_rho
+    T_l = min(T, max(math.ceil(2 * T * log_rho / (2 * log_rho - math.log(2))), 3))
     n = T_l + 1
     P = box_matrix(params, 2, T_l)[: 2 * n]
     # fold the mass of the steps to l > T_l back into each row's self-loop

@@ -376,8 +376,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     depths: the solve converges ("epsilon") at the first depth whose relative
     change is below epsilon. Otherwise the sweep runs to the cap ("cap"), or
     stops early ("divergence") at a non-finite change or after fifty depths
-    without a new smallest change; only depths whose partial mass lies in
-    (0.05, 20) count for the smallest. An unconverged solve returns the depth
+    without a new smallest change. An unconverged solve returns the depth
     of smallest change, flagged as not converged, only if that change is below
     1e-6, the bound within which PSA must agree with CA. Otherwise the series
     did not settle and its partial sums are no answer (Blanc 1992), so it
@@ -428,7 +427,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
         if rel < epsilon:
             stop_reason, best_n, best_rel = "epsilon", n_done, rel
             break
-        if rel < best_rel and 0.05 < running < 20.0:
+        if rel < best_rel:
             best_n, best_rel = n_done, rel
         elif n_done - best_n >= _IMPROVEMENT_PATIENCE:
             stop_reason = "divergence"
@@ -436,8 +435,8 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     converged = stop_reason == "epsilon"
     if not (converged or best_rel < _SETTLED):
         raise NumericsError(
-            f"power series did not settle at load {rho:.4g}, G = {G:g}: the smallest change of a "
-            f"depth with a sane mass is {best_rel:.3g} (depth {best_n}), not below {_SETTLED:g} "
+            f"power series did not settle at load {rho:.4g}, G = {G:g}: its smallest change "
+            f"is {best_rel:.3g} (depth {best_n}), not below {_SETTLED:g} "
             f"(stop: {stop_reason} after {len(rel_hist)} depths)"
         )
     u = u[: best_n + 1]

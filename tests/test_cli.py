@@ -508,15 +508,24 @@ _TINY_LOAD_COMMANDS = [
     *(["solve", "--method", method] for method in ("ca", "psa", "oracle")),
     ["solve", "--method", "sim", *_SMALL_SIM],
     ["decay"],
+    ["compare"],
+    ["simulate", *_SMALL_SIM],
 ]
 
 
-@pytest.mark.parametrize("rho", ["1e-100", "1e-200", "1e-300"])
+@pytest.mark.parametrize(
+    "load",
+    [
+        *(pytest.param(["--rho", rho], id=rho) for rho in ("1e-100", "1e-200", "1e-300", "1e-309", "1e-316")),
+        pytest.param(["--lambda", "5e-324"], id="lambda-5e-324"),
+    ],
+)
 @pytest.mark.parametrize("args", _TINY_LOAD_COMMANDS, ids=lambda args: args[2] if args[0] == "solve" else args[0])
-def test_tiny_loads_answer_or_fail_typed(args, rho, capsys):
-    """rho^2 underflows from rho = 1e-162: every route sizes its box in logs,
-    and CA, which needs rho^2 itself, fails typed."""
-    code, _, err = run_cli([*args, "--rho", rho], capsys)
+def test_tiny_loads_answer_or_fail_typed(args, load, capsys):
+    """rho^2 underflows from rho = 1e-162, rho itself from about 1e-308 and
+    to 0 at lambda = 5e-324: every route sizes its box from log(rho), and CA,
+    which needs rho^2 itself, fails typed."""
+    code, _, err = run_cli([*args, *load], capsys)
     assert code in (0, 4) and "Traceback" not in err
 
 
@@ -528,6 +537,31 @@ def test_tiny_loads_mean_total(method, rho, capsys):
     assert code == 0
     rows = {r["name"]: r["value"] for r in parse_csv(out)["measures"]}
     assert float(rows["e_qsum"]) == pytest.approx(rho / (1 - rho), rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [1e-309, 1e-316])
+@pytest.mark.parametrize("method", ["psa", "oracle"])
+def test_subnormal_loads_answer(method, rho, capsys):
+    """Where rho itself is subnormal and keeps only a few digits, PSA and the
+    oracle still answer, with E[Q1 + Q2] = rho to those digits."""
+    code, out, _ = run_cli(["solve", "--method", method, "--rho", repr(rho)], capsys)
+    assert code == 0
+    rows = {r["name"]: r["value"] for r in parse_csv(out)["measures"]}
+    assert float(rows["e_qsum"]) == pytest.approx(rho, rel=1e-6)
+
+
+def test_ca_refusal_at_a_light_load_is_one_line():
+    """At rho = 1e-80 a row of CA's horizontal repair system underflows, so
+    its scaling is 0/0: the solve exits 4 with one stderr line, where numpy's
+    RuntimeWarning lines came first."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run(
+        [sys.executable, "-m", "relayq.cli", "solve", "--rho", "1e-80"], env=env, capture_output=True, text=True
+    )
+    assert out.returncode == 4
+    assert out.stderr.splitlines() == [out.stderr.strip()]
+    assert out.stderr.startswith("numerical failure: horizontal repair system")
 
 
 def test_decay_command(capsys):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -202,6 +204,31 @@ def test_horizontal_coefficients_restore_row_balance(base_params):
     # right-hand side is linear in c
     e0b, e1b, d1b = ca.horizontal_coefficients(g1, d0_root, d1_root, 2 * c1, p)
     assert np.allclose([e0b, e1b, d1b], [2 * e0, 2 * e1, 2 * d1], rtol=1e-12)
+
+
+def test_underflowed_repair_row_fails_typed():
+    """At rho = 1e-80 the gamma^2 row of the horizontal repair system
+    underflows to zeros; its scaling is 0/0, which raises NumericsError
+    instead of a RuntimeWarning."""
+    p = ModelParams(lam=lambda_for_load(1e-80, 0.5), a=0.5)
+    g0 = ca.initial_gamma(p)
+    d0 = ca.delta_root(g0, p)
+    g1 = ca.gamma_root(d0, p)
+    c1 = ca.vertical_coefficient(g0, g1, d0, 1.0, p)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NumericsError, match="horizontal repair system"):
+            ca.horizontal_coefficients(g1, d0, ca.delta_root(g1, p), c1, p)
+
+
+@pytest.mark.parametrize("lam", [5e-324, 1e-300])
+def test_underflowed_initial_gamma_fails_typed(lam):
+    """Where rho^2 underflows to 0, the series and its depth rule refuse the
+    load with NumericsError; at lambda = 5e-324 rho itself is 0."""
+    p = ModelParams(lam=lam, a=0.5)
+    for f in (ca.initial_gamma, ca.asymptotic_ratios, ca.solve):
+        with pytest.raises(NumericsError, match="underflows"):
+            f(p)
 
 
 # Closed forms against the transition table: balance_residuals derives every

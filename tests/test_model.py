@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -349,6 +350,20 @@ def test_truncation():
         assert truncation(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5), 1e-12) == (3, 1e-12)
     with pytest.raises(StabilityError):
         truncation(ModelParams(lam=0.6, a=0.5), 1e-10)
+
+
+def test_log_rho_survives_an_underflowed_load():
+    """log(rho) is the log of rho itself wherever rho > 0, and the sum of the
+    load's factor logs where rho underflows to 0, so the box of every route
+    is still sized at lambda = 5e-324."""
+    for rho in (0.4, 1e-300, 1e-316):
+        p = ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5)
+        assert p.log_rho == math.log(p.rho)
+    p = ModelParams(lam=5e-324, a=0.5)
+    assert p.rho == 0.0
+    assert p.log_rho == pytest.approx(math.log(5e-324), rel=1e-15)
+    assert truncation(p, 1e-12) == (3, 1e-12)
+    assert oracle.build(p, 3).T == 3
 
 
 def test_truncation_clamps_epsilon_at_the_floor():
