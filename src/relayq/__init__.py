@@ -6,10 +6,12 @@ joint equilibrium queue-length distribution by three mutually cross-checking
 routes — a boundary-compensation series, a power-series expansion in the
 load, and a matrix-geometric solve of the chain — plus a Monte Carlo
 simulator, and derives sojourn-time, correlation, and decay measures from any
-of them.
+of them. :func:`solve` runs any of the three routes and returns one
+:class:`Solution`: its grid, measures, depth and stop reason, with the
+route's own result on ``route``.
 """
 
-from . import compensation, grids, measures, model, oracle, psa, simulator
+from . import compensation, grids, measures, model, oracle, psa, routes, simulator
 from .errors import (
     GridError,
     NumericsError,
@@ -26,6 +28,7 @@ from .model import (
     transform_state,
     transition_distribution,
 )
+from .routes import Solution, solve
 from .simulator import SimConfig, SimResult, simulate
 
 __version__ = "0.1.0"
@@ -34,6 +37,7 @@ __all__ = [
     "ModelParams",
     "ProbabilityGrid",
     "MeasureReport",
+    "Solution",
     "SimConfig",
     "SimResult",
     "StabilityReport",
@@ -46,10 +50,12 @@ __all__ = [
     "transition_distribution",
     "lambda_for_load",
     "moments_from_transformed",
+    "solve",
     "simulate",
     "compensation",
     "psa",
     "oracle",
+    "routes",
     "measures",
     "model",
     "grids",

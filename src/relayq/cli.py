@@ -25,7 +25,9 @@ it reads:
 - vs-single-server: --lambda (which it needs), --epsilon
 - simulate: --lambda, --rho, --a, --seed, --warmup, --slots, --reps
 
-Every default is a field default of :class:`RunSpec`.
+Every default is a field default of :class:`RunSpec`. ``solve``, ``compare``
+and ``table1`` reach CA, PSA and the oracle only through :func:`relayq.solve`;
+``decay`` calls CA itself, as only CA takes a floor on the grid side (``T_min``).
 """
 
 from __future__ import annotations
@@ -39,10 +41,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import compensation, measures, oracle, psa, simulator
+from . import compensation, measures, routes, simulator
 from .errors import GridError, NumericsError, RelayQError, StabilityError
-from .grids import ProbabilityGrid
-from .model import EPSILON_FLOOR, ModelParams, is_stable, lambda_for_load, truncation
+from .model import EPSILON_FLOOR, ModelParams, is_stable, lambda_for_load
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -110,67 +111,21 @@ def _resolve_params(spec: RunSpec) -> ModelParams:
 
 
 def _measure_rows(report: measures.MeasureReport) -> list[dict]:
-    rows = [
-        {"name": "e_qsum", "value": report.e_qsum, "ci_halfwidth": None},
-        {"name": "e_sojourn", "value": report.e_sojourn, "ci_halfwidth": None},
-        {"name": "correlation", "value": report.correlation, "ci_halfwidth": None},
+    """Rows e_qsum, e_sojourn and correlation, then each decay row the report holds."""
+    decay = [name for name in ("decay_ratio", "marginal_min_decay") if getattr(report, name) is not None]
+    return [
+        {"name": name, "value": getattr(report, name), "ci_halfwidth": None}
+        for name in ("e_qsum", "e_sojourn", "correlation", *decay)
     ]
-    if report.decay_ratio is not None:
-        rows.append({"name": "decay_ratio", "value": report.decay_ratio, "ci_halfwidth": None})
-    if report.marginal_min_decay is not None:
-        rows.append(
-            {"name": "marginal_min_decay", "value": report.marginal_min_decay, "ci_halfwidth": None}
-        )
-    return rows
 
 
-def _solve_grid(params: ModelParams, spec: RunSpec) -> ProbabilityGrid:
-    if spec.method == "ca":
-        return compensation.solve(params, epsilon=spec.epsilon).grid
-    if spec.method == "psa":
-        solution = psa.solve(params, G=spec.G, epsilon=spec.epsilon)
-        if not solution.diagnostics.converged:
-            # a warning, not an error: the series settled within 1e-6, and its grid is emitted
-            print(
-                f"warning: power series did not converge (stop: {solution.diagnostics.stop_reason}, "
-                f"N = {solution.N_psa}); measures come from the clipped, renormalized partial sum",
-                file=sys.stderr,
-            )
-        return solution.grid
-    if spec.method == "oracle":
-        return oracle.stationary(oracle.build(params, truncation(params, spec.epsilon)[0]))
-    raise UsageError(f"unknown method {spec.method!r}")
-
-
-@dataclass(frozen=True)
-class _CaPsa:
-    """CA and PSA solutions of one parameter point, as ``compare`` and ``table1`` report them.
-
-    The PSA fields are ``None`` when the series found no depth to report.
-    """
-
-    ca_grid: ProbabilityGrid
-    psa_grid: ProbabilityGrid | None
-    psa_converged: bool
-    ca_measures: measures.MeasureReport
-    psa_measures: measures.MeasureReport | None
-
-
-def _solve_ca_and_psa(params: ModelParams, spec: RunSpec) -> _CaPsa:
-    ca_grid = compensation.solve(params, epsilon=spec.epsilon).grid
-    ca_measures = measures.moments_from_transformed(ca_grid, params)
+def _psa_or_none(params: ModelParams, spec: RunSpec) -> routes.Solution | None:
+    """PSA's solution, or ``None`` with a warning where the series gives no answer."""
     try:
-        ps = psa.solve(params, G=spec.G, epsilon=spec.epsilon)
+        return routes.solve(params, "psa", spec.epsilon, spec.G)
     except NumericsError as exc:
         print(f"warning: {exc}; the power-series cells are empty", file=sys.stderr)
-        return _CaPsa(ca_grid, None, False, ca_measures, None)
-    return _CaPsa(
-        ca_grid=ca_grid,
-        psa_grid=ps.grid,
-        psa_converged=ps.diagnostics.converged,
-        ca_measures=ca_measures,
-        psa_measures=measures.moments_from_transformed(ps.grid, params),
-    )
+        return None
 
 
 def _simulation_tables(params: ModelParams, spec: RunSpec) -> dict:
@@ -222,26 +177,29 @@ def run(spec: RunSpec) -> dict:
         params = _resolve_params(spec)
         if spec.method == "sim":
             return _simulation_tables(params, spec)
-        grid = _solve_grid(params, spec)
-        report = measures.moments_from_transformed(grid, params)
-        return {"tables": {"measures": _measure_rows(report), "grid": grid.clipped().values}}
+        sol = routes.solve(params, spec.method, spec.epsilon, spec.G)
+        if not sol.converged:
+            # a warning, not an error: the series settled within 1e-6, and its grid is emitted
+            print(f"warning: power series did not converge (stop: {sol.stop_reason}, N = {sol.depth}); "
+                  "measures come from the clipped, renormalized partial sum", file=sys.stderr)
+        return {"tables": {"measures": _measure_rows(sol.measures), "grid": sol.grid.clipped().values}}
 
     if spec.command == "compare":
         params = _resolve_params(spec)
-        both = _solve_ca_and_psa(params, spec)
-        orc = oracle.stationary(oracle.build(params, truncation(params, min(spec.epsilon, 1e-10))[0]))
+        ca, ps = routes.solve(params, "ca", spec.epsilon), _psa_or_none(params, spec)
+        m_ca, m_ps = ca.measures, None if ps is None else ps.measures
+        orc = routes.solve(params, "oracle", min(spec.epsilon, 1e-10))
 
-        def maxnorm(g1: ProbabilityGrid | None, g2: ProbabilityGrid | None) -> float | None:
-            if g1 is None or g2 is None:
+        def maxnorm(s1: routes.Solution | None, s2: routes.Solution | None) -> float | None:
+            if s1 is None or s2 is None:
                 return None
-            m = min(g1.T, g2.T)
-            return float(np.max(np.abs(g1.values[: m + 1, : m + 1] - g2.values[: m + 1, : m + 1])))
+            m = min(s1.grid.T, s2.grid.T)
+            return float(np.max(np.abs(s1.grid.values[: m + 1, : m + 1] - s2.grid.values[: m + 1, : m + 1])))
 
-        m_ca, m_ps = both.ca_measures, both.psa_measures
         rows = [
-            {"name": "maxnorm_ca_oracle", "value": maxnorm(both.ca_grid, orc), "ci_halfwidth": None},
-            {"name": "maxnorm_psa_oracle", "value": maxnorm(both.psa_grid, orc), "ci_halfwidth": None},
-            {"name": "maxnorm_ca_psa", "value": maxnorm(both.ca_grid, both.psa_grid), "ci_halfwidth": None},
+            {"name": "maxnorm_ca_oracle", "value": maxnorm(ca, orc), "ci_halfwidth": None},
+            {"name": "maxnorm_psa_oracle", "value": maxnorm(ps, orc), "ci_halfwidth": None},
+            {"name": "maxnorm_ca_psa", "value": maxnorm(ca, ps), "ci_halfwidth": None},
             {
                 "name": "abs_diff_e_sojourn",
                 "value": None if m_ps is None else abs(m_ca.e_sojourn - m_ps.e_sojourn),
@@ -258,8 +216,9 @@ def run(spec: RunSpec) -> dict:
     if spec.command == "table1":
         rows = []
         for rho in _TABLE1_LOADS:
-            both = _solve_ca_and_psa(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5), spec)
-            m_ca, m_ps = both.ca_measures, both.psa_measures
+            params = ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5)
+            m_ca, ps = routes.solve(params, "ca", spec.epsilon).measures, _psa_or_none(params, spec)
+            m_ps = None if ps is None else ps.measures
             rows.append(
                 {
                     "rho": rho,
@@ -269,7 +228,7 @@ def run(spec: RunSpec) -> dict:
                     "correlation_ca": m_ca.correlation,
                     "correlation_psa": None if m_ps is None else m_ps.correlation,
                     "abs_diff_correlation": None if m_ps is None else abs(m_ca.correlation - m_ps.correlation),
-                    "psa_converged": both.psa_converged,
+                    "psa_converged": ps is not None and ps.converged,
                 }
             )
         return {"tables": {"table1": rows}}
@@ -391,7 +350,7 @@ _OPTIONS = {
     "--lambda": dict(dest="lam", type=float, help="arrival probability per slot"),
     "--rho": dict(type=float, help="system load (alternative to --lambda)"),
     "--a": dict(type=float, help="per-relay transmission attempt probability"),
-    "--method": dict(choices=("ca", "psa", "oracle", "sim")),
+    "--method": dict(choices=(*routes.METHODS, "sim")),
     "--epsilon": dict(type=float, help=f"precision target (clamped at {EPSILON_FLOOR:g})"),
     "--G": dict(type=float, help="series acceleration parameter"),
     "--seed": dict(type=int),

@@ -32,9 +32,9 @@ class ProbabilityGrid:
     """Equilibrium probabilities on a square truncation of the state space.
 
     ``values[k, l]`` over (k, l) = (min, |difference|), 0 <= k, l <= T.
-    Every solver returns a normalized, non-negative grid; the power-series
-    reconstruction of :func:`relayq.psa.evaluate` may carry round-off-scale
-    negatives, which its solve clips before it renormalizes.
+    Every solver returns a normalized, non-negative grid. A power-series
+    partial sum may carry round-off-scale negatives: :func:`relayq.psa.solve`
+    clips them before it renormalizes, :func:`relayq.psa.evaluate` does not.
     """
 
     values: np.ndarray

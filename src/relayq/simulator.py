@@ -25,11 +25,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericsError
 from .grids import ProbabilityGrid
 from .model import ModelParams, is_stable, step, truncation
 
-__all__ = ["SimConfig", "SimResult", "simulate", "estimate_stability_boundary", "step"]
+__all__ = ["SimConfig", "SimResult", "simulate", "step"]
 
 _CHUNK = 65536
 
@@ -222,49 +221,3 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
         grid_cap=cap,
         per_replication_qsum=tuple(qsums),
     )
-
-
-def _growth_slope(lam: float, a: float, slots: int, rng: np.random.Generator) -> float:
-    """Least-squares slope of the total queue length sampled along one run."""
-    sample_every = 50
-    samples: list[int] = []
-    done = 0
-    for path1, path2 in _paths(lam, a, slots, rng):
-        first = -done % sample_every
-        samples += [x + y for x, y in zip(path1[first::sample_every], path2[first::sample_every])]
-        done += len(path1)
-    y = np.asarray(samples, dtype=float)
-    x = np.arange(len(y), dtype=float) * sample_every
-    slope = np.polyfit(x, y, 1)[0]
-    return float(slope)
-
-
-def estimate_stability_boundary(a: float, config: SimConfig, *, slots: int = 250_000) -> float:
-    """Empirical critical arrival probability at attempt probability ``a``.
-
-    Bisects on the arrival probability, classifying each run as unstable when
-    the fitted growth slope of Q1+Q2 exceeds a threshold sized between the
-    stable-side transient and the unstable-side drift. The true boundary is
-    2*a*(1-a).
-    """
-    if not (0.0 < a < 1.0):
-        raise ValueError(f"attempt probability must be in (0,1), got {a}")
-    threshold = 1.2e-3
-    lo, hi = 0.01, 0.99
-    probe = 0
-
-    def unstable(lam: float) -> bool:
-        nonlocal probe
-        probe += 1
-        rng = np.random.default_rng(np.random.SeedSequence((config.seed, 7_700_000 + probe)))
-        return _growth_slope(lam, a, slots, rng) > threshold
-
-    if unstable(lo) or not unstable(hi):
-        raise NumericsError("bisection endpoints do not bracket the boundary")
-    while hi - lo > 0.008:
-        mid = 0.5 * (lo + hi)
-        if unstable(mid):
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)

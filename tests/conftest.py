@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from relayq import compensation, oracle, psa
+import relayq
+from relayq import compensation, psa
 from relayq.model import (
     ModelParams,
     box_matrix,
     conditional_laws,
     lambda_for_load,
     transition_distribution,
-    truncation,
 )
 
 
@@ -91,31 +91,25 @@ def psa_rho04(params_rho04):
 
 
 @pytest.fixture(scope="session")
-def oracle_base(base_params, ca_base):
-    T = max(truncation(base_params, 1e-10)[0], ca_base.T)
-    return oracle.stationary(oracle.build(base_params, T))
+def oracle_base(base_params):
+    return relayq.solve(base_params, "oracle").grid
 
 
 @pytest.fixture(scope="session")
-def oracle_rho04(params_rho04, ca_rho04):
-    T = max(truncation(params_rho04, 1e-10)[0], ca_rho04.T)
-    return oracle.stationary(oracle.build(params_rho04, T))
+def oracle_rho04(params_rho04):
+    return relayq.solve(params_rho04, "oracle").grid
 
 
 @pytest.fixture(scope="session")
 def solution():
-    """solution(method, rho, a): a CA or PSA solution, or the oracle's grid, at
-    load rho and attempt probability a, solved once per session."""
+    """solution(method, rho, a): the relayq.Solution of a route at load rho
+    and attempt probability a, solved once per session."""
     solved = {}
 
     def get(method, rho, a):
         key = (method, rho, a)
         if key not in solved:
-            p = ModelParams(lam=lambda_for_load(rho, a), a=a)
-            if method == "oracle":
-                solved[key] = oracle.stationary(oracle.build(p, truncation(p, 1e-12)[0]))
-            else:
-                solved[key] = {"ca": compensation.solve, "psa": psa.solve}[method](p)
+            solved[key] = relayq.solve(ModelParams(lam=lambda_for_load(rho, a), a=a), method)
         return solved[key]
 
     return get

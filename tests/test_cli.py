@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relayq import cli
+from relayq import cli, oracle, psa
 from relayq.errors import GridError
 
 
@@ -204,7 +204,7 @@ def test_a_grid_beyond_the_address_space_is_out_of_memory(command, capsys):
 
 def test_unreachable_oracle_chain_is_a_numerical_failure(capsys, monkeypatch):
     """A boundary chain whose last state cannot reach (0, 0) exits 4 with one line."""
-    build = cli.oracle.build
+    build = oracle.build
 
     def unreachable(params, T):
         chain = build(params, T)
@@ -213,7 +213,7 @@ def test_unreachable_oracle_chain_is_a_numerical_failure(capsys, monkeypatch):
         bad[-1, -1] = 1.0  # absorbing: a second closed class
         return dataclasses.replace(chain, boundary=bad)
 
-    monkeypatch.setattr(cli.oracle, "build", unreachable)
+    monkeypatch.setattr(oracle, "build", unreachable)
     code, out, err = run_cli(["solve", "--method", "oracle", "--rho", "0.4"], capsys)
     assert (code, out) == (4, "")
     assert err.startswith("numerical failure: chain is reducible") and err.count("\n") == 1
@@ -224,7 +224,7 @@ def test_solve_psa_warns_when_series_does_not_converge(capsys, monkeypatch):
     args = ["solve", "--method", "psa", "--rho", "0.1", "--a", "0.5"]
     code, out, err = run_cli(args, capsys)
     assert code == 0 and err == ""
-    solve, depths = cli.psa.solve, []
+    solve, depths = psa.solve, []
 
     def not_converged(*a, **k):
         sol = solve(*a, **k)
@@ -232,13 +232,22 @@ def test_solve_psa_warns_when_series_does_not_converge(capsys, monkeypatch):
         diag = dataclasses.replace(sol.diagnostics, converged=False, stop_reason="cap")
         return dataclasses.replace(sol, diagnostics=diag)
 
-    monkeypatch.setattr(cli.psa, "solve", not_converged)
+    monkeypatch.setattr(psa, "solve", not_converged)
     code, warned_out, err = run_cli(args, capsys)
     assert code == 0 and warned_out == out
     assert err.splitlines() == [
         f"warning: power series did not converge (stop: cap, N = {depths[0]}); "
         "measures come from the clipped, renormalized partial sum"
     ]
+
+
+def test_solve_psa_prints_no_decay_rows(capsys):
+    """PSA converges at rho = 0.85 and exits 0 without the decay rows, which
+    read 0.6205 there against rho^2 = 0.7225; CA prints them."""
+    for method, rows in (("psa", []), ("ca", ["decay_ratio", "marginal_min_decay"])):
+        code, out, err = run_cli(["solve", "--method", method, "--rho", "0.85"], capsys)
+        assert (code, err) == (0, "")
+        assert [r["name"] for r in parse_csv(out)["measures"]] == ["e_qsum", "e_sojourn", "correlation", *rows]
 
 
 def test_solve_csv_schema(capsys):
@@ -599,7 +608,7 @@ def test_import_loads_no_scipy():
     code = (
         "import sys, relayq.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print(callable(relayq.cli.psa.lfilter), callable(relayq.cli.oracle.connected_components))"
+        "print(callable(relayq.psa.lfilter), callable(relayq.oracle.connected_components))"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))

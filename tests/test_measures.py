@@ -183,9 +183,8 @@ IDENTITY_POINTS = [
 
 def _grid(solution, method, rho, a):
     solved = solution(method, rho, a)
-    if method == "psa":
-        assert solved.diagnostics.converged
-    return solved if method == "oracle" else solved.grid
+    assert solved.converged
+    return solved.grid
 
 
 @pytest.mark.parametrize("method, rho, a", IDENTITY_POINTS)

@@ -381,7 +381,7 @@ def test_table_values_low_and_mid_load():
 @pytest.mark.parametrize("rho", [0.1, 0.4, 0.7])
 def test_matches_compensation_at_every_attempt_probability(rho, a, solution):
     s = solution("psa", rho, a)
-    assert s.diagnostics.stop_reason == "epsilon"
+    assert s.stop_reason == s.route.diagnostics.stop_reason == "epsilon"
     assert maxnorm(s.grid, solution("ca", rho, a).grid) < 1e-10
 
 

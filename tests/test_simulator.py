@@ -9,9 +9,8 @@ import numpy as np
 import pytest
 
 from relayq import simulator
-from relayq.errors import NumericsError
 from relayq.model import ModelParams, lambda_for_load, transition_distribution, truncation
-from relayq.simulator import SimConfig, estimate_stability_boundary, simulate, step
+from relayq.simulator import SimConfig, simulate, step
 
 
 def small_config(seed=1234):
@@ -222,22 +221,6 @@ def test_unstable_runs_allowed():
     res = simulate(p, SimConfig(seed=3, warmup_slots=0, measure_slots=20_000, replications=1))
     assert res.e_qsum > 100  # linear growth, no equilibrium
     assert res.overflow_mass > 0
-
-
-def test_stability_boundary_smoke():
-    cfg = SimConfig(seed=17)
-    est = estimate_stability_boundary(0.5, cfg, slots=120_000)
-    assert est == pytest.approx(0.5, abs=0.02)
-
-
-def test_stability_boundary_typed_errors(monkeypatch):
-    cfg = SimConfig(seed=17)
-    with pytest.raises(ValueError):
-        estimate_stability_boundary(1.0, cfg)
-    # no run grows: the upper endpoint does not read unstable
-    monkeypatch.setattr(simulator, "_growth_slope", lambda *args: 0.0)
-    with pytest.raises(NumericsError, match="bracket"):
-        estimate_stability_boundary(0.5, cfg)
 
 
 def test_t_quantile_closed_forms():
