@@ -11,7 +11,9 @@ indent=2)`` of the tables as lists of row dicts, the grid table as one
 as a ``# table: <name>`` line, a header line and one line per row, cells as
 :func:`_fmt` formats them (floats with ``%.17g``). Both writers build a
 table's row template once and fill it per row; a grid's rows come straight
-from its values array, one k-row at a time.
+from its values array, one k-row at a time, as the route clipped and
+normalized it. Every ``{"name", "value", "ci_halfwidth"}`` table comes from
+one row builder, :func:`_rows`.
 
 Each subcommand takes --format and --out, and besides them only the options
 it reads:
@@ -27,7 +29,8 @@ it reads:
 
 Every default is a field default of :class:`RunSpec`. ``solve``, ``compare``
 and ``table1`` reach CA, PSA and the oracle only through :func:`relayq.solve`;
-``decay`` calls CA itself, as only CA takes a floor on the grid side (``T_min``).
+``decay`` calls CA itself, as only CA takes a floor on the grid side (``T_min``),
+and ``vs-single-server`` through :func:`relayq.measures.single_server_comparison`.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -110,13 +113,20 @@ def _resolve_params(spec: RunSpec) -> ModelParams:
         raise UsageError(str(exc)) from exc
 
 
-def _measure_rows(report: measures.MeasureReport) -> list[dict]:
-    """Rows e_qsum, e_sojourn and correlation, then each decay row the report holds."""
-    decay = [name for name in ("decay_ratio", "marginal_min_decay") if getattr(report, name) is not None]
-    return [
-        {"name": name, "value": getattr(report, name), "ci_halfwidth": None}
-        for name in ("e_qsum", "e_sojourn", "correlation", *decay)
-    ]
+def _rows(values: dict, ci: dict | None = None) -> list[dict]:
+    """One name/value row per entry of ``values``, in order; ``ci`` maps a name to its half-width."""
+    return [{"name": name, "value": value, "ci_halfwidth": (ci or {}).get(name)} for name, value in values.items()]
+
+
+def _differences(ca: routes.Solution, ps: routes.Solution | None) -> dict:
+    """|CA - PSA| of the mean sojourn and of the correlation (``None`` read as 0), ``None`` without PSA."""
+    if ps is None:
+        return {"abs_diff_e_sojourn": None, "abs_diff_correlation": None}
+    m_ca, m_ps = ca.measures, ps.measures
+    return {
+        "abs_diff_e_sojourn": abs(m_ca.e_sojourn - m_ps.e_sojourn),
+        "abs_diff_correlation": abs((m_ca.correlation or 0.0) - (m_ps.correlation or 0.0)),
+    }
 
 
 def _psa_or_none(params: ModelParams, spec: RunSpec) -> routes.Solution | None:
@@ -140,20 +150,17 @@ def _simulation_tables(params: ModelParams, spec: RunSpec) -> dict:
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
     sim = simulator.simulate(params, config)
-    rows = [
-        {"name": "e_qsum", "value": sim.e_qsum, "ci_halfwidth": sim.e_qsum_ci},
-        {"name": "e_sojourn", "value": sim.e_sojourn, "ci_halfwidth": sim.e_sojourn_ci},
-        {"name": "correlation", "value": sim.correlation, "ci_halfwidth": sim.correlation_ci},
-        {"name": "overflow_mass", "value": sim.overflow_mass, "ci_halfwidth": None},
-    ]
-    return {"tables": {"measures": rows, "grid": sim.empirical.clipped().values}}
+    names = ("e_qsum", "e_sojourn", "correlation", "overflow_mass")
+    ci = {name: getattr(sim, f"{name}_ci") for name in names[:3]}
+    rows = _rows({name: getattr(sim, name) for name in names}, ci)
+    return {"tables": {"measures": rows, "grid": sim.empirical.values}}
 
 
 def run(spec: RunSpec) -> dict:
     """Execute a RunSpec; returns {"tables": {name: table}}.
 
     A table is a list of row dicts sharing their keys, or, for the ``grid``
-    table, the clipped values array of a grid, emitted with one row per state.
+    table, the values array of a grid, emitted with one row per state.
     """
     if not (math.isfinite(spec.epsilon) and spec.epsilon > 0):
         raise UsageError(f"--epsilon must be finite and > 0, got {spec.epsilon}")
@@ -182,12 +189,14 @@ def run(spec: RunSpec) -> dict:
             # a warning, not an error: the series settled within 1e-6, and its grid is emitted
             print(f"warning: power series did not converge (stop: {sol.stop_reason}, N = {sol.depth}); "
                   "measures come from the clipped, renormalized partial sum", file=sys.stderr)
-        return {"tables": {"measures": _measure_rows(sol.measures), "grid": sol.grid.clipped().values}}
+        m = sol.measures
+        decay = [name for name in ("decay_ratio", "marginal_min_decay") if getattr(m, name) is not None]
+        values = {name: getattr(m, name) for name in ("e_qsum", "e_sojourn", "correlation", *decay)}
+        return {"tables": {"measures": _rows(values), "grid": sol.grid.values}}
 
     if spec.command == "compare":
         params = _resolve_params(spec)
         ca, ps = routes.solve(params, "ca", spec.epsilon), _psa_or_none(params, spec)
-        m_ca, m_ps = ca.measures, None if ps is None else ps.measures
         orc = routes.solve(params, "oracle", min(spec.epsilon, 1e-10))
 
         def maxnorm(s1: routes.Solution | None, s2: routes.Solution | None) -> float | None:
@@ -196,38 +205,26 @@ def run(spec: RunSpec) -> dict:
             m = min(s1.grid.T, s2.grid.T)
             return float(np.max(np.abs(s1.grid.values[: m + 1, : m + 1] - s2.grid.values[: m + 1, : m + 1])))
 
-        rows = [
-            {"name": "maxnorm_ca_oracle", "value": maxnorm(ca, orc), "ci_halfwidth": None},
-            {"name": "maxnorm_psa_oracle", "value": maxnorm(ps, orc), "ci_halfwidth": None},
-            {"name": "maxnorm_ca_psa", "value": maxnorm(ca, ps), "ci_halfwidth": None},
-            {
-                "name": "abs_diff_e_sojourn",
-                "value": None if m_ps is None else abs(m_ca.e_sojourn - m_ps.e_sojourn),
-                "ci_halfwidth": None,
-            },
-            {
-                "name": "abs_diff_correlation",
-                "value": None if m_ps is None else abs((m_ca.correlation or 0.0) - (m_ps.correlation or 0.0)),
-                "ci_halfwidth": None,
-            },
-        ]
-        return {"tables": {"compare": rows}}
+        cells = {"maxnorm_ca_oracle": maxnorm(ca, orc), "maxnorm_psa_oracle": maxnorm(ps, orc),
+                 "maxnorm_ca_psa": maxnorm(ca, ps), **_differences(ca, ps)}
+        return {"tables": {"compare": _rows(cells)}}
 
     if spec.command == "table1":
         rows = []
         for rho in _TABLE1_LOADS:
             params = ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5)
-            m_ca, ps = routes.solve(params, "ca", spec.epsilon).measures, _psa_or_none(params, spec)
-            m_ps = None if ps is None else ps.measures
+            ca, ps = routes.solve(params, "ca", spec.epsilon), _psa_or_none(params, spec)
+            m_ca, m_ps = ca.measures, None if ps is None else ps.measures
+            diff = _differences(ca, ps)
             rows.append(
                 {
                     "rho": rho,
                     "e_sojourn_ca": m_ca.e_sojourn,
                     "e_sojourn_psa": None if m_ps is None else m_ps.e_sojourn,
-                    "abs_diff_e_sojourn": None if m_ps is None else abs(m_ca.e_sojourn - m_ps.e_sojourn),
+                    "abs_diff_e_sojourn": diff["abs_diff_e_sojourn"],
                     "correlation_ca": m_ca.correlation,
                     "correlation_psa": None if m_ps is None else m_ps.correlation,
-                    "abs_diff_correlation": None if m_ps is None else abs(m_ca.correlation - m_ps.correlation),
+                    "abs_diff_correlation": diff["abs_diff_correlation"],
                     "psa_converged": ps is not None and ps.converged,
                 }
             )
@@ -250,16 +247,8 @@ def run(spec: RunSpec) -> dict:
         lam = _resolve_params(spec).lam
         a_grid = tuple(np.round(np.arange(0.05, 1.0, 0.05), 10))
         comp = measures.single_server_comparison(lam, a_grid, epsilon=spec.epsilon)
-        rows = [
-            {
-                "a": r.a,
-                "single_stable": r.single_stable,
-                "jsrq_stable": r.jsrq_stable,
-                "single_mean_queue": r.single_mean_queue,
-                "jsrq_mean_total": r.jsrq_mean_total,
-            }
-            for r in comp.rows
-        ]
+        # SingleServerRow's field order is the column order
+        rows = [asdict(r) for r in comp.rows]
         head = [{"name": "a_minus", "value": comp.a_minus}, {"name": "a_plus", "value": comp.a_plus}]
         return {"tables": {"stability_interval": head, "vs_single_server": rows}}
 

@@ -90,10 +90,8 @@ class CompensationSeries:
 class CompensationResult:
     series: CompensationSeries
     grid: ProbabilityGrid
-    T: int
     inner_box: int
     n_used: int
-    epsilon_requested: float
     epsilon_used: float
     last_term_change: float  # share of the unnormalized mass the last series term moves
 
@@ -369,7 +367,6 @@ def solve(
     consumer needs more states (decay diagnostics want a deep tail, for
     instance).
     """
-    epsilon_requested = epsilon
     T, epsilon = truncation(params, epsilon)
     T = max(T, T_min or 3)
     w, w_hat = asymptotic_ratios(params)
@@ -409,10 +406,8 @@ def solve(
     return CompensationResult(
         series=series,
         grid=grid,
-        T=T,
         inner_box=B,
         n_used=n,
-        epsilon_requested=epsilon_requested,
         epsilon_used=epsilon,
         last_term_change=last_term_change,
     )

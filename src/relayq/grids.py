@@ -32,9 +32,10 @@ class ProbabilityGrid:
     """Equilibrium probabilities on a square truncation of the state space.
 
     ``values[k, l]`` over (k, l) = (min, |difference|), 0 <= k, l <= T.
-    Every solver returns a normalized, non-negative grid. A power-series
-    partial sum may carry round-off-scale negatives: :func:`relayq.psa.solve`
-    clips them before it renormalizes, :func:`relayq.psa.evaluate` does not.
+    Each route (CA, PSA, the oracle) clips its own grid at zero and normalizes
+    it, so callers emit it as it is; a power-series partial sum may carry
+    round-off-scale negatives, which :func:`relayq.psa.evaluate` leaves in.
+    The simulator's grid is non-negative and holds 1 - ``overflow_mass``.
     """
 
     values: np.ndarray
@@ -59,5 +60,5 @@ class ProbabilityGrid:
         return ProbabilityGrid(self.values / tot)
 
     def clipped(self) -> "ProbabilityGrid":
-        """Non-negative copy (for reporting; does not renormalize)."""
+        """Non-negative copy; does not renormalize."""
         return ProbabilityGrid(np.maximum(self.values, 0.0))

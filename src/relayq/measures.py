@@ -148,7 +148,6 @@ class SingleServerRow:
 
 @dataclass(frozen=True)
 class SingleServerComparison:
-    lam: float
     a_minus: float
     a_plus: float
     rows: tuple[SingleServerRow, ...]
@@ -185,4 +184,4 @@ def single_server_comparison(
                 jsrq_mean_total=jsrq_eq,
             )
         )
-    return SingleServerComparison(lam=lam, a_minus=a_minus, a_plus=a_plus, rows=tuple(rows))
+    return SingleServerComparison(a_minus=a_minus, a_plus=a_plus, rows=tuple(rows))

@@ -84,7 +84,6 @@ def theta_from_rho(rho: float, G: float) -> float:
 
 @dataclass(frozen=True)
 class PsaDiagnostics:
-    converged: bool
     achieved_rel_change: float
     # "epsilon" | "cap" | "divergence": a non-finite change, or
     # _IMPROVEMENT_PATIENCE depths without a new smallest change
@@ -432,8 +431,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
         elif n_done - best_n >= _IMPROVEMENT_PATIENCE:
             stop_reason = "divergence"
             break
-    converged = stop_reason == "epsilon"
-    if not (converged or best_rel < _SETTLED):
+    if not (stop_reason == "epsilon" or best_rel < _SETTLED):
         raise NumericsError(
             f"power series did not settle at load {rho:.4g}, G = {G:g}: its smallest change "
             f"is {best_rel:.3g} (depth {best_n}), not below {_SETTLED:g} "
@@ -455,7 +453,6 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
         T_psa=T,
         grid=grid,
         diagnostics=PsaDiagnostics(
-            converged=converged,
             achieved_rel_change=best_rel,
             stop_reason=stop_reason,
             rel_change_history=tuple(rel_hist),

@@ -229,7 +229,7 @@ def test_solve_psa_warns_when_series_does_not_converge(capsys, monkeypatch):
     def not_converged(*a, **k):
         sol = solve(*a, **k)
         depths.append(sol.N_psa)
-        diag = dataclasses.replace(sol.diagnostics, converged=False, stop_reason="cap")
+        diag = dataclasses.replace(sol.diagnostics, stop_reason="cap")
         return dataclasses.replace(sol, diagnostics=diag)
 
     monkeypatch.setattr(psa, "solve", not_converged)
@@ -407,6 +407,52 @@ def test_stdout_is_the_row_dict_reference(args, fmt, capsys, monkeypatch):
     assert code == 0
     reference = {"csv": _reference_csv, "json": _reference_json}[fmt]
     assert out == reference(artifacts[0])
+
+
+_NAME_VALUE = ["name", "value", "ci_halfwidth"]
+_GRID = ["k", "l", "prob"]
+_MEASURES = ["e_qsum", "e_sojourn", "correlation"]
+_DECAY = ["decay_ratio", "marginal_min_decay"]
+_SIM_ESTIMATES = (_NAME_VALUE, [*_MEASURES, "overflow_mass"])
+
+# per command: table -> (keys of every row in order, the name column in order or None)
+_PINNED_TABLES = {
+    "stability --rho 0.4": {"stability": (["lambda", "a", "load", "margin", "verdict"], None)},
+    "solve --rho 0.4": {"measures": (_NAME_VALUE, _MEASURES + _DECAY), "grid": (_GRID, None)},
+    "solve --method psa --rho 0.4": {"measures": (_NAME_VALUE, _MEASURES), "grid": (_GRID, None)},
+    "solve --method oracle --rho 0.4": {"measures": (_NAME_VALUE, _MEASURES + _DECAY), "grid": (_GRID, None)},
+    "solve --method sim --rho 0.4 " + " ".join(_SMALL_SIM): {"measures": _SIM_ESTIMATES, "grid": (_GRID, None)},
+    "compare --rho 0.4": {
+        "compare": (_NAME_VALUE, ["maxnorm_ca_oracle", "maxnorm_psa_oracle", "maxnorm_ca_psa",
+                                  "abs_diff_e_sojourn", "abs_diff_correlation"]),
+    },
+    "table1 --epsilon 1e-4": {
+        "table1": (["rho", "e_sojourn_ca", "e_sojourn_psa", "abs_diff_e_sojourn", "correlation_ca",
+                    "correlation_psa", "abs_diff_correlation", "psa_converged"], None),
+    },
+    "decay --rho 0.4": {
+        "decay": (["name", "l", "value"], ["expected_rho_squared", *["fixed_l_ratio"] * 3, "marginal_min_ratio"]),
+    },
+    "vs-single-server --lambda 0.2": {
+        "stability_interval": (["name", "value"], ["a_minus", "a_plus"]),
+        "vs_single_server": (["a", "single_stable", "jsrq_stable", "single_mean_queue", "jsrq_mean_total"], None),
+    },
+    "simulate --rho 0.4 " + " ".join(_SMALL_SIM): {"measures": _SIM_ESTIMATES, "grid": (_GRID, None)},
+}
+
+
+@pytest.mark.parametrize("command", _PINNED_TABLES)
+def test_table_columns_are_pinned(command, capsys):
+    """Every command's tables in order, each table's keys in order and the
+    name column of every name/value table in order."""
+    code, out, _ = run_cli([*command.split(), "--format", "json"], capsys)
+    assert code == 0
+    tables = json.loads(out, parse_constant=_reject_constant)
+    assert list(tables) == list(_PINNED_TABLES[command])
+    for name, (keys, names) in _PINNED_TABLES[command].items():
+        assert tables[name] and all(list(row) == keys for row in tables[name]), name
+        if names is not None:
+            assert [row["name"] for row in tables[name]] == names, name
 
 
 def test_json_cells_of_numpy_and_plain_types():

@@ -416,12 +416,11 @@ def test_solve_balances_at_high_load(rho, a):
 
 def test_solve_truncation_formula(params_rho04, ca_rho04):
     g0 = ca.initial_gamma(params_rho04)
-    assert ca_rho04.T == max(int(np.ceil(np.log(1e-12) / np.log(g0))), 3)
+    assert ca_rho04.grid.T == max(int(np.ceil(np.log(1e-12) / np.log(g0))), 3)
 
 
 def test_solve_epsilon_clamp(base_params):
     res = ca.solve(base_params, epsilon=1e-30)
-    assert res.epsilon_requested == 1e-30
     assert res.epsilon_used == 1e-12
 
 
@@ -439,7 +438,7 @@ def test_decay_toward_rho_squared(params_rho04, ca_rho04):
     the min-marginal), checked a few states inside the truncation edge."""
     grid = ca_rho04.grid.values
     rho2 = params_rho04.rho**2
-    T = ca_rho04.T
+    T = ca_rho04.grid.T
     for l in (0, 1, 3):
         ratio = grid[T - 2, l] / grid[T - 3, l]
         assert ratio == pytest.approx(rho2, abs=1e-4)

@@ -92,3 +92,18 @@ def test_total_is_geometric_at_half_attempt_probability(solution, method, rho):
     law = np.bincount((2 * K + L).ravel(), weights=grid.values.ravel())[: grid.T + 1]
     exact = (1 - rho) * rho ** np.arange(grid.T + 1)
     assert np.max(np.abs(law - exact) / exact) < TOTAL_LAW_BOUND[method]
+
+
+@pytest.mark.parametrize(
+    "method, rho, a",
+    [
+        *((method, rho, a) for method in relayq.routes.METHODS for rho in (0.1, 0.4, 0.9) for a in (0.3, 0.5)),
+        *((method, 0.99, a) for method in ("ca", "oracle") for a in (0.3, 0.5)),
+    ],
+)
+def test_route_grid_is_clipped_and_normalized(solution, method, rho, a):
+    """Each route clips its grid at zero and normalizes it, so the CLI emits
+    it as it is: no entry carries a sign bit, -0.0 included."""
+    grid = solution(method, rho, a).grid
+    assert not np.signbit(grid.values).any()
+    assert abs(grid.total() - 1.0) <= 1e-12

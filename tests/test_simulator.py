@@ -189,11 +189,34 @@ def test_one_step_frequencies_match_law(base_params):
 
 
 def test_empirical_distribution_properties(base_params):
+    """The CLI emits the grid as it is: no entry carries a sign bit, and it holds 1 - overflow_mass."""
     res = simulate(base_params, small_config())
+    assert not np.signbit(res.empirical.values).any()
     total = res.empirical.total() + res.overflow_mass
     assert total == pytest.approx(1.0, abs=1e-12)
     assert res.grid_cap == 2 * truncation(base_params, 1e-10)[0]
     assert res.e_sojourn == pytest.approx(res.e_qsum / base_params.lam, rel=1e-12)
+
+
+@pytest.mark.parametrize("rho", [0.4, 0.7])
+def test_total_is_geometric_at_half_attempt_probability(rho):
+    """At a = 1/2, P(2k + l = n) = (1 - rho) rho^n (tests/test_routes.py).
+    Slots within one replication are correlated, so the test runs across
+    replications: 8 seeds of one replication each, whose mean P(n) for
+    n = 0..5 must lie within t_(7, 0.9995) = 5.41 standard errors of the
+    exact law. Seeds 0-7 give a largest |t| of 1.94 (rho = 0.4) and 2.22
+    (rho = 0.7); 2 of 200 disjoint groups of 8 seeds exceed 5.41 at each
+    load, a false-alarm rate of about 1 % per load."""
+    p = ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5)
+    laws = []
+    for seed in range(8):
+        grid = simulate(p, SimConfig(seed=seed, warmup_slots=10_000, measure_slots=50_000, replications=1)).empirical
+        K, L = np.indices(grid.values.shape)
+        laws.append(np.bincount((2 * K + L).ravel(), weights=grid.values.ravel())[:6])
+    laws = np.array(laws)
+    exact = (1 - rho) * rho ** np.arange(6)
+    t = (laws.mean(axis=0) - exact) / (laws.std(axis=0, ddof=1) / math.sqrt(len(laws)))
+    assert np.max(np.abs(t)) < 5.41
 
 
 def test_matches_oracle_within_ci(base_params, oracle_base):
@@ -221,6 +244,8 @@ def test_unstable_runs_allowed():
     res = simulate(p, SimConfig(seed=3, warmup_slots=0, measure_slots=20_000, replications=1))
     assert res.e_qsum > 100  # linear growth, no equilibrium
     assert res.overflow_mass > 0
+    assert not np.signbit(res.empirical.values).any()
+    assert abs(res.empirical.total() + res.overflow_mass - 1.0) <= 1e-12
 
 
 def test_t_quantile_closed_forms():
