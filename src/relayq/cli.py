@@ -11,9 +11,9 @@ indent=2)`` of the tables as lists of row dicts, the grid table as one
 as a ``# table: <name>`` line, a header line and one line per row, cells as
 :func:`_fmt` formats them (floats with ``%.17g``). Both writers build a
 table's row template once and fill it per row; a grid's rows come straight
-from its values array, one k-row at a time, as the route clipped and
-normalized it. Every ``{"name", "value", "ci_halfwidth"}`` table comes from
-one row builder, :func:`_rows`.
+from its values array, one k-row at a time, as ``ProbabilityGrid.finished``
+left it and the measures read it. Every ``{"name", "value", "ci_halfwidth"}``
+table comes from one row builder, :func:`_rows`.
 
 Each subcommand takes --format and --out, and besides them only the options
 it reads:

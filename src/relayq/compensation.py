@@ -396,16 +396,15 @@ def solve(
             f"{last_term_change:.3e} of the mass (epsilon {epsilon:.1e})"
         )
 
-    grid_vals = grid_un / total
+    grid_un /= total
     # round-off guard: the construction is sign-definite, anything below is noise
-    floor = -1e-13 * float(grid_vals.max())
-    if float(grid_vals.min()) < floor:
-        raise NumericsError(f"normalized grid has negative entry {grid_vals.min():.3e}")
+    floor = -1e-13 * float(grid_un.max())
+    if float(grid_un.min()) < floor:
+        raise NumericsError(f"normalized grid has negative entry {grid_un.min():.3e}")
 
-    grid = ProbabilityGrid(grid_vals).clipped().normalized()
     return CompensationResult(
         series=series,
-        grid=grid,
+        grid=ProbabilityGrid.finished(grid_un),
         inner_box=B,
         n_used=n,
         epsilon_used=epsilon,

@@ -32,10 +32,11 @@ class ProbabilityGrid:
     """Equilibrium probabilities on a square truncation of the state space.
 
     ``values[k, l]`` over (k, l) = (min, |difference|), 0 <= k, l <= T.
-    Each route (CA, PSA, the oracle) clips its own grid at zero and normalizes
-    it, so callers emit it as it is; a power-series partial sum may carry
-    round-off-scale negatives, which :func:`relayq.psa.evaluate` leaves in.
-    The simulator's grid is non-negative and holds 1 - ``overflow_mass``.
+    CA, PSA and the oracle build their grids only through :meth:`finished`,
+    which clips the route's array at zero and normalizes it in place; the
+    measures and the CLI read that array as it is. A bare power-series
+    partial sum, :func:`relayq.psa.evaluate`, keeps its round-off-scale
+    negatives. The simulator's grid is non-negative and holds 1 - ``overflow_mass``.
     """
 
     values: np.ndarray
@@ -53,12 +54,13 @@ class ProbabilityGrid:
     def total(self) -> float:
         return float(self.values.sum())
 
-    def normalized(self) -> "ProbabilityGrid":
-        tot = self.total()
+    @classmethod
+    def finished(cls, values: np.ndarray) -> "ProbabilityGrid":
+        """The grid of ``values``, an array the caller owns and gives up: clipped
+        at zero and divided by its sum, both in place."""
+        np.maximum(values, 0.0, out=values)
+        tot = float(values.sum())
         if tot <= 0:
             raise GridError("cannot normalize a grid with non-positive mass")
-        return ProbabilityGrid(self.values / tot)
-
-    def clipped(self) -> "ProbabilityGrid":
-        """Non-negative copy; does not renormalize."""
-        return ProbabilityGrid(np.maximum(self.values, 0.0))
+        values /= tot
+        return cls(values)

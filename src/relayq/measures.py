@@ -51,27 +51,30 @@ class DecayDiagnostics:
 
 
 _FIXED_L = (0, 1, 3)  # the columns l whose decay along k is reported
+_MASS_TOL = 1e-6  # how far from 1 the mass of a grid may lie
 
 
-def _check_normalized(grid: ProbabilityGrid, tol: float = 1e-6) -> np.ndarray:
+def _checked_values(grid: ProbabilityGrid) -> np.ndarray:
+    """The grid's own values, once their mass is within _MASS_TOL of 1 (a NaN mass is not)."""
     tot = grid.total()
-    if abs(tot - 1.0) > tol:
+    if not abs(tot - 1.0) <= _MASS_TOL:
         raise GridError(f"grid is not normalized: mass {tot!r}")
-    return grid.clipped().normalized().values
+    return grid.values
 
 
-def _tail_ratio(values: np.ndarray, k: int) -> float | None:
-    """values[k+1] / values[k], or None unless both entries are positive."""
-    if values[k] > 0 and values[k + 1] > 0:
-        return float(values[k + 1] / values[k])
-    return None
+def _tail_ratios(pi: np.ndarray, columns: tuple[int, ...]) -> list[float | None]:
+    """pi(k+1, l) / pi(k, l) at k = T - 3 for each l in ``columns``, then the
+    same ratio of the marginal sum over l; None unless both entries are positive."""
+    k = pi.shape[0] - 4
+    tails = [pi[k : k + 2, l] for l in columns] + [pi[k : k + 2].sum(axis=1)]
+    return [float(t[1] / t[0]) if t[0] > 0 and t[1] > 0 else None for t in tails]
 
 
 def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> MeasureReport:
     """Expected totals, sojourn time, and relay correlation from a (k, l) grid."""
-    pi = _check_normalized(grid)
+    pi = _checked_values(grid)
     T = grid.T
-    K, L = np.meshgrid(np.arange(T + 1), np.arange(T + 1), indexing="ij")
+    K, L = np.arange(T + 1)[:, None], np.arange(T + 1)
     e_qsum = float(((2 * K + L) * pi).sum())
     e_soj = e_qsum / params.lam
     mu = e_qsum / 2.0
@@ -80,11 +83,7 @@ def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> Meas
     e_q1q2 = float((K * (K + L) * pi).sum())
     scale = 1.0 + mu * mu
     correlation = None if var <= 1e-12 * scale else (e_q1q2 - mu * mu) / var
-
-    decay = marginal = None
-    if T >= 6:
-        decay = _tail_ratio(pi[:, 0], T - 3)
-        marginal = _tail_ratio(pi.sum(axis=1), T - 3)
+    decay, marginal = _tail_ratios(pi, (0,)) if T >= 6 else (None, None)
     return MeasureReport(
         e_qsum=e_qsum,
         e_sojourn=e_soj,
@@ -101,15 +100,14 @@ def decay_diagnostics(grid: ProbabilityGrid, params: ModelParams) -> DecayDiagno
     inside the truncation edge where the limit has set in but edge effects
     have not. An estimate is None where the tail there carries no mass.
     """
-    pi = _check_normalized(grid)
-    T = grid.T
-    if T < 20:
-        raise GridError(f"decay diagnostics need a grid with T >= 20, got {T}")
-    k_probe = T - 3
+    pi = _checked_values(grid)
+    if grid.T < 20:
+        raise GridError(f"decay diagnostics need a grid with T >= 20, got {grid.T}")
+    *fixed, marginal = _tail_ratios(pi, _FIXED_L)
     return DecayDiagnostics(
         expected=params.rho**2,
-        fixed_l_estimates={l: _tail_ratio(pi[:, l], k_probe) for l in _FIXED_L},
-        marginal_estimate=_tail_ratio(pi.sum(axis=1), k_probe),
+        fixed_l_estimates=dict(zip(_FIXED_L, fixed)),
+        marginal_estimate=marginal,
     )
 
 

@@ -140,7 +140,7 @@ def gth_stationary(P: np.ndarray) -> np.ndarray:
 
 
 def stationary(chain: QBDChain) -> ProbabilityGrid:
-    """Stationary distribution on the box [0,T]^2, zero for l > T_l, clipped and normalized on the box."""
+    """Stationary distribution on the box [0,T]^2, zero for l > T_l, through ProbabilityGrid.finished."""
     n = chain.R.shape[0]
     try:
         pi = gth_stationary(chain.boundary)
@@ -156,4 +156,4 @@ def stationary(chain: QBDChain) -> ProbabilityGrid:
     for k in range(1, chain.T + 1):
         values[k, :n] = row
         row = row @ chain.R
-    return ProbabilityGrid(values).clipped().normalized()
+    return ProbabilityGrid.finished(values)

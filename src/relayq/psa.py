@@ -98,7 +98,7 @@ class PsaSolution:
     u: np.ndarray  # coefficients, shape (N_psa+1, T_psa+1, T_psa+1)
     N_psa: int
     T_psa: int
-    grid: ProbabilityGrid  # the partial sum at theta, clipped at zero and renormalized
+    grid: ProbabilityGrid  # ProbabilityGrid.finished of the partial sum at theta
     diagnostics: PsaDiagnostics
 
 
@@ -341,15 +341,15 @@ def compute_coefficients(N_psa: int, T_psa: int, G: float, a: float = 0.5) -> np
     return u
 
 
-def _reconstruct(u: np.ndarray, theta: float) -> ProbabilityGrid:
-    """The grid sum_n theta^(n+k+l) u(n,k,l) of coefficients u at series variable theta."""
+def _reconstruct(u: np.ndarray, theta: float) -> np.ndarray:
+    """The values sum_n theta^(n+k+l) u(n,k,l) of coefficients u at series variable theta."""
     N, T = u.shape[0] - 1, u.shape[1] - 1
     tpow = theta ** np.arange(N + 2 * T + 1)
     K, L = np.indices((T + 1, T + 1))
     vals = np.zeros((T + 1, T + 1))
     for n in range(N + 1):
         vals += tpow[n + K + L] * u[n]
-    return ProbabilityGrid(vals)
+    return vals
 
 
 def evaluate(rho: float, solution: PsaSolution) -> ProbabilityGrid:
@@ -358,7 +358,7 @@ def evaluate(rho: float, solution: PsaSolution) -> ProbabilityGrid:
     The coefficients do not depend on the load, so a single solution can be
     re-evaluated across loads (within the series' convergence range).
     """
-    return _reconstruct(solution.u, theta_from_rho(rho, solution.G))
+    return ProbabilityGrid(_reconstruct(solution.u, theta_from_rho(rho, solution.G)))
 
 
 def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSolution:
@@ -384,8 +384,8 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
 
     :func:`relayq.model.truncation` gates the load and ``epsilon``, clamps
     ``epsilon`` at the 64-bit floor and sizes the grid. The answer is the
-    partial sum clipped at zero and renormalized. A series can settle on a
-    sum far from the equilibrium, as it does at a large G, so the solve
+    partial sum, finished by :meth:`ProbabilityGrid.finished`. A series can
+    settle on a sum far from the equilibrium, as it does at a large G, so the solve
     also raises :class:`NumericsError` when the answer's largest balance
     residual exceeds max(epsilon, 2e-8).
     """
@@ -438,7 +438,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
             f"(stop: {stop_reason} after {len(rel_hist)} depths)"
         )
     u = u[: best_n + 1]
-    grid = _reconstruct(u, theta).clipped().normalized()
+    grid = ProbabilityGrid.finished(_reconstruct(u, theta))
     residual, bound = max_interior_residual(grid.values, params), max(epsilon, _RESIDUAL_FLOOR)
     if not residual <= bound:
         raise NumericsError(

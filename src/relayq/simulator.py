@@ -127,9 +127,9 @@ def _paths(lam: float, a: float, slots: int, rng: np.random.Generator, q1: int =
         done += n
 
 
-def _run_one(params: ModelParams, config: SimConfig, r: int, cap: int):
+def _run_one(params: ModelParams, config: SimConfig, r: int, cap: int, counts: np.ndarray):
+    """Replication ``r``: ``counts`` grown by its visits to the grid, its overflow and its moments."""
     rng = _replication_rng(config.seed, r)
-    counts = np.zeros((1, 1), dtype=np.int64)
     overflow = 0
     s1 = s2 = s11 = s22 = s12 = 0.0
     skip = config.warmup_slots
@@ -178,9 +178,7 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     counts = np.zeros((1, 1), dtype=np.int64)
     overflow = 0
     for r in range(config.replications):
-        c, ov, mom = _run_one(params, config, r, cap)
-        side = max(len(counts), len(c))
-        counts = np.pad(counts, (0, side - len(counts))) + np.pad(c, (0, side - len(c)))
+        counts, ov, mom = _run_one(params, config, r, cap, counts)
         overflow += ov
         qsum = mom["q1"] + mom["q2"]
         qsums.append(qsum)

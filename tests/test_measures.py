@@ -31,10 +31,17 @@ def test_reference_point_values(params_rho04, ca_rho04):
 
 
 def test_unnormalized_grid_rejected(base_params):
+    """A mass off 1 is refused, and so is a NaN mass, which no tolerance
+    comparison holds: one NaN entry made every measure NaN."""
+    nan_entry = np.full((8, 8), 1 / 64)
+    nan_entry[3, 4] = np.nan
+    for vals in (np.full((6, 6), 0.1), nan_entry):
+        with pytest.raises(GridError):
+            measures.moments_from_transformed(ProbabilityGrid(vals), base_params)
+    nan_tail = np.full((30, 30), 1 / 900)
+    nan_tail[20, 0] = np.nan
     with pytest.raises(GridError):
-        measures.moments_from_transformed(
-            ProbabilityGrid(np.full((6, 6), 0.1)), base_params
-        )
+        measures.decay_diagnostics(ProbabilityGrid(nan_tail), base_params)
 
 
 def test_transformed_moments_equal_direct_original_moments(base_params):
@@ -208,3 +215,14 @@ def test_mean_total_at_half_attempt_probability(solution, method, rho):
     v = _grid(solution, method, rho, 0.5).values
     K, L = np.indices(v.shape)
     assert float(((2 * K + L) * v).sum()) == pytest.approx(rho / (1 - rho), rel=1e-9)
+
+
+@pytest.mark.parametrize("method, rho", [("psa", 0.9), ("oracle", 0.4), ("ca", 0.7)])
+def test_measures_are_sums_over_the_emitted_grid(solution, method, rho):
+    """The measures read the route's grid as it is emitted, bit for bit. A
+    second clip and division in the measures moved 14,022 of PSA's 17,689
+    entries at rho = 0.9, 221 of the oracle's 289 at 0.4 and all 1,600 of
+    CA's at 0.7."""
+    sol = solution(method, rho, 0.5)
+    K, L = np.indices(sol.grid.values.shape)
+    assert sol.measures.e_qsum == float(((2 * K + L) * sol.grid.values).sum())

@@ -130,7 +130,7 @@ def test_chunk_bookkeeping(monkeypatch):
     config = SimConfig(
         seed=0, warmup_slots=simulator._CHUNK + 1, measure_slots=len(measured), replications=1
     )
-    counts, overflow, mom = simulator._run_one(ModelParams(lam=0.3, a=0.5), config, 0, cap)
+    counts, overflow, mom = simulator._run_one(ModelParams(lam=0.3, a=0.5), config, 0, cap, np.zeros((1, 1), dtype=np.int64))
     assert counts[10, 10] == 2 and counts.sum() == 2
     assert overflow == len(measured) - 2
     n = len(measured)
