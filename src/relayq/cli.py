@@ -9,11 +9,12 @@ Output is a set of named tables. JSON is byte-equal to ``json.dumps(tables,
 indent=2)`` of the tables as lists of row dicts, the grid table as one
 ``{"k", "l", "prob"}`` dict per state in (k, l) order. CSV writes each table
 as a ``# table: <name>`` line, a header line and one line per row, cells as
-:func:`_fmt` formats them (floats with ``%.17g``). Both writers build a
-table's row template once and fill it per row; a grid's rows come straight
-from its values array, one k-row at a time, as ``ProbabilityGrid.finished``
-left it and the measures read it. Every ``{"name", "value", "ci_halfwidth"}``
-table comes from one row builder, :func:`_rows`.
+:func:`_fmt` formats them (floats with ``%.17g``). JSON writes each table of
+row dicts through ``json.dumps`` itself; only a grid's rows, 207k of them at
+rho = 0.97, fill one row template, for speed. They come straight from its
+values array, one k-row at a time, as ``ProbabilityGrid.finished`` left it
+and the measures read it. Every ``{"name", "value", "ci_halfwidth"}`` table
+comes from one row builder, :func:`_rows`.
 
 Each subcommand takes --format and --out, and besides them only the options
 it reads:
@@ -88,9 +89,9 @@ def _fmt(x) -> str:
     - ``int`` / ``numpy.integer`` -> decimal;
     - anything else -> ``float`` printed with ``%.17g`` (round-trips exactly).
 
-    Its JSON twin :func:`_json_cell` maps the same types to the text
-    ``json.dumps`` writes for them: ``null``, escaped strings, booleans,
-    integers and floats (``repr``, or ``NaN`` / ``Infinity``).
+    Its JSON twin is ``json.dumps`` with :func:`_numpy_scalar`: ``null``,
+    escaped strings, booleans, integers and floats (``repr``, or ``NaN`` /
+    ``Infinity``).
     """
     if x is None:
         return ""
@@ -258,7 +259,7 @@ def run(spec: RunSpec) -> dict:
     raise UsageError(f"unknown command {spec.command!r}")
 
 
-_GRID_HEADER = ("k", "l", "prob")
+_GRID_ROW = '    {\n      "k": %d,\n      "l": %d,\n      "prob": %s\n    }'
 
 
 def _grid_pieces(values: np.ndarray, template: str, sep: str, prob):
@@ -269,54 +270,40 @@ def _grid_pieces(values: np.ndarray, template: str, sep: str, prob):
         yield sep + rows if k else rows
 
 
-def _table_rows(table, template_of, sep: str, cell, prob):
-    """Header and rows of one non-empty table, the rows as text pieces that
-    concatenate to them joined by ``sep``.
-
-    ``template_of(header, slots)`` is the row template, built once per table.
-    Cells of row dicts go through ``cell``; a grid's finite ``prob`` values go
-    through ``prob``, and all of them through ``cell`` when one is not finite.
-    """
-    if isinstance(table, np.ndarray):
-        prob = prob if np.isfinite(table).all() else cell
-        return _GRID_HEADER, _grid_pieces(table, template_of(_GRID_HEADER, ("%d", "%d", "%s")), sep, prob)
-    header = tuple(table[0])
-    template = template_of(header, ("%s",) * len(header))
-    return header, [sep.join([template % tuple([cell(row[h]) for h in header]) for row in table])]
-
-
 def _to_csv(artifact: dict) -> str:
     parts = []
     for name, table in artifact["tables"].items():
         if len(table) == 0:
             continue
-        header, rows = _table_rows(table, lambda header, slots: ",".join(slots), "\n", _fmt, "%.17g".__mod__)
-        parts += [f"# table: {name}\n", ",".join(header), "\n", *rows, "\n"]
+        parts.append(f"# table: {name}\n")
+        if isinstance(table, np.ndarray):
+            prob = "%.17g".__mod__ if np.isfinite(table).all() else _fmt
+            parts += ["k,l,prob\n", *_grid_pieces(table, "%d,%d,%s", "\n", prob), "\n"]
+        else:
+            parts.append(",".join(table[0]) + "\n")
+            parts += [",".join([_fmt(cell) for cell in row.values()]) + "\n" for row in table]
     return "".join(parts) or "\n"
 
 
-def _json_cell(x) -> str:
-    """JSON twin of :func:`_fmt`: the text ``json.dumps`` writes for one cell,
-    a numpy scalar as its Python value; other types raise ``TypeError``."""
-    return json.dumps(x.item() if isinstance(x, np.generic) else x)
-
-
-def _json_row(header, slots) -> str:
-    fields = ",\n".join(f"      {_json_cell(h).replace('%', '%%')}: {slot}" for h, slot in zip(header, slots))
-    return "    {\n" + fields + "\n    }"
+def _numpy_scalar(x):
+    """``json.dumps`` hook: a numpy scalar as its Python value; other types raise ``TypeError``."""
+    if isinstance(x, np.generic):
+        return x.item()
+    raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
 def _to_json(artifact: dict) -> str:
     """JSON twin of ``_to_csv``, byte-equal to ``json.dumps(tables, indent=2)``
-    of the tables as lists of row dicts."""
+    of the tables as lists of row dicts. Row-dict tables go through
+    ``json.dumps`` itself; a grid's rows fill :data:`_GRID_ROW`."""
     parts = []
     for name, table in artifact["tables"].items():
-        parts.append(",\n" if parts else "{\n")
-        if len(table) == 0:
-            parts.append(f"  {_json_cell(name)}: []")
-            continue
-        _, rows = _table_rows(table, _json_row, ",\n", _json_cell, repr)
-        parts += [f"  {_json_cell(name)}: [\n", *rows, "\n  ]"]
+        parts += [",\n" if parts else "{\n", f"  {json.dumps(name)}: "]
+        if isinstance(table, np.ndarray) and len(table):
+            prob = repr if np.isfinite(table).all() else json.dumps
+            parts += ["[\n", *_grid_pieces(table, _GRID_ROW, ",\n", prob), "\n  ]"]
+        else:
+            parts.append(json.dumps(list(table), indent=2, default=_numpy_scalar).replace("\n", "\n  "))
     parts.append("\n}\n" if parts else "{}\n")
     return "".join(parts)
 

@@ -327,7 +327,7 @@ def _outer_values(series: CompensationSeries, n: int, T: int) -> np.ndarray:
     gk = np.power.outer(series.gammas[: n + 2], np.arange(T + 1.0))  # (n+2, T+1)
     dl = np.power.outer(series.deltas[: n + 1], np.arange(2.0, T + 1))  # (n+1, T-1)
     vals = square(T, np.nan)
-    vals[:, 2:] = (series.d[: n + 1, None] * gk[: n + 1] + series.c[: n + 1, None] * gk[1:]).T @ dl
+    np.matmul((series.d[: n + 1, None] * gk[: n + 1] + series.c[: n + 1, None] * gk[1:]).T, dl, out=vals[:, 2:])
     vals[1:, 0] = series.e0[: n + 1] @ gk[: n + 1, 1:]
     vals[1:, 1] = series.e1[: n + 1] @ gk[: n + 1, 1:]
     return vals
@@ -389,7 +389,10 @@ def solve(
 
     grid_un = unnormalized_grid(n)
     total = float(grid_un.sum())
-    last_term_change = float(np.abs(grid_un - unnormalized_grid(n - 1)).sum()) / abs(total)
+    # the (n - 1)-term grid's buffer takes the difference, so the guard holds two grids
+    change = unnormalized_grid(n - 1)
+    np.abs(np.subtract(grid_un, change, out=change), out=change)
+    last_term_change = float(change.sum()) / abs(total)
     if not last_term_change < epsilon:
         raise NumericsError(
             f"compensation series not converged at {n} terms: the last term moves "

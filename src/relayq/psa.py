@@ -84,7 +84,6 @@ def theta_from_rho(rho: float, G: float) -> float:
 
 @dataclass(frozen=True)
 class PsaDiagnostics:
-    achieved_rel_change: float
     # "epsilon" | "cap" | "divergence": a non-finite change, or
     # _IMPROVEMENT_PATIENCE depths without a new smallest change
     stop_reason: str
@@ -94,7 +93,6 @@ class PsaDiagnostics:
 @dataclass(frozen=True)
 class PsaSolution:
     G: float
-    theta: float
     u: np.ndarray  # coefficients, shape (N_psa+1, T_psa+1, T_psa+1)
     N_psa: int
     T_psa: int
@@ -447,13 +445,11 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
         )
     return PsaSolution(
         G=G,
-        theta=theta,
         u=u,
         N_psa=best_n,
         T_psa=T,
         grid=grid,
         diagnostics=PsaDiagnostics(
-            achieved_rel_change=best_rel,
             stop_reason=stop_reason,
             rel_change_history=tuple(rel_hist),
         ),

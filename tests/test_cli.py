@@ -398,9 +398,10 @@ def _reference_csv(artifact):
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("args", _EVERY_COMMAND)
 def test_stdout_is_the_row_dict_reference(args, fmt, capsys, monkeypatch):
-    """The writers fill row templates, and a grid's rows come from its array;
-    stdout equals ``json.dumps(indent=2)`` of the row dicts, or the ``_fmt``
-    join of their cells, computed from the same artifact."""
+    """JSON writes row-dict tables through ``json.dumps`` and a grid's rows
+    from its array with one row template; stdout equals ``json.dumps(indent=2)``
+    of the row dicts, or the ``_fmt`` join of their cells, computed from the
+    same artifact."""
     run, artifacts = cli.run, []
     monkeypatch.setattr(cli, "run", lambda spec: artifacts.append(run(spec)) or artifacts[-1])
     code, out, _ = run_cli([*args, "--format", fmt], capsys)
@@ -483,6 +484,7 @@ def test_json_cells_of_numpy_and_plain_types():
         {},
         {"first": odd, "none": [], "grid": grid, "%key": [{"%d": 1, "a\"b": True}]},
         {"grid": grid[:1, :1]},
+        {"grid": np.zeros((0, 0))},
     ):
         artifact = {"tables": tables}
         assert cli._to_json(artifact) == _reference_json(artifact)
