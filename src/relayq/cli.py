@@ -30,7 +30,7 @@ it reads:
 
 Every default is a field default of :class:`RunSpec`. ``solve``, ``compare``
 and ``table1`` reach CA, PSA and the oracle only through :func:`relayq.solve`;
-``decay`` calls CA itself, as only CA takes a floor on the grid side (``T_min``),
+``decay`` reaches CA's series through :func:`relayq.measures.decay_diagnostics`,
 and ``vs-single-server`` through :func:`relayq.measures.single_server_comparison`.
 """
 
@@ -45,7 +45,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from . import compensation, measures, routes, simulator
+from . import measures, routes, simulator
 from .errors import GridError, NumericsError, RelayQError, StabilityError
 from .model import EPSILON_FLOOR, ModelParams, is_stable, lambda_for_load
 
@@ -232,10 +232,7 @@ def run(spec: RunSpec) -> dict:
         return {"tables": {"table1": rows}}
 
     if spec.command == "decay":
-        params = _resolve_params(spec)
-        # decay estimates probe the tail, so guarantee a deep enough grid
-        result = compensation.solve(params, epsilon=spec.epsilon, T_min=24)
-        diag = measures.decay_diagnostics(result.grid, params)
+        diag = measures.decay_diagnostics(_resolve_params(spec), spec.epsilon)
         rows = [{"name": "expected_rho_squared", "l": None, "value": diag.expected}]
         for l, est in sorted(diag.fixed_l_estimates.items()):
             rows.append({"name": "fixed_l_ratio", "l": l, "value": est})

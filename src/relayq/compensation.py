@@ -17,7 +17,11 @@ small root of its quadratic part (:func:`delta_root`), and kernel/delta^2 is
 a quadratic in gamma/delta with a cancellation-free small root
 (:func:`gamma_root`). Terms shrink by the ratio w/w_hat of the kernel's limit
 roots (:func:`asymptotic_ratios`), so the series takes
-n = max(ceil(log(epsilon)/log(w/w_hat)), 1) terms.
+n = max(ceil(log(epsilon)/log(w/w_hat)), 1) terms. Each term is a product
+form, so its mass outside the origin box is a geometric sum: the series is
+accepted once its last term, so summed and with the box's response to it,
+moves less than epsilon of the mass (:func:`converged_series`). That check
+needs no grid; :func:`solve` evaluates the series once, on its grid.
 
 The kernel and the boundary equations behind the coefficients are written
 in closed form here, because they are the method. The leading term's 3x2
@@ -38,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NumericsError, StabilityError
-from .grids import ProbabilityGrid, square
+from .grids import ProbabilityGrid, full
 from .model import ModelParams, transformed_inflows, truncation
 
 __all__ = [
@@ -53,6 +57,8 @@ __all__ = [
     "leading_boundary_coefficients",
     "compute_series",
     "asymptotic_ratios",
+    "outer_values",
+    "converged_series",
     "solve",
 ]
 
@@ -93,7 +99,7 @@ class CompensationResult:
     inner_box: int
     n_used: int
     epsilon_used: float
-    last_term_change: float  # share of the unnormalized mass the last series term moves
+    last_term_change: float  # closed-form bound on the share of the mass the last term moves, below epsilon_used
 
 
 def kernel_residual(gamma: float, delta: float, params: ModelParams) -> float:
@@ -315,22 +321,38 @@ def asymptotic_ratios(params: ModelParams) -> tuple[float, float]:
     return w, p.p_dep / (p.p_fwd * w)
 
 
-def _outer_values(series: CompensationSeries, n: int, T: int) -> np.ndarray:
-    """Unnormalized values on [0,T]^2 from the first n terms; the solver overwrites the inner box.
+def outer_values(series: CompensationSeries, k: np.ndarray, L: int) -> np.ndarray:
+    """Unnormalized series values at the ascending rows ``k`` (floats) over columns l in [0, L].
 
-    One table gamma_i^k serves both forms: rows l >= 2 take the pair form
-    sum_i (d_i gamma_i^k + c_i gamma_{i+1}^k) delta_i^l, and rows l in {0, 1}
-    (k >= 1) the boundary form sum_i e_i gamma_i^k. The pair form is derived
-    for l >= 3; the balance residual of the finished grid covers its use on
-    the l = 2 row outside the box.
+    One table gamma_i^k serves both forms: columns l >= 2 take the pair form
+    sum_i (d_i gamma_i^k + c_i gamma_{i+1}^k) delta_i^l, and columns l in {0, 1}
+    the boundary form sum_i e_i gamma_i^k at k >= 1; at k = 0 they are inner-box
+    states and hold NaN. The pair form is derived for l >= 3; the balance
+    residual of the finished grid covers its use on the l = 2 row outside the
+    box. :func:`solve` overwrites the inner box [0,2]^2.
     """
-    gk = np.power.outer(series.gammas[: n + 2], np.arange(T + 1.0))  # (n+2, T+1)
-    dl = np.power.outer(series.deltas[: n + 1], np.arange(2.0, T + 1))  # (n+1, T-1)
-    vals = square(T, np.nan)
-    np.matmul((series.d[: n + 1, None] * gk[: n + 1] + series.c[: n + 1, None] * gk[1:]).T, dl, out=vals[:, 2:])
-    vals[1:, 0] = series.e0[: n + 1] @ gk[: n + 1, 1:]
-    vals[1:, 1] = series.e1[: n + 1] @ gk[: n + 1, 1:]
+    gk = np.power.outer(series.gammas, k)  # (n+2, len(k))
+    dl = np.power.outer(series.deltas, np.arange(2.0, L + 1))  # (n+1, L-1)
+    vals = full((len(k), L + 1), np.nan)
+    np.matmul((series.d[:, None] * gk[:-1] + series.c[:, None] * gk[1:]).T, dl, out=vals[:, 2:])
+    j = int(k[0] == 0)  # the boundary form starts at k = 1
+    vals[j:, 0] = series.e0 @ gk[:-1, j:]
+    vals[j:, 1] = series.e1 @ gk[:-1, j:]
     return vals
+
+
+def _outside_box_mass(g, g1, dl, d, c, e, T: float):
+    """Mass of terms (d g^k + c g1^k) dl^l (l >= 2), e g^k (l in {0, 1}, k >= 1)
+    over the states of [0,T]^2 outside the inner box [0,2]^2; T may be inf.
+
+    The sums are geometric, over l >= 3 at every k and over k >= 3 on the
+    rows l <= 2. Takes floats, or arrays of terms for a mass per term.
+    """
+    def geometric(x, lo):  # sum_{j = lo}^{T} x^j
+        return (x**lo - x ** (T + 1)) / (1.0 - x)
+
+    return ((d * geometric(g, 0) + c * geometric(g1, 0)) * geometric(dl, 3)
+            + (d * geometric(g, 3) + c * geometric(g1, 3)) * dl**2 + e * geometric(g, 3))
 
 
 def _inner_box_system(params: ModelParams, B: int):
@@ -348,58 +370,84 @@ def _inner_box_system(params: ModelParams, B: int):
     return np.eye((B + 1) ** 2) - Q[:, inner], Q[:, ~inner], inner
 
 
-def solve(
-    params: ModelParams, epsilon: float = 1e-12, *, T_min: int | None = None
-) -> CompensationResult:
-    """Full compensation solve: series + origin-box closure + normalization.
+def _box_values(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The inner box's values from its balance equations A x = rhs."""
+    try:
+        return np.linalg.solve(A, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"inner-box balance system is singular: {exc}") from exc
 
-    Every state outside the box [0,2]^2 takes the value of the series; the
-    box comes from its own balance equations. :func:`relayq.model.truncation`
-    gates the load and ``epsilon``, clamps ``epsilon`` at the 64-bit floor and
-    sizes the grid. The series has n = max(ceil(log(epsilon)/log(w/w_hat)), 1)
-    terms, as its terms shrink by the limit-root ratio w/w_hat of
-    :func:`asymptotic_ratios`; its roots are the kernel's
-    closed forms (:func:`gamma_root`, :func:`delta_root`). It counts as
-    converged when its last term moves less than ``epsilon`` of the
-    unnormalized mass; otherwise :class:`NumericsError` is raised. Returns
-    the normalized grid and every sequence needed to evaluate the expansion.
-    ``T_min`` enlarges the grid beyond the epsilon-derived truncation when a
-    consumer needs more states (decay diagnostics want a deep tail, for
-    instance).
+
+def _last_term_share(series: CompensationSeries, T: int, A: np.ndarray, taps: np.ndarray, inner: np.ndarray) -> float:
+    """Bound on the share of the grid's mass that the series' last term n moves.
+
+    Outside the inner box the term's absolute mass is at most
+    :func:`_outside_box_mass` of |d_n|, |c_n| and |e0_n| + |e1_n| over the
+    whole quadrant; inside it, the term moves the box by the box system's
+    solve on the term's tap values. The term's own values inside the box,
+    which that solve overwrites, are not counted. The grid's mass is the box
+    solved on the series' taps plus :func:`_outside_box_mass` of every term
+    over [0,T]^2.
+    """
+    s, n = series, series.n_terms
+    last = CompensationSeries(s.gammas[n:], s.deltas[n:], s.d[n:], s.c[n:], s.e0[n:], s.e1[n:])
+    k = np.arange(INNER_BOX + 2.0)
+    tap_values = [outer_values(x, k, INNER_BOX + 2).ravel()[~inner] for x in (series, last)]
+    box = _box_values(A, taps @ np.stack(tap_values, axis=1))
+    outside = _outside_box_mass(s.gammas[n], s.gammas[n + 1], s.deltas[n], abs(s.d[n]), abs(s.c[n]),
+                                abs(s.e0[n]) + abs(s.e1[n]), math.inf)
+    mass = _outside_box_mass(s.gammas[:-1], s.gammas[1:], s.deltas, s.d, s.c, s.e0 + s.e1, T).sum()
+    return float(outside + np.abs(box[:, 1]).sum()) / abs(float(mass + box[:, 0].sum()))
+
+
+def converged_series(
+    params: ModelParams, epsilon: float = 1e-12
+) -> tuple[CompensationSeries, int, float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """The series of the depth rule, once its last term is shown to move less than ``epsilon`` of the mass.
+
+    :func:`relayq.model.truncation` gates the load and ``epsilon``, clamps
+    ``epsilon`` at the 64-bit floor and sizes the grid side T. The series has
+    n = max(ceil(log(epsilon)/log(w/w_hat)), 1) terms, as its terms shrink by
+    the limit-root ratio w/w_hat of :func:`asymptotic_ratios`; its roots are
+    the kernel's closed forms (:func:`gamma_root`, :func:`delta_root`). Its
+    last term's share of the mass is bounded in closed form
+    (:func:`_last_term_share`), without a grid; unless that bound is below
+    ``epsilon``, :class:`NumericsError` is raised.
+
+    Returns (series, T, clamped epsilon, the last term's share, and the
+    inner-box system of :func:`_inner_box_system`, which :func:`solve` reuses).
     """
     T, epsilon = truncation(params, epsilon)
-    T = max(T, T_min or 3)
     w, w_hat = asymptotic_ratios(params)
     series = compute_series(params, max(math.ceil(math.log(epsilon) / math.log(w / w_hat)), 1))
-    n = series.n_terms
-    B = INNER_BOX
-    A, taps, inner = _inner_box_system(params, B)
-
-    def unnormalized_grid(n_terms: int) -> np.ndarray:
-        # the taps reach l = B+2, which exceeds T on the smallest grids
-        outer = _outer_values(series, n_terms, max(T, B + 2))
-        vals = outer[: T + 1, : T + 1]
-        rhs = taps @ outer[: B + 2, : B + 3].ravel()[~inner]
-        try:
-            box = np.linalg.solve(A, rhs)
-        except np.linalg.LinAlgError as exc:
-            raise NumericsError(f"inner-box balance system is singular: {exc}") from exc
-        vals[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
-        return vals
-
-    grid_un = unnormalized_grid(n)
-    total = float(grid_un.sum())
-    # the (n - 1)-term grid's buffer takes the difference, so the guard holds two grids
-    change = unnormalized_grid(n - 1)
-    np.abs(np.subtract(grid_un, change, out=change), out=change)
-    last_term_change = float(change.sum()) / abs(total)
-    if not last_term_change < epsilon:
+    system = _inner_box_system(params, INNER_BOX)
+    share = _last_term_share(series, T, *system)
+    if not share < epsilon:
         raise NumericsError(
-            f"compensation series not converged at {n} terms: the last term moves "
-            f"{last_term_change:.3e} of the mass (epsilon {epsilon:.1e})"
+            f"compensation series not converged at {series.n_terms} terms: the last term moves "
+            f"{share:.3e} of the mass (epsilon {epsilon:.1e})"
         )
+    return series, T, epsilon, share, system
 
-    grid_un /= total
+
+def solve(params: ModelParams, epsilon: float = 1e-12) -> CompensationResult:
+    """Full compensation solve: series + origin-box closure + normalization.
+
+    Every state outside the box [0,2]^2 takes the value of the series of
+    :func:`converged_series`, evaluated once on the grid [0,T]^2; the box
+    comes from its own balance equations, fed by the series on the states
+    around it. Returns the normalized grid and every sequence needed to
+    evaluate the expansion.
+    """
+    series, T, epsilon, share, (A, taps, inner) = converged_series(params, epsilon)
+    B = INNER_BOX
+    # the taps reach l = B+2, which exceeds T on the smallest grids
+    side = max(T, B + 2)
+    outer = outer_values(series, np.arange(side + 1.0), side)
+    grid_un = outer[: T + 1, : T + 1]
+    box = _box_values(A, taps @ outer[: B + 2, : B + 3].ravel()[~inner])
+    grid_un[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
+    grid_un /= float(grid_un.sum())
     # round-off guard: the construction is sign-definite, anything below is noise
     floor = -1e-13 * float(grid_un.max())
     if float(grid_un.min()) < floor:
@@ -409,7 +457,7 @@ def solve(
         series=series,
         grid=ProbabilityGrid.finished(grid_un),
         inner_box=B,
-        n_used=n,
+        n_used=series.n_terms,
         epsilon_used=epsilon,
-        last_term_change=last_term_change,
+        last_term_change=share,
     )

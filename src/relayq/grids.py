@@ -2,28 +2,28 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import GridError
 
-__all__ = ["ProbabilityGrid", "square"]
+__all__ = ["ProbabilityGrid", "full"]
 
 
-def square(T: int, fill: float) -> np.ndarray:
-    """A (T + 1, T + 1) float array of ``fill``; a fill of 0.0 commits pages
+def full(shape: tuple[int, int], fill: float) -> np.ndarray:
+    """A float array of ``shape`` and ``fill``; a fill of 0.0 commits pages
     only as they are written.
 
     numpy raises ValueError, not MemoryError, for a size that no address
     space holds; that allocation fails like any other, so it raises
     MemoryError here.
     """
-    shape = (T + 1, T + 1)
     try:
         return np.zeros(shape) if fill == 0.0 else np.full(shape, fill)
     except ValueError:
-        raise MemoryError(f"Unable to allocate a {shape} array of float64: {8 * (T + 1) ** 2:.3g} bytes "
+        raise MemoryError(f"Unable to allocate a {shape} array of float64: {8 * math.prod(shape):.3g} bytes "
                           f"exceed the address space") from None
 
 

@@ -46,33 +46,29 @@ class MeasureReport:
 @dataclass(frozen=True)
 class DecayDiagnostics:
     expected: float                      # rho^2
-    fixed_l_estimates: dict[int, float | None]  # ratio near the truncation edge, per l in _FIXED_L
+    fixed_l_estimates: dict[int, float | None]  # ratio along k, per l in _FIXED_L
     marginal_estimate: float | None  # None where the tail has no mass to divide by
 
 
 _FIXED_L = (0, 1, 3)  # the columns l whose decay along k is reported
+_DECAY_SIDE = 24  # decay_diagnostics reads rows k = max(T, _DECAY_SIDE) - 3 and the next
 _MASS_TOL = 1e-6  # how far from 1 the mass of a grid may lie
 
 
-def _checked_values(grid: ProbabilityGrid) -> np.ndarray:
-    """The grid's own values, once their mass is within _MASS_TOL of 1 (a NaN mass is not)."""
-    tot = grid.total()
-    if not abs(tot - 1.0) <= _MASS_TOL:
-        raise GridError(f"grid is not normalized: mass {tot!r}")
-    return grid.values
-
-
-def _tail_ratios(pi: np.ndarray, columns: tuple[int, ...]) -> list[float | None]:
-    """pi(k+1, l) / pi(k, l) at k = T - 3 for each l in ``columns``, then the
-    same ratio of the marginal sum over l; None unless both entries are positive."""
-    k = pi.shape[0] - 4
-    tails = [pi[k : k + 2, l] for l in columns] + [pi[k : k + 2].sum(axis=1)]
+def _tail_ratios(rows: np.ndarray, columns: tuple[int, ...]) -> list[float | None]:
+    """rows[1, l] / rows[0, l] of two consecutive rows k, k + 1 for each l in
+    ``columns``, then the same ratio of the row sums; None unless both entries
+    are positive."""
+    tails = [rows[:, l] for l in columns] + [rows.sum(axis=1)]
     return [float(t[1] / t[0]) if t[0] > 0 and t[1] > 0 else None for t in tails]
 
 
 def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> MeasureReport:
     """Expected totals, sojourn time, and relay correlation from a (k, l) grid."""
-    pi = _checked_values(grid)
+    tot = grid.total()
+    if not abs(tot - 1.0) <= _MASS_TOL:  # a NaN mass is not within it
+        raise GridError(f"grid is not normalized: mass {tot!r}")
+    pi = grid.values
     T = grid.T
     K, L = np.arange(T + 1)[:, None], np.arange(T + 1)
     e_qsum = float(((2 * K + L) * pi).sum())
@@ -83,7 +79,7 @@ def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> Meas
     e_q1q2 = float((K * (K + L) * pi).sum())
     scale = 1.0 + mu * mu
     correlation = None if var <= 1e-12 * scale else (e_q1q2 - mu * mu) / var
-    decay, marginal = _tail_ratios(pi, (0,)) if T >= 6 else (None, None)
+    decay, marginal = _tail_ratios(pi[T - 3 : T - 1], (0,)) if T >= 6 else (None, None)
     return MeasureReport(
         e_qsum=e_qsum,
         e_sojourn=e_soj,
@@ -93,17 +89,21 @@ def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> Meas
     )
 
 
-def decay_diagnostics(grid: ProbabilityGrid, params: ModelParams) -> DecayDiagnostics:
+def decay_diagnostics(params: ModelParams, epsilon: float = 1e-12) -> DecayDiagnostics:
     """Geometric decay ratios pi(k+1,l)/pi(k,l) and the marginal-min ratio.
 
-    Both converge to rho^2 as k grows; the estimates are taken a few states
-    inside the truncation edge where the limit has set in but edge effects
-    have not. An estimate is None where the tail there carries no mass.
+    Both converge to rho^2 as k grows. They are read off CA's series
+    (:func:`relayq.compensation.converged_series`), which needs no grid, at
+    rows k = K and K + 1 over l <= K + 3, with K = max(T, _DECAY_SIDE) - 3:
+    deep enough for the leading term to dominate, and the rows that a grid
+    of side max(T, _DECAY_SIDE) held a few states inside its edge. An
+    estimate is None where the series there has no mass (it underflows at
+    light loads).
     """
-    pi = _checked_values(grid)
-    if grid.T < 20:
-        raise GridError(f"decay diagnostics need a grid with T >= 20, got {grid.T}")
-    *fixed, marginal = _tail_ratios(pi, _FIXED_L)
+    series, T, *_ = compensation.converged_series(params, epsilon)
+    side = max(T, _DECAY_SIDE)
+    rows = compensation.outer_values(series, np.arange(side - 3.0, side - 1.0), side)
+    *fixed, marginal = _tail_ratios(rows, _FIXED_L)
     return DecayDiagnostics(
         expected=params.rho**2,
         fixed_l_estimates=dict(zip(_FIXED_L, fixed)),

@@ -7,7 +7,8 @@ pi_(k+1) = pi_k R for k >= 1, with R the minimal nonnegative solution of
 R = A0 + R A1 + R^2 A2 (Neuts 1981; Latouche & Ramaswami 1999, ch. 6 and 8).
 The blocks are :func:`relayq.model.region_law` tiled over [0,2] x [0,T_l],
 with the mass of every step to l > T_l folded back into its self-loop, so
-only the phase is truncated. The CLI reports it on the box of side
+only the phase is truncated, at twice the column that matches the box's
+level T in mass. The CLI reports it on the box of side
 :func:`relayq.model.truncation`, the box rule of CA and PSA too, so the three
 routes report the same box at the same epsilon. GTH state reduction solves the
 chain censored on levels 0 and 1; it fails exactly when a state cannot reach
@@ -22,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GridError, NumericsError, StabilityError
-from .grids import ProbabilityGrid, square
+from .grids import ProbabilityGrid, full
 from .model import ModelParams, box_matrix
 # not called here: benchmarks/tracing.py, its only user, patches this name
 from .model import transformed_transition_distribution  # noqa: F401
@@ -71,12 +72,15 @@ def _rate_matrix(A0: np.ndarray, A1: np.ndarray, A2: np.ndarray) -> np.ndarray:
 
 
 def build(params: ModelParams, T: int) -> QBDChain:
-    """The QBD of the transformed chain, its phase truncated at T_l <= T.
+    """The QBD of the transformed chain, its phase truncated at T_l.
 
     Mass decays along l faster than rho^2/2 (CA's delta < gamma/2), so column
-    T_l = ceil(log(rho^(2T)) / log(rho^2/2)) holds no more mass than level T.
-    It is computed from :attr:`~relayq.model.ModelParams.log_rho`, since rho^2
-    underflows at tiny loads and rho itself at subnormal ones.
+    ceil(log(rho^(2T)) / log(rho^2/2)) holds no more mass than level T. The
+    cut T_l is twice that column: folded back at the column itself, the
+    phase cut showed in sp(R), 3e-9 above rho^2 at rho = 0.1. T_l may exceed
+    T; the grid holds the columns l <= T. It is computed from
+    :attr:`~relayq.model.ModelParams.log_rho`, since rho^2 underflows at tiny
+    loads and rho itself at subnormal ones.
     """
     if T < 3:
         raise GridError("truncation level must be at least 3")
@@ -84,7 +88,7 @@ def build(params: ModelParams, T: int) -> QBDChain:
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")
     log_rho = params.log_rho
-    T_l = min(T, max(math.ceil(2 * T * log_rho / (2 * log_rho - math.log(2))), 3))
+    T_l = max(math.ceil(4 * T * log_rho / (2 * log_rho - math.log(2))), 3)
     n = T_l + 1
     P = box_matrix(params, 2, T_l)[: 2 * n]
     # fold the mass of the steps to l > T_l back into each row's self-loop
@@ -142,6 +146,7 @@ def gth_stationary(P: np.ndarray) -> np.ndarray:
 def stationary(chain: QBDChain) -> ProbabilityGrid:
     """Stationary distribution on the box [0,T]^2, zero for l > T_l, through ProbabilityGrid.finished."""
     n = chain.R.shape[0]
+    m = min(n, chain.T + 1)  # the columns the grid holds
     try:
         pi = gth_stationary(chain.boundary)
     except _Unreachable as exc:
@@ -150,10 +155,10 @@ def stationary(chain: QBDChain) -> ProbabilityGrid:
     resid = float(np.max(np.abs(pi @ chain.boundary - pi)))
     if resid > 1e-12:
         raise NumericsError(f"stationary solve residual {resid:.3e} exceeds 1e-12")
-    values = square(chain.T, 0.0)
-    values[0, :n] = pi[:n]
+    values = full((chain.T + 1, chain.T + 1), 0.0)
+    values[0, :m] = pi[:m]
     row = pi[n:]
     for k in range(1, chain.T + 1):
-        values[k, :n] = row
+        values[k, :m] = row[:m]
         row = row @ chain.R
     return ProbabilityGrid.finished(values)

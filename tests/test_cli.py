@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relayq import cli, oracle, psa
+from relayq import cli, compensation, oracle, psa
 from relayq.errors import GridError
 
 
@@ -186,7 +186,8 @@ def test_out_of_memory_is_a_numerical_failure(message, line, capsys, monkeypatch
     def no_memory(*a, **k):
         raise MemoryError(message)
 
-    monkeypatch.setattr(cli.compensation, "solve", no_memory)
+    monkeypatch.setattr(compensation, "solve", no_memory)
+    monkeypatch.setattr(compensation, "converged_series", no_memory)
     for args in (["solve", "--rho", "0.999"], ["decay", "--rho", "0.999"]):
         code, out, err = run_cli(args, capsys)
         assert (code, out) == (4, "")
@@ -349,7 +350,7 @@ _EVERY_COMMAND = [
     ["solve", "--method", "sim", "--rho", "0.1", *_SMALL_SIM],
     ["compare", "--rho", "0.1"],
     ["decay", "--rho", "0.4"],
-    ["decay", "--rho", "1e-7"],  # the CA tail is exactly zero at the probe
+    ["decay", "--rho", "1e-7"],  # CA's series rows are subnormal at k = 21, and l = 3 underflows to zero
     ["vs-single-server", "--lambda", "0.45"],
     ["simulate", "--rho", "0.1", *_SMALL_SIM],
 ]

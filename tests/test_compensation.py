@@ -6,7 +6,7 @@ import pytest
 from relayq import compensation as ca
 from relayq import oracle
 from relayq.errors import NumericsError, StabilityError
-from relayq.model import ModelParams, balance_residuals, lambda_for_load, max_interior_residual
+from relayq.model import ModelParams, balance_residuals, lambda_for_load, max_interior_residual, truncation
 from conftest import maxnorm, random_stable_params
 
 
@@ -393,13 +393,76 @@ def test_depth_rule_reproduces_deep_series(monkeypatch, rho, a):
 
 @pytest.mark.parametrize("a", [0.3, 0.5])
 @pytest.mark.parametrize("rho", [1e-3, 1e-4, 1e-6, 1e-8, 1e-9, 1e-12, 1e-15])
-def test_solve_at_light_load(rho, a):
+def test_solve_at_light_load(monkeypatch, rho, a):
+    """The grid has T = 3 at these loads; its balance residual is checked on
+    a grid of side 6, from the box rule patched to T = 6."""
     params = ModelParams(lam=lambda_for_load(rho, a), a=a)
     res = ca.solve(params)
     reference = oracle.stationary(oracle.build(params, 12))
     assert maxnorm(res.grid, reference) < 1e-14
-    deep = ca.solve(params, T_min=6)
+    monkeypatch.setattr(ca, "truncation", lambda params, epsilon: (6, truncation(params, epsilon)[1]))
+    deep = ca.solve(params)
+    assert deep.grid.T == 6
     assert max_interior_residual(deep.grid.values, params) < 1e-15
+
+
+@pytest.mark.parametrize(
+    "rho, a",
+    [
+        (0.1, 0.5),
+        (0.01, 0.5),
+        *(pytest.param(rho, a, marks=pytest.mark.xfail(strict=True, reason="the inner box's scale at light load "
+          "(open FOUND line on compensation.solve)")) for rho, a in [(1e-4, 0.3), (1e-5, 0.5), (1e-6, 0.5)]),
+    ],
+)
+def test_light_load_tail_follows_the_oracle(rho, a):
+    """Outside the inner box [0,2]^2, CA's grid follows the oracle's to 1e-3
+    relative, tiny as its entries are. At light loads it does not: the box's
+    outflow, about rho^5 of its mass, lies below the round-off of its O(1)
+    diagonal, which sets the box's scale and sign against the series. At
+    rho = 1e-5 (a = 1/2) and 1e-4 (a = 0.3) the box's sum comes out
+    negative, and normalization clips every series entry to 0.0; at
+    rho = 1e-6, (3, 0) reads 1.0e-22 against the oracle's 1.0e-36. The
+    max-norm distance stays below 1e-16."""
+    p = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    grid = ca.solve(p).grid.values
+    reference = oracle.stationary(oracle.build(p, grid.shape[0] - 1)).values
+    outside = np.ones(grid.shape, bool)
+    outside[: ca.INNER_BOX + 1, : ca.INNER_BOX + 1] = False
+    assert np.all(np.abs(grid[outside] - reference[outside]) <= 1e-3 * reference[outside])
+
+
+def _box_limited_share(series, params, T):
+    """The guard that evaluated the grid twice: sum |grid(n) - grid(n - 1)|
+    over [0,T]^2, as a share of |sum grid(n)|, each grid with its own box."""
+    B = ca.INNER_BOX
+    A, taps, inner = ca._inner_box_system(params, B)
+    side = max(T, B + 2)
+
+    def grid(s):
+        vals = ca.outer_values(s, np.arange(side + 1.0), side)
+        box = np.linalg.solve(A, taps @ vals[: B + 2, : B + 3].ravel()[~inner])
+        vals[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
+        return vals[: T + 1, : T + 1]
+
+    n = series.n_terms
+    shorter = ca.compute_series(params, n - 1)
+    assert np.array_equal(shorter.deltas, series.deltas[:n])
+    full = grid(series)
+    return float(np.abs(full - grid(shorter)).sum()) / abs(float(full.sum()))
+
+
+@pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
+@pytest.mark.parametrize("rho", [1e-3, 0.1, 0.4, 0.7, 0.9, 0.97])
+def test_closed_form_guard_bounds_the_grid_difference(rho, a):
+    """The closed-form share of the last term is at least what the last term
+    moves on the grid, up to rounding, for series cut at 1 to 6 terms."""
+    p = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    T = truncation(p, 1e-12)[0]
+    system = ca._inner_box_system(p, ca.INNER_BOX)
+    for n in range(1, 7):
+        series = ca.compute_series(p, n)
+        assert ca._last_term_share(series, T, *system) >= _box_limited_share(series, p, T) - 1e-15
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5])

@@ -38,10 +38,6 @@ def test_unnormalized_grid_rejected(base_params):
     for vals in (np.full((6, 6), 0.1), nan_entry):
         with pytest.raises(GridError):
             measures.moments_from_transformed(ProbabilityGrid(vals), base_params)
-    nan_tail = np.full((30, 30), 1 / 900)
-    nan_tail[20, 0] = np.nan
-    with pytest.raises(GridError):
-        measures.decay_diagnostics(ProbabilityGrid(nan_tail), base_params)
 
 
 def test_transformed_moments_equal_direct_original_moments(base_params):
@@ -62,42 +58,47 @@ def test_transformed_moments_equal_direct_original_moments(base_params):
 
 
 def test_decay_on_geometric_toy_grid(base_params):
+    """A grid's decay rows, read at k = T - 3, are the ratios of a product form."""
     g, h = 0.3, 0.1
     k = np.arange(30)
     vals = np.outer((1 - g) * g**k, (1 - h) * h**k)
     vals /= vals.sum()  # finite-grid renormalization
-    diag = measures.decay_diagnostics(ProbabilityGrid(vals), base_params)
-    for l in (0, 1, 3):
-        assert diag.fixed_l_estimates[l] == pytest.approx(g, rel=1e-12)
-    assert diag.marginal_estimate == pytest.approx(g, rel=1e-12)
+    rep = measures.moments_from_transformed(ProbabilityGrid(vals), base_params)
+    assert rep.decay_ratio == pytest.approx(g, rel=1e-12)
+    assert rep.marginal_min_decay == pytest.approx(g, rel=1e-12)
 
 
 def test_decay_estimates_match_load(params_rho04):
-    grid = compensation.solve(params_rho04, T_min=20).grid
-    diag = measures.decay_diagnostics(grid, params_rho04)
+    diag = measures.decay_diagnostics(params_rho04)
     assert diag.expected == pytest.approx(0.16, abs=1e-12)
     for l in (0, 1, 3):
         assert diag.fixed_l_estimates[l] == pytest.approx(0.16, abs=1e-4)
     assert diag.marginal_estimate == pytest.approx(0.16, abs=1e-4)
 
 
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("rho", [1e-4, 1e-5, 1e-6])
+def test_decay_at_light_load_reads_rho_squared(rho, a):
+    """CA's series rows decay as rho^2 at light loads too. Read from CA's
+    grid, every estimate was None at rho = 1e-5 and at rho = 1e-4, a = 0.3:
+    normalization had clipped the grid's tail to 0.0 (see
+    test_light_load_tail_follows_the_oracle)."""
+    p = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    diag = measures.decay_diagnostics(p)
+    for estimate in (*diag.fixed_l_estimates.values(), diag.marginal_estimate):
+        assert estimate == pytest.approx(rho**2, rel=1e-12)
+
+
 def test_decay_without_tail_mass_is_none(base_params):
-    """A grid whose tail is exactly zero has no ratio to report, not NaN."""
+    """A tail that is exactly zero has no ratio to report, not NaN: on a grid,
+    and in CA's series at rho = 1e-12, whose rows at k = 21 underflow."""
     vals = np.zeros((30, 30))
     vals[:10, :10] = 0.01
-    grid = ProbabilityGrid(vals)
-    diag = measures.decay_diagnostics(grid, base_params)
+    rep = measures.moments_from_transformed(ProbabilityGrid(vals), base_params)
+    assert rep.decay_ratio is None and rep.marginal_min_decay is None
+    diag = measures.decay_diagnostics(ModelParams(lam=lambda_for_load(1e-12, 0.5), a=0.5))
     assert diag.fixed_l_estimates == {0: None, 1: None, 3: None}
     assert diag.marginal_estimate is None
-    rep = measures.moments_from_transformed(grid, base_params)
-    assert rep.decay_ratio is None and rep.marginal_min_decay is None
-
-
-def test_decay_requires_large_grid(base_params):
-    with pytest.raises(GridError):
-        measures.decay_diagnostics(
-            ProbabilityGrid(np.full((10, 10), 0.01)), base_params
-        )
 
 
 def test_stability_interval_formula():
