@@ -58,9 +58,10 @@ _MASS_TOL = 1e-6  # how far from 1 the mass of a grid may lie
 def _tail_ratios(rows: np.ndarray, columns: tuple[int, ...]) -> list[float | None]:
     """rows[1, l] / rows[0, l] of two consecutive rows k, k + 1 for each l in
     ``columns``, then the same ratio of the row sums; None unless both entries
-    are positive."""
+    are normal floats, since a subnormal entry has lost the digits of its ratio."""
     tails = [rows[:, l] for l in columns] + [rows.sum(axis=1)]
-    return [float(t[1] / t[0]) if t[0] > 0 and t[1] > 0 else None for t in tails]
+    tiny = np.finfo(float).tiny
+    return [float(t[1] / t[0]) if t[0] >= tiny and t[1] >= tiny else None for t in tails]
 
 
 def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> MeasureReport:
@@ -97,8 +98,8 @@ def decay_diagnostics(params: ModelParams, epsilon: float = 1e-12) -> DecayDiagn
     rows k = K and K + 1 over l <= K + 3, with K = max(T, _DECAY_SIDE) - 3:
     deep enough for the leading term to dominate, and the rows that a grid
     of side max(T, _DECAY_SIDE) held a few states inside its edge. An
-    estimate is None where the series there has no mass (it underflows at
-    light loads).
+    estimate is None where the series there has no normal mass (it is
+    subnormal or underflows at light loads).
     """
     series, T, *_ = compensation.converged_series(params, epsilon)
     side = max(T, _DECAY_SIDE)

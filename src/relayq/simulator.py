@@ -11,11 +11,17 @@ it is re-exported here.
 
 The slot walk is sequential by nature: join-the-shortest-queue keeps the
 chain near the boundary, where each slot's step depends on the state, so
-there are no long i.i.d. stretches to vectorize. ``_paths`` therefore walks
-each chunk of draws on plain Python values, and the bookkeeping (grid counts,
-overflow, moment sums) is done once per chunk with numpy. The grid counts grow
-with the states visited: the empirical grid is the smallest square that holds
-every visited state inside the grid cap.
+there are no long i.i.d. stretches to vectorize. ``_paths`` therefore walks a
+memo of ``step``: each slot's four draws become one code, and a slot costs one
+dict lookup, keyed by the state's id and the code, that ``step`` fills once per
+(state, code) pair. The ids are of local states x = q - (t, t) in a window
+that slides along the diagonal: ``step`` commutes with that shift once both
+queues are non-empty, so one memo serves t = 0 and one every t >= 1, and the
+memo stays bounded however far an unstable run climbs. A step out of the
+window re-centres it. The bookkeeping (grid counts, overflow, exact integer
+moment sums) is done per chunk over the distinct states visited, with their
+visit counts. The grid counts grow with the states visited: the empirical grid
+is the smallest square that holds every visited state inside the grid cap.
 """
 
 from __future__ import annotations
@@ -31,6 +37,9 @@ from .model import ModelParams, is_stable, step, truncation
 __all__ = ["SimConfig", "SimResult", "simulate", "step"]
 
 _CHUNK = 65536
+_SPAN = 64  # the window's width along the diagonal
+_CODE = np.array([8, 4, 2, 1])  # a slot's draws (arrival, tie to q1, attempt 1, attempt 2) as one code
+_DRAWS = [tuple(bool(c & bit) for bit in _CODE.tolist()) for c in range(16)]
 
 
 @dataclass(frozen=True)
@@ -95,72 +104,118 @@ def _replication_rng(seed: int, r: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((seed, r)))
 
 
-def _paths(lam: float, a: float, slots: int, rng: np.random.Generator, q1: int = 0, q2: int = 0):
+class _Window:
+    """Local states x = q - (t, t) with 0 <= min(x) < ``_SPAN``, and a memo of
+    ``step`` on them for t = 0 and one for every t >= 1.
+
+    ``walks[t > 0][16 * i + code]`` is 16 times the id of the local state that
+    local state ``i`` steps to under the draws ``code``. At t >= 1 both queues
+    are non-empty, where ``step`` commutes with a shift along the diagonal, so
+    one memo serves every t. Ids follow the order the states are first reached.
+    """
+
+    def __init__(self) -> None:
+        self.ids: dict[tuple[int, int], int] = {}
+        self.coords: list[tuple[int, int]] = []
+        self.walks: tuple[dict[int, int], dict[int, int]] = ({}, {})
+
+    def key(self, x1: int, x2: int) -> int:
+        """16 times the id of local state (x1, x2)."""
+        i = self.ids.setdefault((x1, x2), len(self.coords))
+        if i == len(self.coords):
+            self.coords.append((x1, x2))
+        return 16 * i
+
+    def enter(self, q1: int, q2: int) -> tuple[int, dict[int, int], int]:
+        """(t, memo, key) of the window centred on (q1, q2)."""
+        t = max(0, min(q1, q2) - _SPAN // 2)
+        return t, self.walks[t > 0], self.key(q1 - t, q2 - t)
+
+    def follow(self, t: int, walk: dict[int, int], j: int, code: int) -> tuple[int, dict[int, int], int]:
+        """(t, memo, key) after the state of key ``j`` steps under ``code``:
+        ``step`` fills the memo, or the window re-centres where it leaves."""
+        x1, x2 = self.coords[j >> 4]
+        y1, y2 = step(x1 + t, x2 + t, *_DRAWS[code])
+        if not 0 <= min(y1, y2) - t < _SPAN:
+            return self.enter(y1, y2)
+        walk[j + code] = nxt = self.key(y1 - t, y2 - t)
+        return t, walk, nxt
+
+
+def _paths(window: _Window, lam: float, a: float, slots: int, rng: np.random.Generator,
+           q1: int = 0, q2: int = 0):
     """Walk ``slots`` slots from (q1, q2), one ``rng.random((4, n))`` draw per chunk.
 
-    Yields, per chunk of at most ``_CHUNK`` slots, the lists of q1 and of q2
-    at the start of each slot. The loop body is ``step`` inlined on plain
-    Python values; ``step`` stays the reference it is tested against.
+    Yields, per chunk of at most ``_CHUNK`` slots, ``(visits, q1, q2)``: the
+    state at the start of slot s is ``(q1[visits[s]], q2[visits[s]])``. Each
+    slot is one lookup in the memo of ``step``; a miss fills it, or re-centres
+    the window, which starts a new segment of the chunk.
     """
     below = np.array([[lam], [0.5], [a], [a]])
+    t, walk, j = window.enter(q1, q2)
     done = 0
     while done < slots:
         n = min(_CHUNK, slots - done)
-        draws = rng.random((4, n)) < below  # arrival, tie to q1, attempt 1, attempt 2
-        path1: list[int] = []
-        path2: list[int] = []
-        rec1, rec2 = path1.append, path2.append
-        for arrival, tie_to_q1, att1, att2 in zip(*draws.tolist()):
-            rec1(q1)
-            rec2(q2)
-            if arrival:
-                if q1 < q2 or (tie_to_q1 and q1 == q2):
-                    q1 += 1
-                else:
-                    q2 += 1
-            if att1 and q1:
-                if not (att2 and q2):
-                    q1 -= 1
-            elif att2 and q2:
-                q2 -= 1
-        yield path1, path2
+        codes = iter((_CODE @ (rng.random((4, n)) < below)).tolist())
+        path: list[int] = []
+        rec = path.append
+        starts, offsets = [0], [t]  # each segment's first slot and its t
+        while True:
+            try:
+                for c in codes:
+                    rec(j)
+                    j = walk[j + c]
+                break
+            except KeyError:
+                t, walk, j = window.follow(t, walk, j, c)
+                if t != offsets[-1]:
+                    starts.append(len(path))
+                    offsets.append(t)
+        # index the chunk's states by (segment, local id)
+        width = len(window.coords)
+        segment = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+        visits = segment * width + (np.fromiter(path, dtype=np.int64, count=n) >> 4)
+        x = np.array(window.coords, dtype=np.int64).T
+        t_of = np.array(offsets, dtype=np.int64)[:, None]
+        yield visits, (x[0] + t_of).ravel(), (x[1] + t_of).ravel()
         done += n
 
 
-def _run_one(params: ModelParams, config: SimConfig, r: int, cap: int, counts: np.ndarray):
+def _run_one(params: ModelParams, config: SimConfig, r: int, cap: int, counts: np.ndarray, window: _Window):
     """Replication ``r``: ``counts`` grown by its visits to the grid, its overflow and its moments."""
     rng = _replication_rng(config.seed, r)
     overflow = 0
-    s1 = s2 = s11 = s22 = s12 = 0.0
+    s1 = s2 = s11 = s22 = s12 = 0
     skip = config.warmup_slots
     n_total = config.warmup_slots + config.measure_slots
-    for path1, path2 in _paths(params.lam, params.a, n_total, rng):
-        if skip >= len(path1):
-            skip -= len(path1)
+    for visits, q1, q2 in _paths(window, params.lam, params.a, n_total, rng):
+        if skip >= len(visits):
+            skip -= len(visits)
             continue
-        # the state seen at each measured slot boundary
-        q1 = np.array(path1[skip:], dtype=np.int64)
-        q2 = np.array(path2[skip:], dtype=np.int64)
+        # each state seen at a measured slot boundary, and how often
+        n = np.bincount(visits[skip:])
         skip = 0
+        seen = np.flatnonzero(n)
+        n, q1, q2 = n[seen], q1[seen], q2[seen]
         k = np.minimum(q1, q2)
         l = np.abs(q1 - q2)
         inside = (k <= cap) & (l <= cap)
-        k, l = k[inside], l[inside]
-        overflow += len(q1) - len(k)
-        if len(k):
+        overflow += int(n[~inside].sum())
+        if inside.any():
+            k, l = k[inside], l[inside]
             side = max(len(counts), int(k.max()) + 1, int(l.max()) + 1)
             counts = np.pad(counts, (0, side - len(counts)))
-            counts += np.bincount(k * side + l, minlength=side * side).reshape(side, side)
-        # float64 sums of non-negative integers are exact below 2**53, so the
-        # order of summation cannot change them; floats cannot wrap either
-        f1 = q1.astype(np.float64)
-        f2 = q2.astype(np.float64)
-        s1 += float(f1.sum())
-        s2 += float(f2.sum())
-        s11 += float((f1 * f1).sum())
-        s22 += float((f2 * f2).sum())
-        s12 += float((f1 * f2).sum())
-    m = float(config.measure_slots)
+            np.add.at(counts, (k, l), n[inside])
+        # exact integer sums: int64 while the largest term bounds them below 2**63
+        if int(max(q1.max(), q2.max())) ** 2 * int(n.sum()) >= 2**63:
+            n, q1, q2 = n.astype(object), q1.astype(object), q2.astype(object)
+        n1, n2 = n * q1, n * q2
+        s1 += int(n1.sum())
+        s2 += int(n2.sum())
+        s11 += int((n1 * q1).sum())
+        s22 += int((n2 * q2).sum())
+        s12 += int((n1 * q2).sum())
+    m = config.measure_slots  # int / int is the correctly rounded quotient
     mom = dict(q1=s1 / m, q2=s2 / m, q11=s11 / m, q22=s22 / m, q12=s12 / m)
     return counts, overflow, mom
 
@@ -177,8 +232,9 @@ def simulate(params: ModelParams, config: SimConfig) -> SimResult:
     qsums, sojourns, correls = [], [], []
     counts = np.zeros((1, 1), dtype=np.int64)
     overflow = 0
+    window = _Window()  # the memo depends on no parameter, so the replications share it
     for r in range(config.replications):
-        counts, ov, mom = _run_one(params, config, r, cap, counts)
+        counts, ov, mom = _run_one(params, config, r, cap, counts, window)
         overflow += ov
         qsum = mom["q1"] + mom["q2"]
         qsums.append(qsum)

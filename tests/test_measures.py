@@ -89,6 +89,16 @@ def test_decay_at_light_load_reads_rho_squared(rho, a):
         assert estimate == pytest.approx(rho**2, rel=1e-12)
 
 
+@pytest.mark.parametrize("a", [0.3, 0.5])
+def test_decay_from_subnormal_rows_is_none(a):
+    """At rho = 1e-7 the series rows at k = 21 are subnormal: their ratio at
+    l = 1 read 9.88e-15 against rho^2 = 1e-14. An estimate is None or rho^2."""
+    rho = 1e-7
+    diag = measures.decay_diagnostics(ModelParams(lam=lambda_for_load(rho, a), a=a))
+    for estimate in (*diag.fixed_l_estimates.values(), diag.marginal_estimate):
+        assert estimate is None or estimate == pytest.approx(rho**2, rel=1e-12, abs=0)
+
+
 def test_decay_without_tail_mass_is_none(base_params):
     """A tail that is exactly zero has no ratio to report, not NaN: on a grid,
     and in CA's series at rho = 1e-12, whose rows at k = 21 underflow."""

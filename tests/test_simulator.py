@@ -1,3 +1,4 @@
+import hashlib
 import math
 import os
 import statistics
@@ -60,18 +61,44 @@ def _step_path(lam, a, slots, rng, q1, q2):
 
 @pytest.mark.parametrize(
     "lam, start",
-    [(0.3, (0, 0)), (0.3, (2, 2)), (0.3, (3, 1)), (0.3, (0, 5)), (0.6, (0, 0))],
+    [
+        (0.3, (0, 0)), (0.3, (2, 2)), (0.3, (3, 1)), (0.3, (0, 5)), (0.6, (0, 0)),
+        # the window slides: up from (300, 300) and from a lopsided start, down to t = 0
+        (0.6, (300, 300)), (0.6, (0, 500)), (0.3, (300, 300)), (0.3, (0, 500)),
+    ],
 )
 def test_paths_follow_step(monkeypatch, lam, start):
-    # a small chunk puts several chunk boundaries, and a short last chunk, in the run
+    # a small chunk puts several chunk boundaries, and a short last chunk, in the run;
+    # a fresh window fills its memo from step during the run
     monkeypatch.setattr(simulator, "_CHUNK", 4096)
     slots = 20_000
-    got = [
-        state
-        for path1, path2 in simulator._paths(lam, 0.5, slots, np.random.default_rng(41), *start)
-        for state in zip(path1, path2)
-    ]
+    got = []
+    window = simulator._Window()
+    for visits, q1, q2 in simulator._paths(window, lam, 0.5, slots, np.random.default_rng(41), *start):
+        q1, q2 = q1.tolist(), q2.tolist()
+        got += [(q1[v], q2[v]) for v in visits.tolist()]
     assert got == _step_path(lam, 0.5, slots, np.random.default_rng(41), *start)
+    mins = [min(state) for state in got]
+    if lam == 0.6 or max(start) >= 300:
+        assert max(mins) > simulator._SPAN  # the window leaves t = 0
+    if max(start) >= 300 and lam == 0.3:
+        assert mins[-1] == 0  # and drains back to it
+
+
+def test_memo_holds_at_every_shift():
+    """Each entry of the memo is step's move at every t it serves: t = 0 for
+    the first memo, any t >= 1 for the second."""
+    window = simulator._Window()
+    for lam, start in [(0.6, (0, 0)), (0.3, (300, 300))]:
+        for _ in simulator._paths(window, lam, 0.5, 20_000, np.random.default_rng(5), *start):
+            pass
+    for walk, shifts in zip(window.walks, [(0,), (1, 2, 1000)]):
+        assert walk
+        for key, nxt in walk.items():
+            x, y = window.coords[key >> 4], window.coords[nxt >> 4]
+            for t in shifts:
+                q = step(x[0] + t, x[1] + t, *simulator._DRAWS[key & 15])
+                assert (q[0] - t, q[1] - t) == y
 
 
 def test_sample_path_pinned():
@@ -85,6 +112,31 @@ def test_sample_path_pinned():
     assert res.overflow_mass == 0.0
     assert res.empirical.values.shape == (5, 5)
     assert res.empirical.values.sum() == 1.0
+
+
+@pytest.mark.parametrize(
+    "lam, a, qsums, overflow, correlation, grid",
+    [
+        (lambda_for_load(0.9, 0.3), 0.3, (15.26156, 7.82092), 0.0, 0.9584559981916951,
+         "c48429b1b3c36c0b3041d50fecb144508108087cc9654e55a499ec3e9b7617ed"),
+        # the queues climb past the window's span, which slides along the diagonal
+        (lambda_for_load(0.995, 0.5), 0.5, (121.24366, 42.494820000000004), 0.0, 0.9976934144600971,
+         "88cc526e9afff13cab793b00b5b443f67d4224ca13da50531fd9b80418c8e4c7"),
+        (0.6, 0.5, (2717.70034, 2551.99582), 0.97682, 0.9999986115335031,
+         "09104cb3a35014bab2330970aee4fa79bce4b49c347fb787856b903ab2c0c6e9"),
+    ],
+)
+def test_results_pinned(lam, a, qsums, overflow, correlation, grid):
+    """Results of the slot-by-slot loop that the walk over the memo of step
+    replaced, pinned bit for bit: the grid by the sha256 of its float64 bytes."""
+    res = simulate(
+        ModelParams(lam=lam, a=a),
+        SimConfig(seed=1, warmup_slots=1_000, measure_slots=50_000, replications=2),
+    )
+    assert res.per_replication_qsum == qsums
+    assert res.overflow_mass == overflow
+    assert res.correlation == correlation
+    assert hashlib.sha256(res.empirical.values.tobytes()).hexdigest() == grid
 
 
 def test_grid_holds_only_visited_states():
@@ -122,15 +174,19 @@ def test_chunk_bookkeeping(monkeypatch):
     chunk = [(0, 0)] + [(far, 0)] * (simulator._CHUNK - 5) + edge
     measured = chunk[1:]
 
-    def made_up_paths(lam, a, slots, rng):
-        yield [5] * simulator._CHUNK, [5] * simulator._CHUNK
-        yield [q1 for q1, _ in chunk], [q2 for _, q2 in chunk]
+    def made_up_paths(window, lam, a, slots, rng):
+        yield np.zeros(simulator._CHUNK, dtype=np.int64), np.array([5]), np.array([5])
+        states = sorted(set(chunk), reverse=True)  # not in the order they are visited
+        visits = np.array([states.index(state) for state in chunk])
+        yield visits, np.array([q1 for q1, _ in states]), np.array([q2 for _, q2 in states])
 
     monkeypatch.setattr(simulator, "_paths", made_up_paths)
     config = SimConfig(
         seed=0, warmup_slots=simulator._CHUNK + 1, measure_slots=len(measured), replications=1
     )
-    counts, overflow, mom = simulator._run_one(ModelParams(lam=0.3, a=0.5), config, 0, cap, np.zeros((1, 1), dtype=np.int64))
+    counts, overflow, mom = simulator._run_one(
+        ModelParams(lam=0.3, a=0.5), config, 0, cap, np.zeros((1, 1), dtype=np.int64), simulator._Window()
+    )
     assert counts[10, 10] == 2 and counts.sum() == 2
     assert overflow == len(measured) - 2
     n = len(measured)
@@ -141,7 +197,7 @@ def test_chunk_bookkeeping(monkeypatch):
         q22=sum(q2 * q2 for _, q2 in measured) / n,
         q12=sum(q1 * q2 for q1, q2 in measured) / n,
     )
-    assert mom == pytest.approx(exact, rel=1e-12)
+    assert mom == exact
 
 
 def test_determinism(base_params):
