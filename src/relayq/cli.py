@@ -154,11 +154,11 @@ def _simulation_tables(params: ModelParams, spec: RunSpec) -> dict:
     names = ("e_qsum", "e_sojourn", "correlation", "overflow_mass")
     ci = {name: getattr(sim, f"{name}_ci") for name in names[:3]}
     rows = _rows({name: getattr(sim, name) for name in names}, ci)
-    return {"tables": {"measures": rows, "grid": sim.empirical.values}}
+    return {"measures": rows, "grid": sim.empirical.values}
 
 
 def run(spec: RunSpec) -> dict:
-    """Execute a RunSpec; returns {"tables": {name: table}}.
+    """Execute a RunSpec; returns its tables as {name: table}.
 
     A table is a list of row dicts sharing their keys, or, for the ``grid``
     table, the values array of a grid, emitted with one row per state.
@@ -179,7 +179,7 @@ def run(spec: RunSpec) -> dict:
                 "verdict": "stable" if rep.stable else "unstable",
             }
         ]
-        return {"tables": {"stability": rows}}
+        return {"stability": rows}
 
     if spec.command == "solve":
         params = _resolve_params(spec)
@@ -193,7 +193,7 @@ def run(spec: RunSpec) -> dict:
         m = sol.measures
         decay = [name for name in ("decay_ratio", "marginal_min_decay") if getattr(m, name) is not None]
         values = {name: getattr(m, name) for name in ("e_qsum", "e_sojourn", "correlation", *decay)}
-        return {"tables": {"measures": _rows(values), "grid": sol.grid.values}}
+        return {"measures": _rows(values), "grid": sol.grid.values}
 
     if spec.command == "compare":
         params = _resolve_params(spec)
@@ -208,7 +208,7 @@ def run(spec: RunSpec) -> dict:
 
         cells = {"maxnorm_ca_oracle": maxnorm(ca, orc), "maxnorm_psa_oracle": maxnorm(ps, orc),
                  "maxnorm_ca_psa": maxnorm(ca, ps), **_differences(ca, ps)}
-        return {"tables": {"compare": _rows(cells)}}
+        return {"compare": _rows(cells)}
 
     if spec.command == "table1":
         rows = []
@@ -229,7 +229,7 @@ def run(spec: RunSpec) -> dict:
                     "psa_converged": ps is not None and ps.converged,
                 }
             )
-        return {"tables": {"table1": rows}}
+        return {"table1": rows}
 
     if spec.command == "decay":
         diag = measures.decay_diagnostics(_resolve_params(spec), spec.epsilon)
@@ -237,7 +237,7 @@ def run(spec: RunSpec) -> dict:
         for l, est in sorted(diag.fixed_l_estimates.items()):
             rows.append({"name": "fixed_l_ratio", "l": l, "value": est})
         rows.append({"name": "marginal_min_ratio", "l": None, "value": diag.marginal_estimate})
-        return {"tables": {"decay": rows}}
+        return {"decay": rows}
 
     if spec.command == "vs-single-server":
         if spec.lam is None:
@@ -248,7 +248,7 @@ def run(spec: RunSpec) -> dict:
         # SingleServerRow's field order is the column order
         rows = [asdict(r) for r in comp.rows]
         head = [{"name": "a_minus", "value": comp.a_minus}, {"name": "a_plus", "value": comp.a_plus}]
-        return {"tables": {"stability_interval": head, "vs_single_server": rows}}
+        return {"stability_interval": head, "vs_single_server": rows}
 
     if spec.command == "simulate":
         return _simulation_tables(_resolve_params(spec), spec)
@@ -267,9 +267,9 @@ def _grid_pieces(values: np.ndarray, template: str, sep: str, prob):
         yield sep + rows if k else rows
 
 
-def _to_csv(artifact: dict) -> str:
+def _to_csv(tables: dict) -> str:
     parts = []
-    for name, table in artifact["tables"].items():
+    for name, table in tables.items():
         if len(table) == 0:
             continue
         parts.append(f"# table: {name}\n")
@@ -289,12 +289,12 @@ def _numpy_scalar(x):
     raise TypeError(f"Object of type {type(x).__name__} is not JSON serializable")
 
 
-def _to_json(artifact: dict) -> str:
+def _to_json(tables: dict) -> str:
     """JSON twin of ``_to_csv``, byte-equal to ``json.dumps(tables, indent=2)``
     of the tables as lists of row dicts. Row-dict tables go through
     ``json.dumps`` itself; a grid's rows fill :data:`_GRID_ROW`."""
     parts = []
-    for name, table in artifact["tables"].items():
+    for name, table in tables.items():
         parts += [",\n" if parts else "{\n", f"  {json.dumps(name)}: "]
         if isinstance(table, np.ndarray) and len(table):
             prob = repr if np.isfinite(table).all() else json.dumps
@@ -305,8 +305,8 @@ def _to_json(artifact: dict) -> str:
     return "".join(parts)
 
 
-def emit(artifact: dict, spec: RunSpec) -> str:
-    text = _to_csv(artifact) if spec.fmt == "csv" else _to_json(artifact)
+def emit(tables: dict, spec: RunSpec) -> str:
+    text = _to_csv(tables) if spec.fmt == "csv" else _to_json(tables)
     if spec.out:
         path = spec.out
         base_dir = os.environ.get(OUTPUT_DIR_ENV)

@@ -15,13 +15,12 @@ The roots come from the kernel's algebra: kernel/gamma^2 is a convex cubic
 in delta/gamma, whose root Newton's method reaches monotonically from the
 small root of its quadratic part (:func:`delta_root`), and kernel/delta^2 is
 a quadratic in gamma/delta with a cancellation-free small root
-(:func:`gamma_root`). Terms shrink by the ratio w/w_hat of the kernel's limit
-roots (:func:`asymptotic_ratios`), so the series takes
-n = max(ceil(log(epsilon)/log(w/w_hat)), 1) terms. Each term is a product
-form, so its mass outside the origin box is a geometric sum: the series is
-accepted once its last term, so summed and with the box's response to it,
-moves less than epsilon of the mass (:func:`converged_series`). That check
-needs no grid; :func:`solve` evaluates the series once, on its grid.
+(:func:`gamma_root`). Each term is a product form, so its mass outside the
+origin box is a geometric sum: :func:`converged_series` adds terms one at a
+time and stops at the first whose mass so summed, plus the box's response to
+it, is below epsilon of the box's mass. That check needs no grid, and the box
+it solves is the one :func:`solve` writes into the series, which it evaluates
+once, on its grid.
 
 The kernel and the boundary equations behind the coefficients are written
 in closed form here, because they are the method. The leading term's 3x2
@@ -36,6 +35,7 @@ operator's tap block.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -56,7 +56,6 @@ __all__ = [
     "horizontal_coefficients",
     "leading_boundary_coefficients",
     "compute_series",
-    "asymptotic_ratios",
     "outer_values",
     "converged_series",
     "solve",
@@ -67,6 +66,7 @@ __all__ = [
 INNER_BOX = 2
 
 _NEWTON_CAP = 50  # delta_root needs at most 6 steps over 1,000 random stable points
+_TERM_CAP = 30  # converged_series stops at 8 terms at most over loads 1e-39 to 1 - 1e-8
 
 
 @dataclass(frozen=True)
@@ -99,7 +99,7 @@ class CompensationResult:
     inner_box: int
     n_used: int
     epsilon_used: float
-    last_term_change: float  # closed-form bound on the share of the mass the last term moves, below epsilon_used
+    last_term_change: float  # closed-form bound on the share of the inner box's mass the last term moves, below epsilon_used
 
 
 def kernel_residual(gamma: float, delta: float, params: ModelParams) -> float:
@@ -273,8 +273,9 @@ def horizontal_coefficients(
     return float(e0), float(e1), float(d)
 
 
-def compute_series(params: ModelParams, n_terms: int) -> CompensationSeries:
-    """Roots and coefficients through compensation step ``n_terms``."""
+def _series_steps(params: ModelParams):
+    """Yield the series through compensation step n = 0, 1, 2, ...; each step's
+    roots and coefficients are computed once, when the walk reaches it."""
     g0 = initial_gamma(params)
     gammas = [g0]
     deltas = [delta_root(g0, params)]
@@ -283,11 +284,10 @@ def compute_series(params: ModelParams, n_terms: int) -> CompensationSeries:
     e0_0, e1_0 = leading_boundary_coefficients(g0, deltas[0], d[0], params)
     e0 = [e0_0]
     e1 = [e1_0]
-    for i in range(n_terms + 1):
+    for i in itertools.count():
         gammas.append(gamma_root(deltas[i], params))
         c.append(vertical_coefficient(gammas[i], gammas[i + 1], deltas[i], d[i], params))
-        if i == n_terms:
-            break
+        yield CompensationSeries(*map(np.array, (gammas, deltas, d, c, e0, e1)))
         deltas.append(delta_root(gammas[i + 1], params))
         e0i, e1i, di = horizontal_coefficients(
             gammas[i + 1], deltas[i], deltas[i + 1], c[i], params
@@ -295,30 +295,11 @@ def compute_series(params: ModelParams, n_terms: int) -> CompensationSeries:
         e0.append(e0i)
         e1.append(e1i)
         d.append(di)
-    return CompensationSeries(
-        gammas=np.array(gammas),
-        deltas=np.array(deltas),
-        d=np.array(d),
-        c=np.array(c),
-        e0=np.array(e0),
-        e1=np.array(e1),
-    )
 
 
-def asymptotic_ratios(params: ModelParams) -> tuple[float, float]:
-    """Limit ratios (w, w_hat) of successive kernel roots.
-
-    Roots of p_fwd*w^2 - (1 - p_hold)*w + p_dep = 0, the gamma -> 0 limit of
-    the quadratic part of :func:`delta_root`'s cubic; w lies inside the unit
-    circle and w_hat = p_dep/(p_fwd*w) outside. Successive root ratios
-    satisfy delta_i/gamma_i -> w and gamma_{i+1}/delta_i -> 1/w_hat, so the
-    series terms shrink like (w/w_hat)^i. The load must pass the series' own
-    gate, :func:`initial_gamma`; then w/w_hat = 2 rho w^2 stays positive.
-    """
-    initial_gamma(params)
-    p = params
-    w = _small_root(p.p_fwd, 1.0 - p.p_hold, p.p_dep)
-    return w, p.p_dep / (p.p_fwd * w)
+def compute_series(params: ModelParams, n_terms: int) -> CompensationSeries:
+    """Roots and coefficients through compensation step ``n_terms``."""
+    return next(itertools.islice(_series_steps(params), n_terms, None))
 
 
 def outer_values(series: CompensationSeries, k: np.ndarray, L: int) -> np.ndarray:
@@ -341,15 +322,15 @@ def outer_values(series: CompensationSeries, k: np.ndarray, L: int) -> np.ndarra
     return vals
 
 
-def _outside_box_mass(g, g1, dl, d, c, e, T: float):
-    """Mass of terms (d g^k + c g1^k) dl^l (l >= 2), e g^k (l in {0, 1}, k >= 1)
-    over the states of [0,T]^2 outside the inner box [0,2]^2; T may be inf.
+def _outside_box_mass(g, g1, dl, d, c, e):
+    """Mass of the term (d g^k + c g1^k) dl^l (l >= 2), e g^k (l in {0, 1}, k >= 1)
+    over the states of the quadrant outside the inner box [0,2]^2.
 
     The sums are geometric, over l >= 3 at every k and over k >= 3 on the
-    rows l <= 2. Takes floats, or arrays of terms for a mass per term.
+    rows l <= 2.
     """
-    def geometric(x, lo):  # sum_{j = lo}^{T} x^j
-        return (x**lo - x ** (T + 1)) / (1.0 - x)
+    def geometric(x, lo):  # sum_{j >= lo} x^j
+        return x**lo / (1.0 - x)
 
     return ((d * geometric(g, 0) + c * geometric(g1, 0)) * geometric(dl, 3)
             + (d * geometric(g, 3) + c * geometric(g1, 3)) * dl**2 + e * geometric(g, 3))
@@ -370,64 +351,62 @@ def _inner_box_system(params: ModelParams, B: int):
     return np.eye((B + 1) ** 2) - Q[:, inner], Q[:, ~inner], inner
 
 
-def _box_values(A: np.ndarray, rhs: np.ndarray) -> np.ndarray:
-    """The inner box's values from its balance equations A x = rhs."""
-    try:
-        return np.linalg.solve(A, rhs)
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"inner-box balance system is singular: {exc}") from exc
+def _last_term_share(
+    series: CompensationSeries, A: np.ndarray, taps: np.ndarray, inner: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """Bound on the share of the inner box's mass that the series' last term n
+    moves, and the box's values, flattened.
 
-
-def _last_term_share(series: CompensationSeries, T: int, A: np.ndarray, taps: np.ndarray, inner: np.ndarray) -> float:
-    """Bound on the share of the grid's mass that the series' last term n moves.
-
-    Outside the inner box the term's absolute mass is at most
-    :func:`_outside_box_mass` of |d_n|, |c_n| and |e0_n| + |e1_n| over the
-    whole quadrant; inside it, the term moves the box by the box system's
-    solve on the term's tap values. The term's own values inside the box,
-    which that solve overwrites, are not counted. The grid's mass is the box
-    solved on the series' taps plus :func:`_outside_box_mass` of every term
-    over [0,T]^2.
+    The box comes from its balance equations A x = taps @ (series values on
+    the states around it), solved once for the whole series and for its last
+    term. Outside the box the term's absolute mass is at most
+    :func:`_outside_box_mass` of |d_n|, |c_n| and |e0_n| + |e1_n|; inside it,
+    the term moves the box by that solve on the term's tap values. The term's
+    own values inside the box, which that solve overwrites, are not counted.
+    The box holds the grid's largest entries and at most its mass.
     """
     s, n = series, series.n_terms
     last = CompensationSeries(s.gammas[n:], s.deltas[n:], s.d[n:], s.c[n:], s.e0[n:], s.e1[n:])
     k = np.arange(INNER_BOX + 2.0)
     tap_values = [outer_values(x, k, INNER_BOX + 2).ravel()[~inner] for x in (series, last)]
-    box = _box_values(A, taps @ np.stack(tap_values, axis=1))
+    try:
+        box, moved = np.linalg.solve(A, taps @ np.stack(tap_values, axis=1)).T
+    except np.linalg.LinAlgError as exc:
+        raise NumericsError(f"inner-box balance system is singular: {exc}") from exc
     outside = _outside_box_mass(s.gammas[n], s.gammas[n + 1], s.deltas[n], abs(s.d[n]), abs(s.c[n]),
-                                abs(s.e0[n]) + abs(s.e1[n]), math.inf)
-    mass = _outside_box_mass(s.gammas[:-1], s.gammas[1:], s.deltas, s.d, s.c, s.e0 + s.e1, T).sum()
-    return float(outside + np.abs(box[:, 1]).sum()) / abs(float(mass + box[:, 0].sum()))
+                                abs(s.e0[n]) + abs(s.e1[n]))
+    return float(outside + np.abs(moved).sum()) / abs(float(box.sum())), box
 
 
 def converged_series(
     params: ModelParams, epsilon: float = 1e-12
-) -> tuple[CompensationSeries, int, float, float, tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """The series of the depth rule, once its last term is shown to move less than ``epsilon`` of the mass.
+) -> tuple[CompensationSeries, int, float, float, np.ndarray]:
+    """The series through the first step whose last term moves less than ``epsilon`` of the inner box's mass.
 
     :func:`relayq.model.truncation` gates the load and ``epsilon``, clamps
-    ``epsilon`` at the 64-bit floor and sizes the grid side T. The series has
-    n = max(ceil(log(epsilon)/log(w/w_hat)), 1) terms, as its terms shrink by
-    the limit-root ratio w/w_hat of :func:`asymptotic_ratios`; its roots are
-    the kernel's closed forms (:func:`gamma_root`, :func:`delta_root`). Its
-    last term's share of the mass is bounded in closed form
-    (:func:`_last_term_share`), without a grid; unless that bound is below
-    ``epsilon``, :class:`NumericsError` is raised.
+    ``epsilon`` at the 64-bit floor and sizes the grid side T. Terms come one
+    at a time from the kernel's closed forms (:func:`gamma_root`,
+    :func:`delta_root`), each computed once. After each, the share of the
+    inner box's mass that the last term moves is bounded in closed form
+    (:func:`_last_term_share`), without a grid, and the first depth n where
+    that bound is below ``epsilon`` ends the walk. The box's mass is at most
+    the grid's, so the bound holds for the grid's mass too. A series still
+    above ``epsilon`` at ``_TERM_CAP`` terms raises :class:`NumericsError`.
 
-    Returns (series, T, clamped epsilon, the last term's share, and the
-    inner-box system of :func:`_inner_box_system`, which :func:`solve` reuses).
+    Returns (series, T, clamped epsilon, the last term's share, and the inner
+    box's unnormalized values, flattened, which :func:`solve` writes).
     """
     T, epsilon = truncation(params, epsilon)
-    w, w_hat = asymptotic_ratios(params)
-    series = compute_series(params, max(math.ceil(math.log(epsilon) / math.log(w / w_hat)), 1))
     system = _inner_box_system(params, INNER_BOX)
-    share = _last_term_share(series, T, *system)
-    if not share < epsilon:
-        raise NumericsError(
-            f"compensation series not converged at {series.n_terms} terms: the last term moves "
-            f"{share:.3e} of the mass (epsilon {epsilon:.1e})"
-        )
-    return series, T, epsilon, share, system
+    # from step 1 on: at step 0 the last term is the whole series, which moves all of the box
+    for series in itertools.islice(_series_steps(params), 1, _TERM_CAP + 1):
+        share, box = _last_term_share(series, *system)
+        if share < epsilon:
+            return series, T, epsilon, share, box
+    raise NumericsError(
+        f"compensation series not converged at {series.n_terms} terms: the last term moves "
+        f"{share:.3e} of the inner box's mass (epsilon {epsilon:.1e})"
+    )
 
 
 def solve(params: ModelParams, epsilon: float = 1e-12) -> CompensationResult:
@@ -435,17 +414,13 @@ def solve(params: ModelParams, epsilon: float = 1e-12) -> CompensationResult:
 
     Every state outside the box [0,2]^2 takes the value of the series of
     :func:`converged_series`, evaluated once on the grid [0,T]^2; the box
-    comes from its own balance equations, fed by the series on the states
-    around it. Returns the normalized grid and every sequence needed to
-    evaluate the expansion.
+    takes the values that :func:`converged_series` solved from its own
+    balance equations, fed by the series on the states around it. Returns
+    the normalized grid and every sequence needed to evaluate the expansion.
     """
-    series, T, epsilon, share, (A, taps, inner) = converged_series(params, epsilon)
+    series, T, epsilon, share, box = converged_series(params, epsilon)
     B = INNER_BOX
-    # the taps reach l = B+2, which exceeds T on the smallest grids
-    side = max(T, B + 2)
-    outer = outer_values(series, np.arange(side + 1.0), side)
-    grid_un = outer[: T + 1, : T + 1]
-    box = _box_values(A, taps @ outer[: B + 2, : B + 3].ravel()[~inner])
+    grid_un = outer_values(series, np.arange(T + 1.0), T)
     grid_un[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
     grid_un /= float(grid_un.sum())
     # round-off guard: the construction is sign-definite, anything below is noise

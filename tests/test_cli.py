@@ -130,7 +130,7 @@ def test_parser_dests_are_runspec_fields(capsys, monkeypatch):
     (subparsers,) = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     assert set(subparsers.choices) == set(_MINIMAL_ARGV)
     specs = []
-    monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or {"tables": {}})
+    monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or {})
     for name, parser in subparsers.choices.items():
         options = [a for a in parser._actions if a.dest != "help"]
         assert {a.dest for a in options} <= set(defaults)
@@ -379,13 +379,13 @@ def _row_dicts(tables):
     }
 
 
-def _reference_json(artifact):
-    return json.dumps(_row_dicts(artifact["tables"]), indent=2, default=_numpy_scalar) + "\n"
+def _reference_json(tables):
+    return json.dumps(_row_dicts(tables), indent=2, default=_numpy_scalar) + "\n"
 
 
-def _reference_csv(artifact):
+def _reference_csv(tables):
     chunks = []
-    for name, rows in _row_dicts(artifact["tables"]).items():
+    for name, rows in _row_dicts(tables).items():
         if not rows:
             continue
         header = list(rows[0].keys())
@@ -402,13 +402,13 @@ def test_stdout_is_the_row_dict_reference(args, fmt, capsys, monkeypatch):
     """JSON writes row-dict tables through ``json.dumps`` and a grid's rows
     from its array with one row template; stdout equals ``json.dumps(indent=2)``
     of the row dicts, or the ``_fmt`` join of their cells, computed from the
-    same artifact."""
-    run, artifacts = cli.run, []
-    monkeypatch.setattr(cli, "run", lambda spec: artifacts.append(run(spec)) or artifacts[-1])
+    same tables."""
+    run, replies = cli.run, []
+    monkeypatch.setattr(cli, "run", lambda spec: replies.append(run(spec)) or replies[-1])
     code, out, _ = run_cli([*args, "--format", fmt], capsys)
     assert code == 0
     reference = {"csv": _reference_csv, "json": _reference_json}[fmt]
-    assert out == reference(artifacts[0])
+    assert out == reference(replies[0])
 
 
 _NAME_VALUE = ["name", "value", "ci_halfwidth"]
@@ -466,7 +466,7 @@ def test_json_cells_of_numpy_and_plain_types():
         "missing": None,
         "name": "x",
     }
-    assert cli._to_json({"tables": {"mixed": [row]}}) == (
+    assert cli._to_json({"mixed": [row]}) == (
         '{\n  "mixed": [\n    {\n      "flag": true,\n      "count": 3,\n'
         '      "single": 0.10000000149011612,\n      "double": 0.1,\n'
         '      "missing": null,\n      "name": "x"\n    }\n  ]\n}\n'
@@ -487,11 +487,10 @@ def test_json_cells_of_numpy_and_plain_types():
         {"grid": grid[:1, :1]},
         {"grid": np.zeros((0, 0))},
     ):
-        artifact = {"tables": tables}
-        assert cli._to_json(artifact) == _reference_json(artifact)
-        assert cli._to_csv(artifact) == _reference_csv(artifact)
+        assert cli._to_json(tables) == _reference_json(tables)
+        assert cli._to_csv(tables) == _reference_csv(tables)
     with pytest.raises(TypeError):
-        cli._to_json({"tables": {"bad": [{"cell": object()}]}})
+        cli._to_json({"bad": [{"cell": object()}]})
 
 
 def test_psa_that_never_settles_is_a_numerical_failure(capsys, monkeypatch):
@@ -594,7 +593,7 @@ def test_tiny_loads_mean_total(method, rho, capsys):
     code, out, _ = run_cli(["solve", "--method", method, "--rho", repr(rho)], capsys)
     assert code == 0
     rows = {r["name"]: r["value"] for r in parse_csv(out)["measures"]}
-    assert float(rows["e_qsum"]) == pytest.approx(rho / (1 - rho), rel=1e-12)
+    assert float(rows["e_qsum"]) == pytest.approx(rho / (1 - rho), rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("rho", [1e-309, 1e-316])
@@ -605,7 +604,7 @@ def test_subnormal_loads_answer(method, rho, capsys):
     code, out, _ = run_cli(["solve", "--method", method, "--rho", repr(rho)], capsys)
     assert code == 0
     rows = {r["name"]: r["value"] for r in parse_csv(out)["measures"]}
-    assert float(rows["e_qsum"]) == pytest.approx(rho, rel=1e-6)
+    assert float(rows["e_qsum"]) == pytest.approx(rho, rel=1e-6, abs=0)
 
 
 def test_ca_refusal_at_a_light_load_is_one_line():

@@ -223,10 +223,10 @@ def test_underflowed_repair_row_fails_typed():
 
 @pytest.mark.parametrize("lam", [5e-324, 1e-300])
 def test_underflowed_initial_gamma_fails_typed(lam):
-    """Where rho^2 underflows to 0, the series and its depth rule refuse the
-    load with NumericsError; at lambda = 5e-324 rho itself is 0."""
+    """Where rho^2 underflows to 0, the series and the solve refuse the load
+    with NumericsError; at lambda = 5e-324 rho itself is 0."""
     p = ModelParams(lam=lam, a=0.5)
-    for f in (ca.initial_gamma, ca.asymptotic_ratios, ca.solve):
+    for f in (ca.initial_gamma, ca.solve):
         with pytest.raises(NumericsError, match="underflows"):
             f(p)
 
@@ -336,8 +336,13 @@ def test_series_structure():
 
 
 def test_asymptotic_ratios(params_rho04):
+    """Successive root ratios tend to the roots w, w_hat of
+    p_fwd w^2 - (1 - p_hold) w + p_dep = 0, the gamma -> 0 limit of the
+    quadratic part of delta_root's cubic; the terms shrink like (w/w_hat)^i."""
     p = params_rho04
-    w, w_hat = ca.asymptotic_ratios(p)
+    b = 1.0 - p.p_hold
+    root = np.sqrt(b * b - 4.0 * p.p_fwd * p.p_dep)
+    w, w_hat = (b - root) / (2.0 * p.p_fwd), (b + root) / (2.0 * p.p_fwd)
     assert abs(w) < 1.0 < abs(w_hat)
     vieta = p.lbar * p.abar * p.a / (p.lam * (p.a**2 + p.abar**2))
     assert w * w_hat == pytest.approx(vieta, rel=1e-12)
@@ -371,24 +376,50 @@ def test_solve_grid_contract(ca_rho04):
 
 
 def test_solve_raises_when_last_term_moves_mass(monkeypatch, params_rho04):
-    """A series cut at one term moves about 1e-3 of the mass with its last term."""
-    full = ca.compute_series
-    monkeypatch.setattr(ca, "compute_series", lambda params, n_terms: full(params, 1))
+    """A walk capped at one term ends on a last term that moves about 1e-3
+    of the inner box's mass."""
+    monkeypatch.setattr(ca, "_TERM_CAP", 1)
     with pytest.raises(NumericsError, match="not converged at 1 terms"):
         ca.solve(params_rho04)
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5])
 @pytest.mark.parametrize("rho", [0.1, 0.7, 0.97])
-def test_depth_rule_reproduces_deep_series(monkeypatch, rho, a):
-    """The depth from the ratio limit gives the grid a 37-term series gives."""
+def test_depth_rule_reproduces_deep_series(rho, a):
+    """The depth where the guard stops gives the grid a 37-term series gives,
+    built here as solve builds its grid: the series on [0,T]^2 and the box
+    its guard solved."""
     params = ModelParams(lam=lambda_for_load(rho, a), a=a)
     res = ca.solve(params)
-    full = ca.compute_series
-    monkeypatch.setattr(ca, "compute_series", lambda params, n_terms: full(params, 37))
-    deep = ca.solve(params)
-    assert deep.n_used == 37 > res.n_used
-    assert np.max(np.abs(res.grid.values - deep.grid.values)) <= 1e-15 * deep.grid.values.max()
+    assert res.n_used < 37
+    T, B = res.grid.T, ca.INNER_BOX
+    series = ca.compute_series(params, 37)
+    _, box = ca._last_term_share(series, *ca._inner_box_system(params, B))
+    deep = ca.outer_values(series, np.arange(T + 1.0), T)
+    deep[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
+    deep /= deep.sum()
+    assert np.max(np.abs(res.grid.values - deep)) <= 1e-15 * deep.max()
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5, 0.7])
+@pytest.mark.parametrize("rho", [0.9999, 1 - 1e-6, 1 - 1e-8])
+def test_guard_is_the_depth_rule_near_saturation(rho, a):
+    """The walk stops at the first depth whose last term moves less than
+    epsilon of the inner box's mass, and that box has the shape a 37-term
+    series gives it. Measured against the whole grid's mass, almost all of
+    it tail here, the same bound stopped at 1 to 2 terms and moved the box's
+    shape by up to 4.2e-9. Needs no grid: T is about 1.4e9 at 1 - 1e-8."""
+    p = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    system = ca._inner_box_system(p, ca.INNER_BOX)
+    series, _, epsilon, share, box = ca.converged_series(p)
+    n = series.n_terms
+
+    def share_at(depth):
+        return ca._last_term_share(ca.compute_series(p, depth), *system)[0]
+
+    assert share == share_at(n) < epsilon <= share_at(n - 1)
+    _, deep = ca._last_term_share(ca.compute_series(p, 37), *system)
+    assert np.max(np.abs(box / box.sum() - deep / deep.sum())) <= 1e-14
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5])
@@ -455,14 +486,15 @@ def _box_limited_share(series, params, T):
 @pytest.mark.parametrize("a", [0.1, 0.3, 0.5, 0.7, 0.9])
 @pytest.mark.parametrize("rho", [1e-3, 0.1, 0.4, 0.7, 0.9, 0.97])
 def test_closed_form_guard_bounds_the_grid_difference(rho, a):
-    """The closed-form share of the last term is at least what the last term
-    moves on the grid, up to rounding, for series cut at 1 to 6 terms."""
+    """The closed-form share of the inner box's mass that the last term moves
+    is at least the share of the grid's mass it moves on the grid, up to
+    rounding, for series cut at 1 to 6 terms."""
     p = ModelParams(lam=lambda_for_load(rho, a), a=a)
     T = truncation(p, 1e-12)[0]
     system = ca._inner_box_system(p, ca.INNER_BOX)
     for n in range(1, 7):
         series = ca.compute_series(p, n)
-        assert ca._last_term_share(series, T, *system) >= _box_limited_share(series, p, T) - 1e-15
+        assert ca._last_term_share(series, *system)[0] >= _box_limited_share(series, p, T) - 1e-15
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5])

@@ -86,7 +86,7 @@ def test_decay_at_light_load_reads_rho_squared(rho, a):
     p = ModelParams(lam=lambda_for_load(rho, a), a=a)
     diag = measures.decay_diagnostics(p)
     for estimate in (*diag.fixed_l_estimates.values(), diag.marginal_estimate):
-        assert estimate == pytest.approx(rho**2, rel=1e-12)
+        assert estimate == pytest.approx(rho**2, rel=1e-12, abs=0)
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5])
