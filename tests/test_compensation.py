@@ -407,8 +407,8 @@ def test_guard_is_the_depth_rule_near_saturation(rho, a):
     """The walk stops at the first depth whose last term moves less than
     epsilon of the inner box's mass, and that box has the shape a 37-term
     series gives it. Measured against the whole grid's mass, almost all of
-    it tail here, the same bound stopped at 1 to 2 terms and moved the box's
-    shape by up to 4.2e-9. Needs no grid: T is about 1.4e9 at 1 - 1e-8."""
+    it tail here, the same bound stopped at 2 to 5 terms and moved the box's
+    shape by up to 6.9e-10. Needs no grid: T is about 1.4e9 at 1 - 1e-8."""
     p = ModelParams(lam=lambda_for_load(rho, a), a=a)
     system = ca._inner_box_system(p, ca.INNER_BOX)
     series, _, epsilon, share, box = ca.converged_series(p)
