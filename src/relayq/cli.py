@@ -10,11 +10,13 @@ indent=2)`` of the tables as lists of row dicts, the grid table as one
 ``{"k", "l", "prob"}`` dict per state in (k, l) order. CSV writes each table
 as a ``# table: <name>`` line, a header line and one line per row, cells as
 :func:`_fmt` formats them (floats with ``%.17g``). JSON writes each table of
-row dicts through ``json.dumps`` itself; only a grid's rows, 207k of them at
-rho = 0.97, fill one row template, for speed. They come straight from its
-values array, one k-row at a time, as ``ProbabilityGrid.finished`` left it
-and the measures read it. Every ``{"name", "value", "ci_halfwidth"}`` table
-comes from one row builder, :func:`_rows`.
+row dicts through ``json.dumps`` itself. A grid's states, 207k of them at
+rho = 0.97, are written from its values array, one k-row at a time, as
+``ProbabilityGrid.finished`` left it and the measures read it, out of text
+pieces made once: each row's head once per row and each column's ``l``
+piece once per grid, so a state costs one float format and one
+concatenation (:func:`_grid_pieces`). Every ``{"name", "value",
+"ci_halfwidth"}`` table comes from one row builder, :func:`_rows`.
 
 Each subcommand takes --format and --out, and besides them only the options
 it reads:
@@ -28,8 +30,10 @@ it reads:
 - vs-single-server: --lambda (which it needs), --epsilon
 - simulate: --lambda, --rho, --a, --seed, --warmup, --slots, --reps
 
-Every default is a field default of :class:`RunSpec`. ``solve``, ``compare``
-and ``table1`` reach CA, PSA and the oracle only through :func:`relayq.solve`;
+Every default is a field default of :class:`RunSpec`. The argument parser
+is built once per process, on the first :func:`main` call, and every later
+call reuses it. ``solve``, ``compare`` and ``table1`` reach CA, PSA and the
+oracle only through :func:`relayq.solve`;
 ``decay`` reaches CA's series through :func:`relayq.measures.decay_diagnostics`,
 and ``vs-single-server`` through :func:`relayq.measures.single_server_comparison`.
 """
@@ -37,6 +41,7 @@ and ``vs-single-server`` through :func:`relayq.measures.single_server_comparison
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -256,18 +261,26 @@ def run(spec: RunSpec) -> dict:
     raise UsageError(f"unknown command {spec.command!r}")
 
 
-_GRID_ROW = '    {\n      "k": %d,\n      "l": %d,\n      "prob": %s\n    }'
+def _grid_pieces(values: np.ndarray, head: str, mid: str, tail: str, sep: str, prob):
+    """A grid's states (k, l, prob) in (k, l) order, one k-row at a time, as
+    pieces that concatenate to ``head % k + str(l) + mid + prob(p) + tail``
+    per state, joined by ``sep``.
 
-
-def _grid_pieces(values: np.ndarray, template: str, sep: str, prob):
-    """Rows (k, l, prob) of a grid's values, one k-row at a time, as pieces
-    that concatenate to all rows joined by ``sep``."""
+    The pieces are shared: ``head % k`` is made once per row and ``f"{l}{mid}"``
+    once per column, for ``values.shape[1]`` columns, so a state costs one
+    ``prob`` call and one concatenation.
+    """
+    cols = [f"{l}{mid}" for l in range(values.shape[1])]
     for k in range(len(values)):
-        rows = sep.join([template % (k, l, p) for l, p in enumerate(map(prob, values[k].tolist()))])
-        yield sep + rows if k else rows
+        first = head % k
+        row = (tail + sep + first).join([col + p for col, p in zip(cols, map(prob, values[k].tolist()))])
+        yield f"{sep if k else ''}{first}{row}{tail}"
 
 
 def _to_csv(tables: dict) -> str:
+    """CSV of the tables: per table a ``# table:`` line, a header and its rows.
+    A grid's rows come from :func:`_grid_pieces` with the row head ``"k,"``
+    and the column piece ``"l,"``, its floats in ``%.17g``."""
     parts = []
     for name, table in tables.items():
         if len(table) == 0:
@@ -275,7 +288,7 @@ def _to_csv(tables: dict) -> str:
         parts.append(f"# table: {name}\n")
         if isinstance(table, np.ndarray):
             prob = "%.17g".__mod__ if np.isfinite(table).all() else _fmt
-            parts += ["k,l,prob\n", *_grid_pieces(table, "%d,%d,%s", "\n", prob), "\n"]
+            parts += ["k,l,prob\n", *_grid_pieces(table, "%d,", ",", "", "\n", prob), "\n"]
         else:
             parts.append(",".join(table[0]) + "\n")
             parts += [",".join([_fmt(cell) for cell in row.values()]) + "\n" for row in table]
@@ -292,13 +305,17 @@ def _numpy_scalar(x):
 def _to_json(tables: dict) -> str:
     """JSON twin of ``_to_csv``, byte-equal to ``json.dumps(tables, indent=2)``
     of the tables as lists of row dicts. Row-dict tables go through
-    ``json.dumps`` itself; a grid's rows fill :data:`_GRID_ROW`."""
+    ``json.dumps`` itself; a grid's rows come from :func:`_grid_pieces`, with
+    the ``{"k": k, "l": `` head made once per row and the ``l, "prob": ``
+    piece once per column, each float written by ``repr`` as ``json.dumps``
+    writes it."""
     parts = []
     for name, table in tables.items():
         parts += [",\n" if parts else "{\n", f"  {json.dumps(name)}: "]
         if isinstance(table, np.ndarray) and len(table):
             prob = repr if np.isfinite(table).all() else json.dumps
-            parts += ["[\n", *_grid_pieces(table, _GRID_ROW, ",\n", prob), "\n  ]"]
+            pieces = ('    {\n      "k": %d,\n      "l": ', ',\n      "prob": ', "\n    }", ",\n")
+            parts += ["[\n", *_grid_pieces(table, *pieces, prob), "\n  ]"]
         else:
             parts.append(json.dumps(list(table), indent=2, default=_numpy_scalar).replace("\n", "\n  "))
     parts.append("\n}\n" if parts else "{}\n")
@@ -360,10 +377,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The process's one parser, built on the first :func:`main` call, not at import."""
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     spec = RunSpec(**vars(args))

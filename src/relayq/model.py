@@ -137,8 +137,8 @@ def is_stable(params: ModelParams) -> StabilityReport:
 
 def lambda_for_load(rho: float, a: float) -> float:
     """Arrival probability giving load ``rho`` at attempt probability ``a``."""
-    if rho <= 0:
-        raise ValueError("load must be positive")
+    if not (math.isfinite(rho) and rho > 0):
+        raise ValueError(f"load must be finite and positive, got {rho}")
     _check_attempt(a)
     ab = 1.0 - a
     c = 2 * rho * ab * a

@@ -80,6 +80,8 @@ def test_usage_errors(capsys):
         ["solve", "--rho", "0.4", "--a", "0"],
         ["solve", "--rho", "0.4", "--a", "1.0"],
         ["solve", "--rho", "0.4", "--a", "1.5"],
+        ["solve", "--rho", "inf"],  # nan <= 0 is false: these once exited 2 naming a lambda never given
+        ["stability", "--rho", "nan"],
     ],
 )
 def test_bad_values_are_usage_errors(args, capsys):
@@ -88,6 +90,8 @@ def test_bad_values_are_usage_errors(args, capsys):
     assert "usage error" in err
     if "--a" in args:
         assert "attempt probability" in err
+    elif args[-2] == "--rho":
+        assert err == f"usage error: load must be finite and positive, got {float(args[-1])}\n"
 
 
 @pytest.mark.parametrize(
@@ -356,6 +360,27 @@ _EVERY_COMMAND = [
 ]
 
 
+def test_one_parser_answers_as_a_fresh_one(capsys, monkeypatch):
+    """The process's one parser gives every call the exit code, stdout and
+    stderr a freshly built parser gives, across a usage error and --help."""
+    argvs = [*_EVERY_COMMAND[:3], ["solve", "--rho", "0.1", "--bogus"], *_EVERY_COMMAND[3:6],
+             ["solve", "--help"], *_EVERY_COMMAND[6:]]
+    shared = [run_cli(args, capsys) for args in argvs]
+    assert cli._parser.cache_info().misses == 1
+    assert [code for code, _, _ in shared] == [0] * 3 + [2] + [0] * (len(argvs) - 4)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert [run_cli(args, capsys) for args in argvs] == shared
+
+
+def test_no_option_leaks_into_the_next_call(capsys, monkeypatch):
+    run, specs = cli.run, []
+    monkeypatch.setattr(cli, "run", lambda spec: specs.append(spec) or run(spec))
+    assert run_cli(["solve", "--method", "psa", "--rho", "0.1"], capsys)[0] == 0
+    code, out, _ = run_cli(["solve", "--rho", "0.1"], capsys)
+    assert code == 0 and [spec.method for spec in specs] == ["psa", "ca"]
+    assert "decay_ratio" in out  # CA reports the decay rows, PSA does not
+
+
 @pytest.mark.parametrize("args", _EVERY_COMMAND)
 def test_json_output_is_strict(args, capsys):
     """Every subcommand but table1 writes standard JSON: no NaN or Infinity."""
@@ -397,12 +422,12 @@ def _reference_csv(tables):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-@pytest.mark.parametrize("args", _EVERY_COMMAND)
+@pytest.mark.parametrize("args", [*_EVERY_COMMAND, ["solve", "--rho", "0.9"]])  # the last a 133^2 CA grid
 def test_stdout_is_the_row_dict_reference(args, fmt, capsys, monkeypatch):
     """JSON writes row-dict tables through ``json.dumps`` and a grid's rows
-    from its array with one row template; stdout equals ``json.dumps(indent=2)``
-    of the row dicts, or the ``_fmt`` join of their cells, computed from the
-    same tables."""
+    from its array out of shared row and column pieces; stdout equals
+    ``json.dumps(indent=2)`` of the row dicts, or the ``_fmt`` join of their
+    cells, computed from the same tables."""
     run, replies = cli.run, []
     monkeypatch.setattr(cli, "run", lambda spec: replies.append(run(spec)) or replies[-1])
     code, out, _ = run_cli([*args, "--format", fmt], capsys)
@@ -485,6 +510,8 @@ def test_json_cells_of_numpy_and_plain_types():
         {},
         {"first": odd, "none": [], "grid": grid, "%key": [{"%d": 1, "a\"b": True}]},
         {"grid": grid[:1, :1]},
+        {"grid": grid[:2, :3]},  # rectangles: the column pieces follow shape[1]
+        {"grid": grid[:3, :1]},
         {"grid": np.zeros((0, 0))},
     ):
         assert cli._to_json(tables) == _reference_json(tables)
@@ -650,18 +677,19 @@ def test_vs_single_server_command(capsys):
 
 
 def test_import_loads_no_scipy():
-    """Importing the CLI loads no scipy module; psa.lfilter and
-    oracle.connected_components, which the benchmark tracer patches, still
-    resolve on lookup."""
+    """Importing the CLI loads no scipy module and builds no parser;
+    psa.lfilter and oracle.connected_components, which the benchmark tracer
+    patches, still resolve on lookup."""
     code = (
         "import sys, relayq.cli\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "print(callable(relayq.psa.lfilter), callable(relayq.oracle.connected_components))"
+        "print(callable(relayq.psa.lfilter), callable(relayq.oracle.connected_components))\n"
+        "print(relayq.cli._parser.cache_info().currsize)"
     )
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert out.stdout.split("\n")[:2] == ["[]", "True True"]
+    assert out.stdout.split("\n")[:3] == ["[]", "True True", "0"]
 
 
 def test_every_subcommand_runs_without_scipy():

@@ -51,6 +51,14 @@ def test_lambda_for_load_roundtrip():
         assert ModelParams(lam=lam, a=a).rho == pytest.approx(rho, rel=1e-13)
 
 
+@pytest.mark.parametrize("rho", [math.inf, -math.inf, math.nan, 0.0, -0.1])
+def test_lambda_for_load_rejects_a_load_that_is_not_finite_and_positive(rho):
+    """nan <= 0 is false: a NaN or infinite load once passed the check and
+    was refused later as an arrival probability the user never gave."""
+    with pytest.raises(ValueError, match=f"^load must be finite and positive, got {rho}$"):
+        lambda_for_load(rho, 0.5)
+
+
 def test_is_stable_examples():
     rep = is_stable(ModelParams(lam=0.5, a=0.5))
     assert not rep.stable and rep.margin == pytest.approx(0.0, abs=1e-15)
