@@ -57,6 +57,7 @@ __all__ = [
     "leading_boundary_coefficients",
     "compute_series",
     "outer_values",
+    "outer_row_sums",
     "converged_series",
     "solve",
 ]
@@ -320,6 +321,21 @@ def outer_values(series: CompensationSeries, k: np.ndarray, L: int) -> np.ndarra
     vals[j:, 0] = series.e0 @ gk[:-1, j:]
     vals[j:, 1] = series.e1 @ gk[:-1, j:]
     return vals
+
+
+def outer_row_sums(series: CompensationSeries, k: np.ndarray, L: int) -> np.ndarray:
+    """Sums over l in [0, L] of :func:`outer_values` at the rows ``k`` >= 1, in closed form.
+
+    The boundary columns l in {0, 1} are added as they are. The pair form's
+    columns l in [2, L] are geometric in delta_i, so they sum to
+    sum_i (d_i gamma_i^k + c_i gamma_{i+1}^k) delta_i^2 (1 - delta_i^(L-1)) / (1 - delta_i)
+    without a row of L + 1 values.
+    """
+    gk = np.power.outer(series.gammas, k)  # (n+2, len(k))
+    deltas = series.deltas
+    columns = deltas**2 * (1.0 - deltas ** (L - 1.0)) / (1.0 - deltas)
+    pairs = (series.d[:, None] * gk[:-1] + series.c[:, None] * gk[1:]).T @ columns
+    return series.e0 @ gk[:-1] + series.e1 @ gk[:-1] + pairs
 
 
 def _outside_box_mass(g, g1, dl, d, c, e):

@@ -55,11 +55,10 @@ _DECAY_SIDE = 24  # decay_diagnostics reads rows k = max(T, _DECAY_SIDE) - 3 and
 _MASS_TOL = 1e-6  # how far from 1 the mass of a grid may lie
 
 
-def _tail_ratios(rows: np.ndarray, columns: tuple[int, ...]) -> list[float | None]:
-    """rows[1, l] / rows[0, l] of two consecutive rows k, k + 1 for each l in
-    ``columns``, then the same ratio of the row sums; None unless both entries
-    are normal floats, since a subnormal entry has lost the digits of its ratio."""
-    tails = [rows[:, l] for l in columns] + [rows.sum(axis=1)]
+def _tail_ratios(*tails: np.ndarray) -> list[float | None]:
+    """tail[1] / tail[0] of each pair of values at consecutive rows k, k + 1;
+    None unless both entries are normal floats, since a subnormal entry has
+    lost the digits of its ratio."""
     tiny = np.finfo(float).tiny
     return [float(t[1] / t[0]) if t[0] >= tiny and t[1] >= tiny else None for t in tails]
 
@@ -80,7 +79,8 @@ def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> Meas
     e_q1q2 = float((K * (K + L) * pi).sum())
     scale = 1.0 + mu * mu
     correlation = None if var <= 1e-12 * scale else (e_q1q2 - mu * mu) / var
-    decay, marginal = _tail_ratios(pi[T - 3 : T - 1], (0,)) if T >= 6 else (None, None)
+    rows = pi[T - 3 : T - 1]
+    decay, marginal = _tail_ratios(rows[:, 0], rows.sum(axis=1)) if T >= 6 else (None, None)
     return MeasureReport(
         e_qsum=e_qsum,
         e_sojourn=e_soj,
@@ -95,16 +95,21 @@ def decay_diagnostics(params: ModelParams, epsilon: float = 1e-12) -> DecayDiagn
 
     Both converge to rho^2 as k grows. They are read off CA's series
     (:func:`relayq.compensation.converged_series`), which needs no grid, at
-    rows k = K and K + 1 over l <= K + 3, with K = max(T, _DECAY_SIDE) - 3:
-    deep enough for the leading term to dominate, and the rows that a grid
-    of side max(T, _DECAY_SIDE) held a few states inside its edge. An
-    estimate is None where the series there has no normal mass (it is
-    subnormal or underflows at light loads).
+    rows k = K and K + 1 with K = max(T, _DECAY_SIDE) - 3: deep enough for the
+    leading term to dominate, and the rows that a grid of side
+    max(T, _DECAY_SIDE) held a few states inside its edge. The fixed-l ratios
+    read the series at l in ``_FIXED_L``; the marginal ratio reads the rows'
+    sums over l <= K + 3, summed in closed form
+    (:func:`relayq.compensation.outer_row_sums`), so no row of T values is
+    formed. An estimate is None where the series there has no normal mass (it
+    is subnormal or underflows at light loads).
     """
     series, T, *_ = compensation.converged_series(params, epsilon)
     side = max(T, _DECAY_SIDE)
-    rows = compensation.outer_values(series, np.arange(side - 3.0, side - 1.0), side)
-    *fixed, marginal = _tail_ratios(rows, _FIXED_L)
+    k = np.arange(side - 3.0, side - 1.0)
+    rows = compensation.outer_values(series, k, max(_FIXED_L))
+    sums = compensation.outer_row_sums(series, k, side)
+    *fixed, marginal = _tail_ratios(*(rows[:, l] for l in _FIXED_L), sums)
     return DecayDiagnostics(
         expected=params.rho**2,
         fixed_l_estimates=dict(zip(_FIXED_L, fixed)),

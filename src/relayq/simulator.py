@@ -11,17 +11,24 @@ it is re-exported here.
 
 The slot walk is sequential by nature: join-the-shortest-queue keeps the
 chain near the boundary, where each slot's step depends on the state, so
-there are no long i.i.d. stretches to vectorize. ``_paths`` therefore walks a
-memo of ``step``: each slot's four draws become one code, and a slot costs one
-dict lookup, keyed by the state's id and the code, that ``step`` fills once per
-(state, code) pair. The ids are of local states x = q - (t, t) in a window
-that slides along the diagonal: ``step`` commutes with that shift once both
-queues are non-empty, so one memo serves t = 0 and one every t >= 1, and the
-memo stays bounded however far an unstable run climbs. A step out of the
-window re-centres it. The bookkeeping (grid counts, overflow, exact integer
-moment sums) is done per chunk over the distinct states visited, with their
-visit counts. The grid counts grow with the states visited: the empirical grid
-is the smallest square that holds every visited state inside the grid cap.
+there are no long i.i.d. stretches to vectorize. ``_paths`` therefore walks
+tables of ``step``, two slots per lookup. Each slot's four draws become one
+code by bit operations on the comparisons, and two codes one pair code; a
+pair costs one lookup in a flat list, the pair table, which gives the state
+two slots on. The tables cover a block of local states x = q - (t, t): those
+with min(x) below the width of a window that slides along the diagonal and
+|x1 - x2| <= 4, where the chain spends almost every slot. ``step`` commutes
+with that shift once both queues are non-empty, so one pair table serves
+t = 0 and one every t >= 1; each is built per ``simulate`` call, by ``step``
+on arrays over the block, with a one-slot table beside it. The state
+between a pair's two slots is read back per chunk by one numpy lookup of the
+one-slot table. Pairs that start outside the block or leave it, re-centres of
+the window where a step leaves it, and a chunk's odd last slot go one slot at
+a time through a memo that ``step`` fills. The bookkeeping (grid counts,
+overflow, exact integer moment sums) is done per chunk over the distinct
+states visited, with their visit counts. The grid counts grow with the states
+visited: the empirical grid is the smallest square that holds every visited
+state inside the grid cap.
 """
 
 from __future__ import annotations
@@ -38,8 +45,11 @@ __all__ = ["SimConfig", "SimResult", "simulate", "step"]
 
 _CHUNK = 65536
 _SPAN = 64  # the window's width along the diagonal
-_CODE = np.array([8, 4, 2, 1])  # a slot's draws (arrival, tie to q1, attempt 1, attempt 2) as one code
-_DRAWS = [tuple(bool(c & bit) for bit in _CODE.tolist()) for c in range(16)]
+_REACH = 4  # the block: local states with |x1 - x2| <= _REACH
+_BLOCK = _SPAN * (2 * _REACH + 1)
+_BITS = (3, 2, 1, 0)  # a slot's code: arrival * 8 + tie to q1 * 4 + attempt 1 * 2 + attempt 2
+_DRAWS = [tuple(bool(c >> b & 1) for b in _BITS) for c in range(16)]
+_OUT = 1 << 62  # a pair entry that leaves the block: the lookup after it fails
 
 
 @dataclass(frozen=True)
@@ -105,76 +115,157 @@ def _replication_rng(seed: int, r: int) -> np.random.Generator:
 
 
 class _Window:
-    """Local states x = q - (t, t) with 0 <= min(x) < ``_SPAN``, and a memo of
-    ``step`` on them for t = 0 and one for every t >= 1.
+    """Local states x = q - (t, t) with 0 <= min(x) < ``_SPAN``, tables of
+    ``step`` on a block of them and a memo of ``step`` off the block, for
+    t = 0 and for every t >= 1.
 
-    ``walks[t > 0][16 * i + code]`` is 16 times the id of the local state that
-    local state ``i`` steps to under the draws ``code``. At t >= 1 both queues
-    are non-empty, where ``step`` commutes with a shift along the diagonal, so
-    one memo serves every t. Ids follow the order the states are first reached.
+    A state's key is 256 times its id. The block's states, those with
+    |x1 - x2| <= ``_REACH``, hold the ids below ``_BLOCK``: (2 * _REACH + 1) *
+    min(x) + x2 - x1 + _REACH. Every other state gets the next id when it is
+    first reached. Per t > 0:
+
+    - ``ones[t > 0][i, code]`` is the id block state ``i`` steps to under the
+      draws ``code``, or -1 outside the block;
+    - ``pairs[t > 0][key + 16 * c1 + c2]`` is the key after the two steps
+      (c1, c2), or ``_OUT`` where either step leaves the block;
+    - ``walks[t > 0][key + code]`` is the key after one step, filled by
+      ``step`` on the first such move off the pair table.
+
+    At t >= 1 both queues of a local state are non-empty, where ``step``
+    commutes with a shift along the diagonal, so one set serves every t >= 1;
+    the window builds its tables when it first leaves t = 0.
     """
 
     def __init__(self) -> None:
-        self.ids: dict[tuple[int, int], int] = {}
-        self.coords: list[tuple[int, int]] = []
+        k, d = np.divmod(np.arange(_BLOCK), 2 * _REACH + 1)
+        d -= _REACH
+        x1, x2 = k + np.maximum(-d, 0), k + np.maximum(d, 0)
+        self.coords: list[tuple[int, int]] = list(zip(x1.tolist(), x2.tolist()))
+        self.ids = {x: i for i, x in enumerate(self.coords)}
         self.walks: tuple[dict[int, int], dict[int, int]] = ({}, {})
+        self.ones = np.full((2, _BLOCK, 16), -1)
+        self.pairs = [self._pair_table(0), []]
+
+    def _pair_table(self, t: int) -> list[int]:
+        """The pair table at t (0, or 1 for every t >= 1), from one ``step``
+        on arrays of the block; fills ``ones[t]`` on the way."""
+        x1, x2 = np.array(self.coords[:_BLOCK]).T
+        code = np.arange(16)
+        y1, y2 = step(x1[:, None] + t, x2[:, None] + t, *(code >> b & 1 == 1 for b in _BITS))
+        k, d = np.minimum(y1, y2) - t, y2 - y1
+        inside = (0 <= k) & (k < _SPAN) & (np.abs(d) <= _REACH)
+        ones = self.ones[t] = np.where(inside, (2 * _REACH + 1) * k + d + _REACH, -1)
+        # the keys one step on from each block state, one int object per key; -1 reads
+        # the pool's _OUT, and the last row, for a first step out of the block
+        pool = np.array([*range(0, _BLOCK << 8, 256), _OUT], dtype=object)
+        rows = pool[ones].tolist() + [[_OUT] * 16]
+        pairs: list[int] = []
+        for i in ones.ravel().tolist():
+            pairs += rows[i]
+        return pairs
 
     def key(self, x1: int, x2: int) -> int:
-        """16 times the id of local state (x1, x2)."""
+        """256 times the id of local state (x1, x2)."""
         i = self.ids.setdefault((x1, x2), len(self.coords))
         if i == len(self.coords):
             self.coords.append((x1, x2))
-        return 16 * i
+        return i << 8
 
-    def enter(self, q1: int, q2: int) -> tuple[int, dict[int, int], int]:
-        """(t, memo, key) of the window centred on (q1, q2)."""
+    def enter(self, q1: int, q2: int) -> tuple[int, int]:
+        """(t, key) of the window centred on (q1, q2)."""
         t = max(0, min(q1, q2) - _SPAN // 2)
-        return t, self.walks[t > 0], self.key(q1 - t, q2 - t)
+        if t and not self.pairs[1]:
+            self.pairs[1] = self._pair_table(1)
+        return t, self.key(q1 - t, q2 - t)
 
-    def follow(self, t: int, walk: dict[int, int], j: int, code: int) -> tuple[int, dict[int, int], int]:
-        """(t, memo, key) after the state of key ``j`` steps under ``code``:
-        ``step`` fills the memo, or the window re-centres where it leaves."""
-        x1, x2 = self.coords[j >> 4]
-        y1, y2 = step(x1 + t, x2 + t, *_DRAWS[code])
-        if not 0 <= min(y1, y2) - t < _SPAN:
-            return self.enter(y1, y2)
-        walk[j + code] = nxt = self.key(y1 - t, y2 - t)
-        return t, walk, nxt
+    def follow(self, t: int, j: int, code: int) -> tuple[int, int]:
+        """(t, key) after the state of key ``j`` steps under ``code``: ``step``
+        fills the memo, or the window re-centres where the step leaves it."""
+        walk = self.walks[t > 0]
+        nxt = walk.get(j + code)
+        if nxt is None:
+            x1, x2 = self.coords[j >> 8]
+            y1, y2 = step(x1 + t, x2 + t, *_DRAWS[code])
+            if not 0 <= min(y1, y2) - t < _SPAN:
+                return self.enter(y1, y2)
+            walk[j + code] = nxt = self.key(y1 - t, y2 - t)
+        return t, nxt
 
 
 def _paths(window: _Window, lam: float, a: float, slots: int, rng: np.random.Generator,
            q1: int = 0, q2: int = 0):
-    """Walk ``slots`` slots from (q1, q2), one ``rng.random((4, n))`` draw per chunk.
+    """Walk ``slots`` slots from (q1, q2), with the draws of one ``rng.random((4, n))`` per chunk.
 
     Yields, per chunk of at most ``_CHUNK`` slots, ``(visits, q1, q2)``: the
-    state at the start of slot s is ``(q1[visits[s]], q2[visits[s]])``. Each
-    slot is one lookup in the memo of ``step``; a miss fills it, or re-centres
-    the window, which starts a new segment of the chunk.
+    state at the start of slot s is ``(q1[visits[s]], q2[visits[s]])``. The
+    slots go by pairs, one lookup in the window's pair table per pair. A pair
+    from outside the block, or one whose table entry is ``_OUT``, is walked
+    one slot at a time by ``_Window.follow``, as is a chunk's odd last slot; a
+    re-centre of the window starts a new segment of the chunk. The state
+    between the two slots of a pair is read back afterwards from the
+    one-slot table, or from what the slot-by-slot walk recorded.
     """
-    below = np.array([[lam], [0.5], [a], [a]])
-    t, walk, j = window.enter(q1, q2)
+    below = (lam, 0.5, a, a)
+    t, j = window.enter(q1, q2)
     done = 0
     while done < slots:
         n = min(_CHUNK, slots - done)
-        codes = iter((_CODE @ (rng.random((4, n)) < below)).tolist())
-        path: list[int] = []
-        rec = path.append
+        m = n // 2
+        # row by row, the stream of one rng.random((4, n)) without its float array
+        bits = np.empty((4, n), dtype=bool)
+        for row, p in zip(bits, below):
+            np.less(rng.random(n), p, out=row)
+        bits = bits.view(np.uint8)
+        codes = bits[0] << 3 | bits[1] << 2 | bits[2] << 1 | bits[3]
+        pair_codes = codes[0 : 2 * m : 2] << 4 | codes[1 : 2 * m : 2]
+        rest = pair_codes.tolist()
+        path = [j]  # the keys at slots 0, 2, 4, ...
+        mids: dict[int, int] = {}  # pair -> the key at its middle slot, where walked slot by slot
         starts, offsets = [0], [t]  # each segment's first slot and its t
+
+        def follow(s: int, j: int, code: int) -> int:
+            nonlocal t
+            t, j = window.follow(t, j, code)
+            if t != offsets[-1]:
+                starts.append(s)
+                offsets.append(t)
+            return j
+
+        taken = iter(rest)
         while True:
+            pairs = window.pairs[t > 0]
             try:
-                for c in codes:
-                    rec(j)
-                    j = walk[j + c]
+                path.extend(j := pairs[j + c] for c in taken)
+                n_taken = len(path) - 1
+            except IndexError:  # a pair from outside the block, or the one after _OUT
+                n_taken = len(path)  # the failed pair's code is taken too
+            if path[-1] == _OUT:  # the pair before left the block
+                path.pop()
+            while len(path) <= n_taken:  # pairs whose codes are taken, one slot at a time
+                p = len(path) - 1
+                mids[p] = follow(2 * p + 1, path[p], rest[p] >> 4)
+                j = follow(2 * p + 2, mids[p], rest[p] & 15)
+                path.append(j)
+            if n_taken == m:
                 break
-            except KeyError:
-                t, walk, j = window.follow(t, walk, j, c)
-                if t != offsets[-1]:
-                    starts.append(len(path))
-                    offsets.append(t)
-        # index the chunk's states by (segment, local id)
-        width = len(window.coords)
+        if n % 2:
+            j = follow(n, path[-1], int(codes[-1]))  # the chunk's lone last slot
+        else:
+            j = path.pop()  # the next chunk's first state
+        # each slot's (segment, local id)
         segment = np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
-        visits = segment * width + (np.fromiter(path, dtype=np.int64, count=n) >> 4)
+        ids = np.empty(n, dtype=np.int64)
+        ids[::2] = np.fromiter(path, dtype=np.int64, count=len(path)) >> 8
+        if m:
+            evens = ids[0 : 2 * m : 2]
+            shifted = np.minimum(offsets, 1)[segment[0 : 2 * m : 2]]
+            # the modulus keeps ids outside the block in range; their pairs are in mids
+            odd = window.ones.reshape(-1)[(shifted * _BLOCK + evens % _BLOCK) * 16 + (pair_codes >> 4)]
+            if mids:
+                odd[list(mids)] = np.fromiter(mids.values(), dtype=np.int64, count=len(mids)) >> 8
+            ids[1 : 2 * m : 2] = odd
+        width = len(window.coords)
+        visits = segment * width + ids
         x = np.array(window.coords, dtype=np.int64).T
         t_of = np.array(offsets, dtype=np.int64)[:, None]
         yield visits, (x[0] + t_of).ravel(), (x[1] + t_of).ravel()

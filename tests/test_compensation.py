@@ -463,6 +463,17 @@ def test_light_load_tail_follows_the_oracle(rho, a):
     assert np.all(np.abs(grid[outside] - reference[outside]) <= 1e-3 * reference[outside])
 
 
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("rho", [0.4, 0.9, 0.97])
+def test_outer_row_sums_add_the_rows(rho, a):
+    """The closed-form row sums are the sums of the rows outer_values writes."""
+    params = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    series, T, *_ = ca.converged_series(params)
+    k = np.arange(T - 3.0, T - 1.0)
+    sums = ca.outer_row_sums(series, k, T)
+    assert sums == pytest.approx(ca.outer_values(series, k, T).sum(axis=1), rel=1e-13, abs=0)
+
+
 def _box_limited_share(series, params, T):
     """The guard that evaluated the grid twice: sum |grid(n) - grid(n - 1)|
     over [0,T]^2, as a share of |sum grid(n)|, each grid with its own box."""

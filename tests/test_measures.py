@@ -99,6 +99,23 @@ def test_decay_from_subnormal_rows_is_none(a):
         assert estimate is None or estimate == pytest.approx(rho**2, rel=1e-12, abs=0)
 
 
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("rho", [1 - 1e-6, 1 - 1e-7, 1 - 1e-8])
+def test_decay_near_saturation_forms_no_row(rho, a):
+    """Near saturation the grid side T runs to 1.4e7-1.4e9; the row sums of
+    the marginal ratio are closed forms, so the diagnostics hold a few
+    series-sized arrays (rows of side T + 1 asked for 632 MiB at rho = 1 - 1e-6)."""
+    tracemalloc.start()
+    try:
+        diag = measures.decay_diagnostics(ModelParams(lam=lambda_for_load(rho, a), a=a))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    for estimate in (*diag.fixed_l_estimates.values(), diag.marginal_estimate):
+        assert estimate == pytest.approx(rho**2, rel=1e-12, abs=0)
+
+
 def test_decay_without_tail_mass_is_none(base_params):
     """A tail that is exactly zero has no ratio to report, not NaN: on a grid,
     and in CA's series at rho = 1e-12, whose rows at k = 21 underflow."""

@@ -65,40 +65,73 @@ def _step_path(lam, a, slots, rng, q1, q2):
         (0.3, (0, 0)), (0.3, (2, 2)), (0.3, (3, 1)), (0.3, (0, 5)), (0.6, (0, 0)),
         # the window slides: up from (300, 300) and from a lopsided start, down to t = 0
         (0.6, (300, 300)), (0.6, (0, 500)), (0.3, (300, 300)), (0.3, (0, 500)),
+        # far off the block's diagonal band, and on its edge
+        (0.3, (0, 40)), (0.6, (60, 64)),
     ],
 )
 def test_paths_follow_step(monkeypatch, lam, start):
     # a small chunk puts several chunk boundaries, and a short last chunk, in the run;
-    # a fresh window fills its memo from step during the run
-    monkeypatch.setattr(simulator, "_CHUNK", 4096)
+    # an odd chunk ends every chunk on a lone slot; a fresh window fills its memo during the run
     slots = 20_000
-    got = []
-    window = simulator._Window()
-    for visits, q1, q2 in simulator._paths(window, lam, 0.5, slots, np.random.default_rng(41), *start):
-        q1, q2 = q1.tolist(), q2.tolist()
-        got += [(q1[v], q2[v]) for v in visits.tolist()]
-    assert got == _step_path(lam, 0.5, slots, np.random.default_rng(41), *start)
-    mins = [min(state) for state in got]
-    if lam == 0.6 or max(start) >= 300:
-        assert max(mins) > simulator._SPAN  # the window leaves t = 0
-    if max(start) >= 300 and lam == 0.3:
-        assert mins[-1] == 0  # and drains back to it
+    for chunk in (4096, 4095):
+        monkeypatch.setattr(simulator, "_CHUNK", chunk)
+        got, recentred = [], set()
+        window = simulator._Window()
+        for visits, q1, q2 in simulator._paths(window, lam, 0.5, slots, np.random.default_rng(41), *start):
+            segment = visits // len(window.coords)
+            recentred |= {s % 2 for s in np.flatnonzero(np.diff(segment)).tolist()}
+            q1, q2 = q1.tolist(), q2.tolist()
+            got += [(q1[v], q2[v]) for v in visits.tolist()]
+        assert got == _step_path(lam, 0.5, slots, np.random.default_rng(41), *start)
+        if chunk % 2:
+            continue  # the draws fall differently into odd chunks; the checks below are of the even run
+        mins = [min(state) for state in got]
+        if lam == 0.6 or max(start) >= 300:
+            assert max(mins) > simulator._SPAN  # the window leaves t = 0
+        if max(start) >= 300:
+            # np.diff puts a re-centre on slot s + 1 at s: inside a pair for even s, after one for odd s
+            assert recentred == {0, 1}
+        if max(start) >= 300 and lam == 0.3:
+            assert mins[-1] == 0  # and drains back to it
+
+
+def _in_block(x):
+    return 0 <= min(x) < simulator._SPAN and abs(x[0] - x[1]) <= simulator._REACH
 
 
 def test_memo_holds_at_every_shift():
-    """Each entry of the memo is step's move at every t it serves: t = 0 for
-    the first memo, any t >= 1 for the second."""
+    """Every entry of the tables and the memo is step's move at every t it
+    serves: t = 0 for the first of each, any t >= 1 for the second. A pair
+    entry is two steps, and it is _OUT exactly where either leaves the block;
+    a one-slot entry is -1 exactly where its step leaves the block."""
     window = simulator._Window()
     for lam, start in [(0.6, (0, 0)), (0.3, (300, 300))]:
         for _ in simulator._paths(window, lam, 0.5, 20_000, np.random.default_rng(5), *start):
             pass
-    for walk, shifts in zip(window.walks, [(0,), (1, 2, 1000)]):
-        assert walk
-        for key, nxt in walk.items():
-            x, y = window.coords[key >> 4], window.coords[nxt >> 4]
-            for t in shifts:
-                q = step(x[0] + t, x[1] + t, *simulator._DRAWS[key & 15])
-                assert (q[0] - t, q[1] - t) == y
+    block = window.coords[: simulator._BLOCK]
+    assert all(map(_in_block, block)) and len(set(block)) == simulator._BLOCK
+    for shifted, shifts in [(False, (0,)), (True, (1, 2, 1000))]:
+        pairs, ones, walk = window.pairs[shifted], window.ones[int(shifted)].tolist(), window.walks[shifted]
+        assert walk and len(pairs) == 256 * simulator._BLOCK
+        for t in shifts:
+            def moved(x, code):
+                q = step(x[0] + t, x[1] + t, *simulator._DRAWS[code])
+                return q[0] - t, q[1] - t
+
+            for key, nxt in walk.items():
+                assert moved(window.coords[key >> 8], key & 255) == window.coords[nxt >> 8]
+            for i, x in enumerate(block):
+                for c1 in range(16):
+                    y = moved(x, c1)
+                    assert (ones[i][c1] >= 0) == _in_block(y)
+                    if ones[i][c1] >= 0:
+                        assert block[ones[i][c1]] == y
+                    for c2 in range(16):
+                        z = moved(y, c2)
+                        entry = pairs[256 * i + 16 * c1 + c2]
+                        assert (entry != simulator._OUT) == (_in_block(y) and _in_block(z))
+                        if entry != simulator._OUT:
+                            assert block[entry >> 8] == z
 
 
 def test_sample_path_pinned():
@@ -168,7 +201,8 @@ def test_grid_holds_only_visited_states():
 def test_chunk_bookkeeping(monkeypatch):
     """Counts, overflow and moments of a made-up path: warm-up across a chunk
     boundary, states on and just past the grid cap, and q^2 summed over one
-    chunk past 2**63, where an int64 sum would wrap."""
+    chunk past 2**63, where an int64 sum would wrap. Then the same of walked
+    paths, against those of ``_step_path``."""
     cap, far = 10, 30_000_000
     edge = [(10, 20), (20, 10), (11, 11), (3, 14)]  # (k, l) = (10, 10) twice, then two outside
     chunk = [(0, 0)] + [(far, 0)] * (simulator._CHUNK - 5) + edge
@@ -198,6 +232,34 @@ def test_chunk_bookkeeping(monkeypatch):
         q12=sum(q1 * q2 for q1, q2 in measured) / n,
     )
     assert mom == exact
+
+    # walked paths against _step_path: chunks of an odd size end on a lone slot,
+    # and each warm-up ends between the two slots of a pair, once in the second
+    # chunk; at lam = 0.6 the queues climb past the grid cap and the window's span
+    monkeypatch.undo()
+    monkeypatch.setattr(simulator, "_CHUNK", 4095)
+    for lam, warmup in [(0.45, 4095 + 21), (0.6, 21)]:
+        slots = 20_000
+        config = SimConfig(seed=9, warmup_slots=warmup, measure_slots=slots, replications=1)
+        counts, overflow, mom = simulator._run_one(
+            ModelParams(lam=lam, a=0.5), config, 0, cap, np.zeros((1, 1), dtype=np.int64), simulator._Window()
+        )
+        measured = _step_path(lam, 0.5, warmup + slots, simulator._replication_rng(9, 0), 0, 0)[warmup:]
+        kl = np.array([(min(q), abs(q[0] - q[1])) for q in measured])
+        inside = kl[kl.max(axis=1) <= cap]
+        expected = np.zeros_like(counts)
+        np.add.at(expected, tuple(inside.T), 1)
+        assert len(inside) and np.array_equal(counts, expected)
+        assert overflow == slots - len(inside)
+        if lam == 0.6:
+            assert overflow and max(map(min, measured)) > simulator._SPAN
+        assert mom == dict(
+            q1=sum(q1 for q1, _ in measured) / slots,
+            q2=sum(q2 for _, q2 in measured) / slots,
+            q11=sum(q1 * q1 for q1, _ in measured) / slots,
+            q22=sum(q2 * q2 for _, q2 in measured) / slots,
+            q12=sum(q1 * q2 for q1, q2 in measured) / slots,
+        )
 
 
 def test_determinism(base_params):
