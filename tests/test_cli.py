@@ -10,8 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from relayq import cli, compensation, oracle, psa
+from relayq import cli, compensation, oracle, psa, routes
 from relayq.errors import GridError
+from relayq.model import ModelParams, lambda_for_load
 
 
 def run_cli(args, capsys):
@@ -581,6 +582,27 @@ def test_compare_command(capsys):
         assert rows["maxnorm_ca_oracle"] < 1e-8
         assert rows["maxnorm_psa_oracle"] < 1e-6
         assert rows["abs_diff_e_sojourn"] < 1e-3
+
+
+def test_compare_maxnorm_is_the_largest_difference_over_the_common_box(capsys, monkeypatch):
+    """Each maxnorm_* cell is the largest |difference| over the box the two
+    route grids share on each axis. The oracle is solved here at epsilon
+    1e-10, CA and PSA at 1e-12, so the oracle's box is the smaller one."""
+    solve = routes.solve
+
+    def oracle_at_1e10(params, method="ca", epsilon=1e-12, G=1.0):
+        return solve(params, method, 1e-10 if method == "oracle" else epsilon, G)
+
+    monkeypatch.setattr(routes, "solve", oracle_at_1e10)
+    code, out, _ = run_cli(["compare", "--rho", "0.4", "--format", "json"], capsys)
+    assert code == 0
+    cells = {r["name"]: r["value"] for r in json.loads(out)["compare"]}
+    p = ModelParams(lam=lambda_for_load(0.4, 0.5), a=0.5)
+    grids = {method: oracle_at_1e10(p, method).grid.values for method in routes.METHODS}
+    assert grids["ca"].shape != grids["oracle"].shape
+    for x, y in (("ca", "oracle"), ("psa", "oracle"), ("ca", "psa")):
+        k, l = np.minimum(grids[x].shape, grids[y].shape)
+        assert cells[f"maxnorm_{x}_{y}"] == float(np.max(np.abs(grids[x][:k, :l] - grids[y][:k, :l])))
 
 
 def test_power_series_runs_at_any_attempt_probability(capsys):
