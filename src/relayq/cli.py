@@ -208,8 +208,8 @@ def run(spec: RunSpec) -> dict:
         def maxnorm(s1: routes.Solution | None, s2: routes.Solution | None) -> float | None:
             if s1 is None or s2 is None:
                 return None
-            m = min(s1.grid.T, s2.grid.T)
-            return float(np.max(np.abs(s1.grid.values[: m + 1, : m + 1] - s2.grid.values[: m + 1, : m + 1])))
+            k, l = np.minimum(s1.grid.values.shape, s2.grid.values.shape)  # the common box on each axis
+            return float(np.max(np.abs(s1.grid.values[:k, :l] - s2.grid.values[:k, :l])))
 
         cells = {"maxnorm_ca_oracle": maxnorm(ca, orc), "maxnorm_psa_oracle": maxnorm(ps, orc),
                  "maxnorm_ca_psa": maxnorm(ca, ps), **_differences(ca, ps)}
@@ -287,8 +287,7 @@ def _to_csv(tables: dict) -> str:
             continue
         parts.append(f"# table: {name}\n")
         if isinstance(table, np.ndarray):
-            prob = "%.17g".__mod__ if np.isfinite(table).all() else _fmt
-            parts += ["k,l,prob\n", *_grid_pieces(table, "%d,", ",", "", "\n", prob), "\n"]
+            parts += ["k,l,prob\n", *_grid_pieces(table, "%d,", ",", "", "\n", "%.17g".__mod__), "\n"]
         else:
             parts.append(",".join(table[0]) + "\n")
             parts += [",".join([_fmt(cell) for cell in row.values()]) + "\n" for row in table]
@@ -329,9 +328,12 @@ def emit(tables: dict, spec: RunSpec) -> str:
         base_dir = os.environ.get(OUTPUT_DIR_ENV)
         if base_dir and not os.path.isabs(path):
             path = os.path.join(base_dir, path)
-        os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise UsageError(f"cannot write --out {path}: {exc}") from exc
     return text
 
 

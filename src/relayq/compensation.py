@@ -400,7 +400,7 @@ def converged_series(
     """The series through the first step whose last term moves less than ``epsilon`` of the inner box's mass.
 
     :func:`relayq.model.truncation` gates the load and ``epsilon``, clamps
-    ``epsilon`` at the 64-bit floor and sizes the grid side T. Terms come one
+    ``epsilon`` at the 64-bit floor and sizes the grid's box. Terms come one
     at a time from the kernel's closed forms (:func:`gamma_root`,
     :func:`delta_root`), each computed once. After each, the share of the
     inner box's mass that the last term moves is bounded in closed form
@@ -409,16 +409,16 @@ def converged_series(
     the grid's, so the bound holds for the grid's mass too. A series still
     above ``epsilon`` at ``_TERM_CAP`` terms raises :class:`NumericsError`.
 
-    Returns (series, T, clamped epsilon, the last term's share, and the inner
-    box's unnormalized values, flattened, which :func:`solve` writes).
+    Returns (series, (T_k, T_l), clamped epsilon, the last term's share, and
+    the inner box's unnormalized values, flattened, which :func:`solve` writes).
     """
-    T, epsilon = truncation(params, epsilon)
+    T_k, T_l, epsilon = truncation(params, epsilon)
     system = _inner_box_system(params, INNER_BOX)
     # from step 1 on: at step 0 the last term is the whole series, which moves all of the box
     for series in itertools.islice(_series_steps(params), 1, _TERM_CAP + 1):
         share, box = _last_term_share(series, *system)
         if share < epsilon:
-            return series, T, epsilon, share, box
+            return series, (T_k, T_l), epsilon, share, box
     raise NumericsError(
         f"compensation series not converged at {series.n_terms} terms: the last term moves "
         f"{share:.3e} of the inner box's mass (epsilon {epsilon:.1e})"
@@ -429,14 +429,14 @@ def solve(params: ModelParams, epsilon: float = 1e-12) -> CompensationResult:
     """Full compensation solve: series + origin-box closure + normalization.
 
     Every state outside the box [0,2]^2 takes the value of the series of
-    :func:`converged_series`, evaluated once on the grid [0,T]^2; the box
-    takes the values that :func:`converged_series` solved from its own
-    balance equations, fed by the series on the states around it. Returns
-    the normalized grid and every sequence needed to evaluate the expansion.
+    :func:`converged_series`, evaluated once on the grid [0,T_k] x [0,T_l];
+    the box takes the values that :func:`converged_series` solved from its
+    own balance equations, fed by the series on the states around it.
+    Returns the normalized grid and every sequence the expansion needs.
     """
-    series, T, epsilon, share, box = converged_series(params, epsilon)
+    series, (T_k, T_l), epsilon, share, box = converged_series(params, epsilon)
     B = INNER_BOX
-    grid_un = outer_values(series, np.arange(T + 1.0), T)
+    grid_un = outer_values(series, np.arange(T_k + 1.0), T_l)
     grid_un[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
     grid_un /= float(grid_un.sum())
     # round-off guard: the construction is sign-definite, anything below is noise

@@ -29,9 +29,9 @@ def full(shape: tuple[int, int], fill: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProbabilityGrid:
-    """Equilibrium probabilities on a square truncation of the state space.
+    """Equilibrium probabilities on a truncation of the state space.
 
-    ``values[k, l]`` over (k, l) = (min, |difference|), 0 <= k, l <= T.
+    ``values[k, l]`` over (k, l) = (min, |difference|) in the box [0,T_k] x [0,T_l].
     CA, PSA and the oracle build their grids only through :meth:`finished`,
     which clips the route's array at zero and normalizes it in place; the
     measures and the CLI read that array as it is. A bare power-series
@@ -43,13 +43,9 @@ class ProbabilityGrid:
 
     def __post_init__(self) -> None:
         v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise GridError(f"grid must be square 2-D, got shape {v.shape}")
+        if v.ndim != 2:
+            raise GridError(f"grid must be 2-D, got shape {v.shape}")
         object.__setattr__(self, "values", v)
-
-    @property
-    def T(self) -> int:
-        return self.values.shape[0] - 1
 
     def total(self) -> float:
         return float(self.values.sum())

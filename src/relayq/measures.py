@@ -51,7 +51,7 @@ class DecayDiagnostics:
 
 
 _FIXED_L = (0, 1, 3)  # the columns l whose decay along k is reported
-_DECAY_SIDE = 24  # decay_diagnostics reads rows k = max(T, _DECAY_SIDE) - 3 and the next
+_DECAY_SIDE = 24  # decay_diagnostics reads rows k = max(T_k, _DECAY_SIDE) - 3 and the next
 _MASS_TOL = 1e-6  # how far from 1 the mass of a grid may lie
 
 
@@ -69,8 +69,7 @@ def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> Meas
     if not abs(tot - 1.0) <= _MASS_TOL:  # a NaN mass is not within it
         raise GridError(f"grid is not normalized: mass {tot!r}")
     pi = grid.values
-    T = grid.T
-    K, L = np.arange(T + 1)[:, None], np.arange(T + 1)
+    K, L = np.arange(pi.shape[0])[:, None], np.arange(pi.shape[1])
     e_qsum = float(((2 * K + L) * pi).sum())
     e_soj = e_qsum / params.lam
     mu = e_qsum / 2.0
@@ -79,8 +78,8 @@ def moments_from_transformed(grid: ProbabilityGrid, params: ModelParams) -> Meas
     e_q1q2 = float((K * (K + L) * pi).sum())
     scale = 1.0 + mu * mu
     correlation = None if var <= 1e-12 * scale else (e_q1q2 - mu * mu) / var
-    rows = pi[T - 3 : T - 1]
-    decay, marginal = _tail_ratios(rows[:, 0], rows.sum(axis=1)) if T >= 6 else (None, None)
+    rows = pi[-4:-2]  # k = T_k - 3 and T_k - 2
+    decay, marginal = _tail_ratios(rows[:, 0], rows.sum(axis=1)) if len(pi) > 6 else (None, None)
     return MeasureReport(
         e_qsum=e_qsum,
         e_sojourn=e_soj,
@@ -95,20 +94,20 @@ def decay_diagnostics(params: ModelParams, epsilon: float = 1e-12) -> DecayDiagn
 
     Both converge to rho^2 as k grows. They are read off CA's series
     (:func:`relayq.compensation.converged_series`), which needs no grid, at
-    rows k = K and K + 1 with K = max(T, _DECAY_SIDE) - 3: deep enough for the
-    leading term to dominate, and the rows that a grid of side
-    max(T, _DECAY_SIDE) held a few states inside its edge. The fixed-l ratios
+    rows k = K and K + 1 with K = max(T_k, _DECAY_SIDE) - 3: deep enough for
+    the leading term to dominate, and the rows that a grid of max(T_k,
+    _DECAY_SIDE) levels held a few states inside its edge. The fixed-l ratios
     read the series at l in ``_FIXED_L``; the marginal ratio reads the rows'
-    sums over l <= K + 3, summed in closed form
-    (:func:`relayq.compensation.outer_row_sums`), so no row of T values is
+    sums over l <= max(T_l, _DECAY_SIDE), summed in closed form
+    (:func:`relayq.compensation.outer_row_sums`), so no row of T_l values is
     formed. An estimate is None where the series there has no normal mass (it
     is subnormal or underflows at light loads).
     """
-    series, T, *_ = compensation.converged_series(params, epsilon)
-    side = max(T, _DECAY_SIDE)
+    series, (T_k, T_l), *_ = compensation.converged_series(params, epsilon)
+    side = max(T_k, _DECAY_SIDE)
     k = np.arange(side - 3.0, side - 1.0)
     rows = compensation.outer_values(series, k, max(_FIXED_L))
-    sums = compensation.outer_row_sums(series, k, side)
+    sums = compensation.outer_row_sums(series, k, max(T_l, _DECAY_SIDE))
     *fixed, marginal = _tail_ratios(*(rows[:, l] for l in _FIXED_L), sums)
     return DecayDiagnostics(
         expected=params.rho**2,

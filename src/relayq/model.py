@@ -145,17 +145,17 @@ def lambda_for_load(rho: float, a: float) -> float:
     return c / (ab * ab + a * a + c)
 
 
-def truncation(params: ModelParams, epsilon: float) -> tuple[int, float]:
-    """Side T of every route's box and the precision it is sized for: the one
+def truncation(params: ModelParams, epsilon: float) -> tuple[int, int, float]:
+    """The box [0,T_k] x [0,T_l] of every route and its precision: the one
     load gate and box rule of CA, PSA, the oracle and the simulator's grid cap.
 
     ``epsilon`` must be finite and > 0 (ValueError) and is clamped at
     :data:`EPSILON_FLOOR`; the load must be below 1 (:class:`StabilityError`).
-    The minimum queue decays like rho^2, so T = max(ceil(log(epsilon) /
+    The minimum queue decays like rho^2, so T_k = max(ceil(log(epsilon) /
     (2 log(rho))), 3) puts the first level beyond the box at about ``epsilon``
     of the origin's mass. It is computed in logs (:attr:`ModelParams.log_rho`),
-    since rho^2, and at a subnormal load rho itself, underflows. Returns
-    (T, clamped epsilon).
+    since rho^2, and at a subnormal load rho itself, underflows. T_l = T_k,
+    though l decays faster. Returns (T_k, T_l, clamped epsilon).
     """
     if not (math.isfinite(epsilon) and epsilon > 0):
         raise ValueError(f"epsilon must be finite and > 0, got {epsilon}")
@@ -163,7 +163,8 @@ def truncation(params: ModelParams, epsilon: float) -> tuple[int, float]:
     if rho >= 1.0:
         raise StabilityError(f"load {rho:.4f} >= 1; no stationary distribution")
     epsilon = max(epsilon, EPSILON_FLOOR)
-    return max(math.ceil(math.log(epsilon) / (2 * params.log_rho)), 3), epsilon
+    T_k = max(math.ceil(math.log(epsilon) / (2 * params.log_rho)), 3)
+    return T_k, T_k, epsilon
 
 
 def step(q1, q2, arrival, tie_to_q1, att1, att2):
@@ -313,25 +314,25 @@ def transformed_inflows(params: ModelParams, T_k: int, T_l: int) -> np.ndarray:
 def balance_residuals(values: np.ndarray, params: ModelParams) -> np.ndarray:
     """Residual |pi - inflow| of the transformed-chain balance equations.
 
-    ``values`` is a (T+1)x(T+1) array over 0 <= k, l <= T. The inflow sums,
-    over the 15 steps, the tile of :func:`region_law` times the shifted slice
-    of the grid it moves. An entry is NaN when some state that steps into it
-    lies outside the array, so that its equation cannot be evaluated. An
-    exact stationary vector of the (untruncated) chain has residual ~ solver
-    precision on every non-NaN entry.
+    ``values`` is a (T_k+1)x(T_l+1) array over 0 <= k <= T_k, 0 <= l <= T_l.
+    The inflow sums, over the 15 steps, the tile of :func:`region_law` times
+    the shifted slice of the grid it moves. An entry is NaN when some state
+    that steps into it lies outside the array, so that its equation cannot be
+    evaluated. An exact stationary vector of the (untruncated) chain has
+    residual ~ solver precision on every non-NaN entry.
     """
     pi = np.asarray(values, dtype=float)
-    # a 3x3 grid holds the whole stencil of (0, 0), k + 1 and l + 2: the smallest checked
-    if pi.ndim != 2 or pi.shape[0] != pi.shape[1] or pi.shape[0] < 3:
-        raise GridError("need a square grid of size at least 3x3")
-    n = pi.shape[0]
+    # 3 rows and 3 columns hold the whole stencil of (0, 0), k + 1 and l + 2: the smallest checked
+    if pi.ndim != 2 or min(pi.shape) < 3:
+        raise GridError(f"need a grid of at least 3x3, got shape {pi.shape}")
+    n_k, n_l = pi.shape
     # steps move k by at most 1 and l by at most 2: this box, NaN off the grid, holds every source
-    padded = np.full((n + 1, n + 2), np.nan)
-    padded[:n, :n] = pi
+    padded = np.full((n_k + 1, n_l + 2), np.nan)
+    padded[:n_k, :n_l] = pi
     inflow = np.zeros_like(padded)
-    for src, dst, w in _tiles(params, n, n + 1):
+    for src, dst, w in _tiles(params, n_k, n_l + 1):
         inflow[dst] += np.where(w > 0.0, w * padded[src], 0.0)
-    return np.abs(pi - inflow[:n, :n])
+    return np.abs(pi - inflow[:n_k, :n_l])
 
 
 def max_interior_residual(values: np.ndarray, params: ModelParams) -> float:

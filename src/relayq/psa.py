@@ -93,9 +93,9 @@ class PsaDiagnostics:
 @dataclass(frozen=True)
 class PsaSolution:
     G: float
-    u: np.ndarray  # coefficients, shape (N_psa+1, T_psa+1, T_psa+1)
+    u: np.ndarray  # coefficients on the box, shape (N_psa+1, T_k+1, T_l+1)
     N_psa: int
-    T_psa: int
+    T_psa: int  # side of the square the sweep solves, max(T_k, T_l)
     grid: ProbabilityGrid  # ProbabilityGrid.finished of the partial sum at theta
     diagnostics: PsaDiagnostics
 
@@ -341,11 +341,10 @@ def compute_coefficients(N_psa: int, T_psa: int, G: float, a: float = 0.5) -> np
 
 def _reconstruct(u: np.ndarray, theta: float) -> np.ndarray:
     """The values sum_n theta^(n+k+l) u(n,k,l) of coefficients u at series variable theta."""
-    N, T = u.shape[0] - 1, u.shape[1] - 1
-    tpow = theta ** np.arange(N + 2 * T + 1)
-    K, L = np.indices((T + 1, T + 1))
-    vals = np.zeros((T + 1, T + 1))
-    for n in range(N + 1):
+    tpow = theta ** np.arange(sum(u.shape) - 2)  # up to N + T_k + T_l
+    K, L = np.indices(u.shape[1:])
+    vals = np.zeros(u.shape[1:])
+    for n in range(len(u)):
         vals += tpow[n + K + L] * u[n]
     return vals
 
@@ -381,13 +380,15 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     level budget completes no depth beyond the first.
 
     :func:`relayq.model.truncation` gates the load and ``epsilon``, clamps
-    ``epsilon`` at the 64-bit floor and sizes the grid. The answer is the
-    partial sum, finished by :meth:`ProbabilityGrid.finished`. A series can
-    settle on a sum far from the equilibrium, as it does at a large G, so the solve
-    also raises :class:`NumericsError` when the answer's largest balance
-    residual exceeds max(epsilon, 2e-8).
+    ``epsilon`` at the 64-bit floor and sizes the box [0,T_k] x [0,T_l]; the
+    sweep solves the square of side T = max(T_k, T_l). The answer is the
+    partial sum on the box, finished by :meth:`ProbabilityGrid.finished`. A
+    series can settle on a sum far from the equilibrium, as it does at a
+    large G, so the solve also raises :class:`NumericsError` when the
+    answer's largest balance residual exceeds max(epsilon, 2e-8).
     """
-    T, epsilon = truncation(params, epsilon)
+    T_k, T_l, epsilon = truncation(params, epsilon)
+    T = max(T_k, T_l)
     rho = params.rho
     theta = theta_from_rho(rho, G)
 
@@ -407,12 +408,12 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     best_n, best_rel = 0, math.inf
     stop_reason = "cap"
     tpow = theta ** np.arange(cap + 2 * T + 1)
-    KL = np.add.outer(range(T + 1), range(T + 1))
+    KL = np.add.outer(range(T_k + 1), range(T_l + 1))
     for m, u in _sweep(G, T, cap, params.a):
         n_done = m - 2 * T
         if n_done < 0:
             continue
-        dS[n_done] = (tpow[n_done + KL] * u[n_done]).sum()
+        dS[n_done] = (tpow[n_done + KL] * u[n_done, : T_k + 1, : T_l + 1]).sum()
         if n_done < 1:
             continue
         running = float(dS[: n_done + 1].sum())
@@ -435,7 +436,7 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
             f"is {best_rel:.3g} (depth {best_n}), not below {_SETTLED:g} "
             f"(stop: {stop_reason} after {len(rel_hist)} depths)"
         )
-    u = u[: best_n + 1]
+    u = u[: best_n + 1, : T_k + 1, : T_l + 1]
     grid = ProbabilityGrid.finished(_reconstruct(u, theta))
     residual, bound = max_interior_residual(grid.values, params), max(epsilon, _RESIDUAL_FLOOR)
     if not residual <= bound:

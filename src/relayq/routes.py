@@ -36,7 +36,7 @@ class Solution:
     @functools.cached_property
     def measures(self) -> MeasureReport:
         """The grid's measures, computed on first read. PSA's have no decay rows,
-        as the simulator's have none: at k = T - 3 its partial sum has not resolved
+        as the simulator's have none: at k = T_k - 3 its partial sum has not resolved
         the tail (0.6205 against rho^2 = 0.7225 at rho = 0.85, a = 1/2, converged)."""
         report = measures.moments_from_transformed(self.grid, self.params)
         if self.method != "psa":
@@ -54,7 +54,7 @@ def solve(params: ModelParams, method: str = "ca", epsilon: float = 1e-12, G: fl
         route = psa.solve(params, G=G, epsilon=epsilon)
         grid, depth, stop_reason = route.grid, route.N_psa, route.diagnostics.stop_reason
     elif method == "oracle":
-        route = oracle.build(params, truncation(params, epsilon)[0])
+        route = oracle.build(params, *truncation(params, epsilon)[:2])
         grid, depth, stop_reason = oracle.stationary(route), None, "epsilon"
     else:
         raise ValueError(f"unknown method {method!r}, expected one of {METHODS}")

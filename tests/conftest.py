@@ -116,8 +116,8 @@ def solution():
 
 
 def maxnorm(grid_a, grid_b):
-    m = min(grid_a.T, grid_b.T)
-    return float(np.max(np.abs(grid_a.values[: m + 1, : m + 1] - grid_b.values[: m + 1, : m + 1])))
+    k, l = np.minimum(grid_a.values.shape, grid_b.values.shape)
+    return float(np.max(np.abs(grid_a.values[:k, :l] - grid_b.values[:k, :l])))
 
 
 def row_laws(t, a, width):

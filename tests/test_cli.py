@@ -216,8 +216,8 @@ def test_unreachable_oracle_chain_is_a_numerical_failure(capsys, monkeypatch):
     """A boundary chain whose last state cannot reach (0, 0) exits 4 with one line."""
     build = oracle.build
 
-    def unreachable(params, T):
-        chain = build(params, T)
+    def unreachable(params, T, T_l):
+        chain = build(params, T, T_l)
         bad = chain.boundary.copy()
         bad[-1, :] = 0.0
         bad[-1, -1] = 1.0  # absorbing: a second closed class
@@ -525,6 +525,17 @@ def test_json_cells_of_numpy_and_plain_types():
         cli._to_json({"bad": [{"cell": object()}]})
 
 
+def test_csv_grid_floats_are_the_row_cells():
+    """A grid's floats are written with %.17g, which is what _fmt writes for
+    every Python float: non-finite, signed zero and subnormal included."""
+    cells = [math.nan, math.inf, -math.inf, -0.0, 1e-320, 0.1]
+    assert ["%.17g" % x for x in cells] == [cli._fmt(x) for x in cells]
+    assert cli._to_csv({"grid": np.array([cells[:3], cells[3:]])}) == (
+        "# table: grid\nk,l,prob\n0,0,nan\n0,1,inf\n0,2,-inf\n"
+        "1,0,-0\n1,1,9.9998886718268301e-321\n1,2,0.10000000000000001\n"
+    )
+
+
 def test_psa_that_never_settles_is_a_numerical_failure(capsys, monkeypatch):
     """Without acceleration the series at rho = 0.6 changes least at depth 1;
     solve exits 4 with nothing on stdout, compare and table1 write null PSA cells."""
@@ -571,6 +582,16 @@ def test_output_dir_env(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv(cli.OUTPUT_DIR_ENV, str(tmp_path))
     assert cli.main(["stability", "--rho", "0.4", "--a", "0.5", "--out", "verdict.csv"]) == 0
     assert (tmp_path / "verdict.csv").exists()
+
+
+def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
+    """A directory cannot be made under a regular file: the command exits 2
+    with one line, where makedirs' FileExistsError once escaped with exit 1."""
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    code, out, err = run_cli(["solve", "--rho", "0.4", "--out", str(plain / "x")], capsys)
+    assert (code, out) == (2, "")
+    assert err.startswith("usage error: cannot write --out ") and err.count("\n") == 1
 
 
 def test_compare_command(capsys):

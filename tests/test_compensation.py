@@ -298,7 +298,7 @@ def test_leading_boundary_coefficients_match_oracle(base_params):
     g0 = ca.initial_gamma(p)
     d0_root = ca.delta_root(g0, p)
     e0, e1 = ca.leading_boundary_coefficients(g0, d0_root, 1.0, p)
-    wide = oracle.stationary(oracle.build(p, 30))
+    wide = oracle.stationary(oracle.build(p, 30, 30))
     k = 16
     v = wide.values[k, :]
     assert v[0] / v[2] == pytest.approx(e0 / d0_root**2, rel=1e-6)
@@ -392,10 +392,10 @@ def test_depth_rule_reproduces_deep_series(rho, a):
     params = ModelParams(lam=lambda_for_load(rho, a), a=a)
     res = ca.solve(params)
     assert res.n_used < 37
-    T, B = res.grid.T, ca.INNER_BOX
+    (T_k, T_l), B = np.subtract(res.grid.values.shape, 1), ca.INNER_BOX
     series = ca.compute_series(params, 37)
     _, box = ca._last_term_share(series, *ca._inner_box_system(params, B))
-    deep = ca.outer_values(series, np.arange(T + 1.0), T)
+    deep = ca.outer_values(series, np.arange(T_k + 1.0), T_l)
     deep[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
     deep /= deep.sum()
     assert np.max(np.abs(res.grid.values - deep)) <= 1e-15 * deep.max()
@@ -429,11 +429,11 @@ def test_solve_at_light_load(monkeypatch, rho, a):
     a grid of side 6, from the box rule patched to T = 6."""
     params = ModelParams(lam=lambda_for_load(rho, a), a=a)
     res = ca.solve(params)
-    reference = oracle.stationary(oracle.build(params, 12))
+    reference = oracle.stationary(oracle.build(params, 12, 12))
     assert maxnorm(res.grid, reference) < 1e-14
-    monkeypatch.setattr(ca, "truncation", lambda params, epsilon: (6, truncation(params, epsilon)[1]))
+    monkeypatch.setattr(ca, "truncation", lambda params, epsilon: (6, 6, truncation(params, epsilon)[2]))
     deep = ca.solve(params)
-    assert deep.grid.T == 6
+    assert deep.grid.values.shape == (7, 7)
     assert max_interior_residual(deep.grid.values, params) < 1e-15
 
 
@@ -457,7 +457,7 @@ def test_light_load_tail_follows_the_oracle(rho, a):
     max-norm distance stays below 1e-16."""
     p = ModelParams(lam=lambda_for_load(rho, a), a=a)
     grid = ca.solve(p).grid.values
-    reference = oracle.stationary(oracle.build(p, grid.shape[0] - 1)).values
+    reference = oracle.stationary(oracle.build(p, grid.shape[0] - 1, grid.shape[1] - 1)).values
     outside = np.ones(grid.shape, bool)
     outside[: ca.INNER_BOX + 1, : ca.INNER_BOX + 1] = False
     assert np.all(np.abs(grid[outside] - reference[outside]) <= 1e-3 * reference[outside])
@@ -468,10 +468,10 @@ def test_light_load_tail_follows_the_oracle(rho, a):
 def test_outer_row_sums_add_the_rows(rho, a):
     """The closed-form row sums are the sums of the rows outer_values writes."""
     params = ModelParams(lam=lambda_for_load(rho, a), a=a)
-    series, T, *_ = ca.converged_series(params)
-    k = np.arange(T - 3.0, T - 1.0)
-    sums = ca.outer_row_sums(series, k, T)
-    assert sums == pytest.approx(ca.outer_values(series, k, T).sum(axis=1), rel=1e-13, abs=0)
+    series, (T_k, T_l), *_ = ca.converged_series(params)
+    k = np.arange(T_k - 3.0, T_k - 1.0)
+    sums = ca.outer_row_sums(series, k, T_l)
+    assert sums == pytest.approx(ca.outer_values(series, k, T_l).sum(axis=1), rel=1e-13, abs=0)
 
 
 def _box_limited_share(series, params, T):
@@ -522,7 +522,8 @@ def test_solve_balances_at_high_load(rho, a):
 
 def test_solve_truncation_formula(params_rho04, ca_rho04):
     g0 = ca.initial_gamma(params_rho04)
-    assert ca_rho04.grid.T == max(int(np.ceil(np.log(1e-12) / np.log(g0))), 3)
+    T = max(int(np.ceil(np.log(1e-12) / np.log(g0))), 3)
+    assert ca_rho04.grid.values.shape == (T + 1, T + 1)
 
 
 def test_solve_epsilon_clamp(base_params):
@@ -544,7 +545,7 @@ def test_decay_toward_rho_squared(params_rho04, ca_rho04):
     the min-marginal), checked a few states inside the truncation edge."""
     grid = ca_rho04.grid.values
     rho2 = params_rho04.rho**2
-    T = ca_rho04.grid.T
+    T = len(grid) - 1
     for l in (0, 1, 3):
         ratio = grid[T - 2, l] / grid[T - 3, l]
         assert ratio == pytest.approx(rho2, abs=1e-4)

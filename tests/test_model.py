@@ -242,8 +242,9 @@ def test_balance_residuals_zero_grid(base_params):
 def test_balance_residuals_reject_small(base_params):
     """A 3x3 grid, the smallest checked, holds the whole stencil of (0, 0), so
     PSA's 4x4 grids (T = 3: rho = 0.1 at epsilon 1e-4, tiny loads) are checked."""
-    with pytest.raises(GridError):
-        balance_residuals(np.zeros((2, 2)), base_params)
+    for shape in ((2, 2), (2, 9), (9, 2)):
+        with pytest.raises(GridError):
+            balance_residuals(np.zeros(shape), base_params)
     assert np.isfinite(balance_residuals(np.ones((3, 3)), base_params)[0, 0])
 
 
@@ -251,12 +252,28 @@ def test_balance_residuals_oracle_grid(base_params, oracle_base):
     assert max_interior_residual(oracle_base.values, base_params) < 1e-10
     # near saturation too, where the oracle's grid is 226^2
     p = ModelParams(lam=lambda_for_load(0.95, 0.3), a=0.3)
-    grid = oracle.stationary(oracle.build(p, truncation(p, 1e-10)[0]))
+    grid = oracle.stationary(oracle.build(p, *truncation(p, 1e-10)[:2]))
     assert max_interior_residual(grid.values, p) < 1e-10
 
 
 def test_balance_residuals_compensation_grid(params_rho04, ca_rho04):
     assert max_interior_residual(ca_rho04.grid.values, params_rho04) < 1e-9
+
+
+@pytest.mark.parametrize("T_k, T_l", [(16, 5), (5, 16), (8, 3), (3, 8)])
+def test_balance_residuals_on_a_rectangular_cut(params_rho04, ca_rho04, T_k, T_l):
+    """On a rectangular cut of a grid the residuals are the grid's, bit for
+    bit, wherever a state's stencil lies inside both; the cut loses only
+    states within a step of its far edges."""
+    square = ca_rho04.grid.values
+    full = balance_residuals(square, params_rho04)[: T_k + 1, : T_l + 1]
+    cut = balance_residuals(square[: T_k + 1, : T_l + 1], params_rho04)
+    inside = ~np.isnan(cut)
+    assert cut.shape == (T_k + 1, T_l + 1) and not np.isnan(full[inside]).any()
+    assert np.array_equal(cut[inside], full[inside])
+    K, L = np.indices(cut.shape)
+    lost = ~inside & ~np.isnan(full)
+    assert lost.any() and np.all((K[lost] >= T_k) | (L[lost] >= T_l - 1))
 
 
 def test_box_matrix_rows_are_the_law():
@@ -298,19 +315,18 @@ def test_balance_residuals_nan_exactly_where_a_source_is_outside():
     """Brute force over every state near the grid: a grid state's residual is
     NaN iff one of its sources lies outside, and |pi - inflow| otherwise."""
     rng = np.random.default_rng(15)
-    n = 7
-    for p in random_params(rng, 5):
-        pi = rng.random((n, n))
+    for p, (n_k, n_l) in itertools.product(random_params(rng, 5), ((7, 7), (7, 4), (4, 7))):
+        pi = rng.random((n_k, n_l))
         res = balance_residuals(pi, p)
-        for k in range(n):
-            for l in range(n):
+        for k in range(n_k):
+            for l in range(n_l):
                 inflow, outside = 0.0, False
                 for k2 in range(max(k - 1, 0), k + 2):
                     for l2 in range(max(l - 2, 0), l + 3):
                         for dk, dl, pr in transformed_transition_distribution((k2, l2), p):
                             if (k2 + dk, l2 + dl) != (k, l):
                                 continue
-                            if k2 < n and l2 < n:
+                            if k2 < n_k and l2 < n_l:
                                 inflow += pi[k2, l2] * pr
                             else:
                                 outside = True
@@ -342,20 +358,20 @@ def test_a_bad_epsilon_is_a_value_error(solver, epsilon):
     run = {
         "compensation": lambda: compensation.solve(p, epsilon=epsilon),
         "psa": lambda: psa.solve(p, epsilon=epsilon),
-        "oracle": lambda: oracle.build(p, truncation(p, epsilon)[0]),
+        "oracle": lambda: oracle.build(p, *truncation(p, epsilon)[:2]),
     }[solver]
     with pytest.raises(ValueError, match="epsilon must be finite and > 0, got"):
         run()
 
 
 def test_truncation():
-    """The box of every route: T = max(ceil(log(epsilon) / (2 log(rho))), 3),
-    in logs, since rho^2 underflows to 0 from rho = 1e-162."""
+    """The box of every route: T_k = max(ceil(log(epsilon) / (2 log(rho))), 3),
+    in logs, since rho^2 underflows to 0 from rho = 1e-162, and T_l = T_k."""
     p = ModelParams(lam=lambda_for_load(0.4, 0.5), a=0.5)
-    assert truncation(p, 1e-10) == (13, 1e-10)
-    assert truncation(ModelParams(lam=0.001, a=0.5), 1e-6) == (3, 1e-6)
+    assert truncation(p, 1e-10) == (13, 13, 1e-10)
+    assert truncation(ModelParams(lam=0.001, a=0.5), 1e-6) == (3, 3, 1e-6)
     for rho in (1e-100, 1e-200, 1e-300):
-        assert truncation(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5), 1e-12) == (3, 1e-12)
+        assert truncation(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5), 1e-12) == (3, 3, 1e-12)
     with pytest.raises(StabilityError):
         truncation(ModelParams(lam=0.6, a=0.5), 1e-10)
 
@@ -370,12 +386,12 @@ def test_log_rho_survives_an_underflowed_load():
     p = ModelParams(lam=5e-324, a=0.5)
     assert p.rho == 0.0
     assert p.log_rho == pytest.approx(math.log(5e-324), rel=1e-15)
-    assert truncation(p, 1e-12) == (3, 1e-12)
-    assert oracle.build(p, 3).T == 3
+    assert truncation(p, 1e-12) == (3, 3, 1e-12)
+    assert oracle.build(p, 3, 3).T == 3
 
 
 def test_truncation_clamps_epsilon_at_the_floor():
     """Below the 64-bit floor a smaller epsilon asks for no larger grid: at
     rho = 0.99, 1e-300 would size T = 34,366, a grid of 8.8 GiB."""
     p = ModelParams(lam=lambda_for_load(0.99, 0.5), a=0.5)
-    assert truncation(p, 1e-300) == truncation(p, 1e-12) == (1375, 1e-12)
+    assert truncation(p, 1e-300) == truncation(p, 1e-12) == (1375, 1375, 1e-12)

@@ -12,13 +12,13 @@ from conftest import maxnorm, original_box, push_forward, random_stable_params, 
 def test_rows_sum_to_one():
     rng = np.random.default_rng(21)
     for p in random_stable_params(rng, 10):
-        for P in (transformed_box(p, 10), original_box(p, 10), oracle.build(p, 10).boundary):
+        for P in (transformed_box(p, 10), original_box(p, 10), oracle.build(p, 10, 10).boundary):
             assert np.allclose(P.sum(axis=1), 1.0, atol=1e-14)
 
 
 def test_small_truncation_rejected(base_params):
     with pytest.raises(GridError):
-        oracle.build(base_params, 2)
+        oracle.build(base_params, 2, 2)
 
 
 def test_interior_rows_match_angle_law(base_params):
@@ -56,14 +56,14 @@ def test_stationary_residual_and_symmetry(base_params):
 
 def test_near_empty_system():
     p = ModelParams(lam=0.001, a=0.5)
-    grid = oracle.stationary(oracle.build(p, 6))
+    grid = oracle.stationary(oracle.build(p, 6, 6))
     assert grid.values[0, 0] > 0.99
 
 
 def test_pushforward_matches_transformed_solve(base_params):
     T = 40
     push = push_forward(oracle.gth_stationary(original_box(base_params, T)).reshape(T + 1, T + 1))
-    tran = oracle.stationary(oracle.build(base_params, T))
+    tran = oracle.stationary(oracle.build(base_params, T, T))
     assert np.max(np.abs(push - tran.values)) < 1e-10
 
 
@@ -79,7 +79,7 @@ def test_gth_matches_power_iteration(base_params):
 
 
 def test_reducible_chain_reports_state(base_params):
-    ch = oracle.build(base_params, 4)
+    ch = oracle.build(base_params, 4, 4)
     bad = ch.boundary.copy()
     T_l = ch.R.shape[0] - 1
     idx = 2 * T_l + 1  # state (1, T_l), flattened as k * (T_l + 1) + l
@@ -120,7 +120,7 @@ def test_banded_gth_matches_dense_elimination(base_params):
     matrices = [
         box(base_params, T)
         for T in (5, 13, 20)
-        for box in (transformed_box, original_box, lambda p, T: oracle.build(p, T).boundary)
+        for box in (transformed_box, original_box, lambda p, T: oracle.build(p, T, T).boundary)
     ]
     matrices.append(_corner_matrix(12, np.random.default_rng(5)))
     for P in matrices:
@@ -128,7 +128,7 @@ def test_banded_gth_matches_dense_elimination(base_params):
 
 
 def test_chain_that_never_enters_origin_reports_state(base_params):
-    ch = oracle.build(base_params, 6)
+    ch = oracle.build(base_params, 6, 6)
     bad = ch.boundary.copy()
     into_origin = np.flatnonzero(bad[1:, 0]) + 1
     assert into_origin.size
@@ -141,7 +141,7 @@ def test_chain_that_never_enters_origin_reports_state(base_params):
 def test_truncation_edge_mass(params_rho04):
     eps = 1e-10
     T = truncation(params_rho04, eps)[0]
-    grid = oracle.stationary(oracle.build(params_rho04, T))
+    grid = oracle.stationary(oracle.build(params_rho04, T, T))
     edge = grid.values[T - 1 :, :].sum() + grid.values[: T - 1, T - 1 :].sum()
     assert edge < 10 * eps
 
@@ -150,8 +150,8 @@ def test_truncation_doubling_consistency():
     # load 0.55 (within the contract's "rho <= 0.7" range, sized for runtime)
     p = ModelParams(lam=lambda_for_load(0.55, 0.5), a=0.5)
     T = truncation(p, 1e-11)[0]
-    g1 = oracle.stationary(oracle.build(p, T))
-    g2 = oracle.stationary(oracle.build(p, 2 * T))
+    g1 = oracle.stationary(oracle.build(p, T, T))
+    g2 = oracle.stationary(oracle.build(p, 2 * T, 2 * T))
     assert np.max(np.abs(g1.values[: T // 2, : T // 2] - g2.values[: T // 2, : T // 2])) < 1e-10
 
 
@@ -167,7 +167,7 @@ def test_matches_compensation_near_saturation(rho, a):
     like the minimum queue, at rate rho^2."""
     p = _point(rho, a)
     eps = 1e-10
-    chain = oracle.build(p, truncation(p, eps)[0])
+    chain = oracle.build(p, *truncation(p, eps)[:2])
     assert maxnorm(compensation.solve(p).grid, oracle.stationary(chain)) < eps
     assert abs(np.max(np.abs(np.linalg.eigvals(chain.R))) - rho**2) < 1e-12
 
@@ -179,12 +179,12 @@ def test_matches_dense_reference(rho, a):
     eps = 1e-10
     T = truncation(p, eps)[0]
     dense = oracle.gth_stationary(transformed_box(p, T)).reshape(T + 1, T + 1)
-    assert np.max(np.abs(oracle.stationary(oracle.build(p, T)).values - dense)) < eps
+    assert np.max(np.abs(oracle.stationary(oracle.build(p, T, T)).values - dense)) < eps
 
 
 def test_unstable_or_transient_chain_fails_fast():
     with pytest.raises(StabilityError):
-        oracle.build(ModelParams(lam=0.6, a=0.5), 10)
+        oracle.build(ModelParams(lam=0.6, a=0.5), 10, 10)
     # a level walk with upward drift: the reduction never resolves its paths
     with pytest.raises(NumericsError, match="did not converge"):
         oracle._rate_matrix(np.array([[0.6]]), np.zeros((1, 1)), np.array([[0.4]]))
@@ -197,5 +197,5 @@ def test_rate_matrix_decays_as_rho_squared(rho, a):
     phase cut at the column that matches level T in mass, not twice it, left
     3.0-3.2e-9 at rho = 0.1 and 7.6e-11-1.1e-10 at rho = 0.4."""
     p = ModelParams(lam=lambda_for_load(rho, a), a=a)
-    chain = oracle.build(p, truncation(p, 1e-12)[0])
+    chain = oracle.build(p, *truncation(p, 1e-12)[:2])
     assert abs(max(abs(np.linalg.eigvals(chain.R))) - p.rho**2) <= 1e-12

@@ -340,7 +340,8 @@ def test_small_load_matches_oracle():
     rho = 0.05
     p = ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5)
     s = psa.solve(p)
-    orc = oracle.stationary(oracle.build(p, max(s.T_psa, 6)))
+    T = max(s.T_psa, 6)
+    orc = oracle.stationary(oracle.build(p, T, T))
     assert maxnorm(s.grid, orc) < 1e-10
 
 

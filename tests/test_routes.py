@@ -20,7 +20,8 @@ def test_solution_carries_the_route_result(solution, method):
     p = ModelParams(lam=lambda_for_load(0.4, 0.5), a=0.5)
     assert s.method == method and isinstance(s.route, ROUTE_TYPES[method])
     assert s.converged and s.stop_reason == "epsilon"
-    assert s.grid.T == truncation(p, 1e-12)[0]
+    T_k, T_l, _ = truncation(p, 1e-12)
+    assert s.grid.values.shape == (T_k + 1, T_l + 1)
     if method == "oracle":
         assert s.depth is None
         np.testing.assert_array_equal(s.grid.values, oracle.stationary(s.route).values)
@@ -30,6 +31,31 @@ def test_solution_carries_the_route_result(solution, method):
     report = measures.moments_from_transformed(s.grid, p)
     assert (s.measures.e_qsum, s.measures.e_sojourn, s.measures.correlation) == (
         report.e_qsum, report.e_sojourn, report.correlation)
+
+
+def _rectangle(params, epsilon):
+    """The box rule with T_l cut to max(T_k // 2, 3)."""
+    T_k, _, epsilon = truncation(params, epsilon)
+    return T_k, max(T_k // 2, 3), epsilon
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize(
+    "method, rho", [("ca", 0.4), ("ca", 0.9), ("oracle", 0.4), ("oracle", 0.9), ("psa", 0.4), ("psa", 0.7)]
+)
+def test_route_on_a_rectangle_is_its_square_grid_cut(solution, monkeypatch, method, rho, a):
+    """Every route builds its grid on the box model.truncation returns: on a
+    rectangle its grid is the square grid cut to the rectangle and
+    renormalized, to round-off."""
+    square = solution(method, rho, a).grid.values
+    module = {"ca": compensation, "psa": psa, "oracle": relayq.routes}[method]
+    monkeypatch.setattr(module, "truncation", _rectangle)
+    p = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    grid = relayq.solve(p, method).grid.values
+    T_k = len(square) - 1
+    assert grid.shape == (T_k + 1, max(T_k // 2, 3) + 1) and grid.shape[1] < square.shape[1]
+    cut = square[:, : grid.shape[1]] / square[:, : grid.shape[1]].sum()
+    assert np.max(np.abs(grid - cut)) <= 1e-14 * cut.max()
 
 
 def test_unknown_method_raises():
@@ -93,8 +119,8 @@ def test_total_is_geometric_at_half_attempt_probability(solution, method, rho):
     total n <= T."""
     grid = solution(method, rho, 0.5).grid
     K, L = np.indices(grid.values.shape)
-    law = np.bincount((2 * K + L).ravel(), weights=grid.values.ravel())[: grid.T + 1]
-    exact = (1 - rho) * rho ** np.arange(grid.T + 1)
+    law = np.bincount((2 * K + L).ravel(), weights=grid.values.ravel())[: len(K)]
+    exact = (1 - rho) * rho ** np.arange(len(K))
     assert np.max(np.abs(law - exact) / exact) < TOTAL_LAW_BOUND[method]
 
 
@@ -143,11 +169,11 @@ def test_finish_and_measures_copy_no_grid():
     p = ModelParams(lam=lambda_for_load(0.99, 0.5), a=0.5)
     solved, route_peak = _traced(lambda: relayq.solve(p, "oracle"))
     grid = solved.grid
-    assert grid.T == 1375
+    assert grid.values.shape == (1376, 1376)
     size = grid.values.nbytes
     assert route_peak <= 1.5 * size
     ca, ca_peak = _traced(lambda: relayq.solve(p, "ca"))
-    assert ca.grid.T == 1375 and ca_peak <= 1.2 * size
+    assert ca.grid.values.shape == (1376, 1376) and ca_peak <= 1.2 * size
     assert _traced(lambda: measures.moments_from_transformed(grid, p))[1] <= 2.5 * size
     v = grid.values.copy()
     assert _traced(lambda: ProbabilityGrid.finished(v))[1] < 0.1 * size

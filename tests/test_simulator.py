@@ -186,7 +186,7 @@ def test_grid_holds_only_visited_states():
         "res = simulate(ModelParams(lam=lambda_for_load(0.999, 0.5), a=0.5),\n"
         "               SimConfig(seed=3, warmup_slots=0, measure_slots=1_000, replications=2))\n"
         "v = res.empirical.values\n"
-        "print(res.grid_cap, res.empirical.T, res.overflow_mass, v.sum(), v[-1].any() or v[:, -1].any())"
+        "print(res.grid_cap, len(v) - 1, res.overflow_mass, v.sum(), v[-1].any() or v[:, -1].any())"
     )
     src = str(Path(simulator.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
@@ -341,7 +341,7 @@ def test_matches_oracle_within_ci(base_params, oracle_base):
     res = simulate(
         base_params, SimConfig(seed=31, warmup_slots=5_000, measure_slots=400_000, replications=4)
     )
-    K, L = np.meshgrid(np.arange(oracle_base.T + 1), np.arange(oracle_base.T + 1), indexing="ij")
+    K, L = np.indices(oracle_base.values.shape)
     truth = float(((2 * K + L) * oracle_base.values).sum())
     assert abs(res.e_qsum - truth) < res.e_qsum_ci
 
