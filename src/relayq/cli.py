@@ -321,15 +321,34 @@ def _to_json(tables: dict) -> str:
     return "".join(parts)
 
 
+def _out_path(spec: RunSpec) -> str:
+    """The file ``--out`` names; a relative path joins $RELAYQ_OUT_DIR when set."""
+    base_dir = os.environ.get(OUTPUT_DIR_ENV)
+    if base_dir and not os.path.isabs(spec.out):
+        return os.path.join(base_dir, spec.out)
+    return spec.out
+
+
+def _make_out_dir(spec: RunSpec) -> None:
+    """Make the directory of ``--out`` and confirm it is a writable directory,
+    before the run: a path that cannot be written is refused at once, not
+    after a whole solve. The file itself is opened only by :func:`emit`, so
+    a run that fails leaves no file."""
+    path = _out_path(spec)
+    directory = os.path.dirname(path) or "."
+    try:
+        os.makedirs(directory, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc}") from exc
+    if not os.access(directory, os.W_OK | os.X_OK):
+        raise UsageError(f"cannot write --out {path}: directory {directory} is not writable")
+
+
 def emit(tables: dict, spec: RunSpec) -> str:
     text = _to_csv(tables) if spec.fmt == "csv" else _to_json(tables)
     if spec.out:
-        path = spec.out
-        base_dir = os.environ.get(OUTPUT_DIR_ENV)
-        if base_dir and not os.path.isabs(path):
-            path = os.path.join(base_dir, path)
+        path = _out_path(spec)
         try:
-            os.makedirs(os.path.dirname(path) or ".", exist_ok=True)
             with open(path, "w") as fh:
                 fh.write(text)
         except OSError as exc:
@@ -392,6 +411,8 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_USAGE if exc.code not in (0, None) else 0
     spec = RunSpec(**vars(args))
     try:
+        if spec.out:
+            _make_out_dir(spec)
         text = emit(run(spec), spec)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)

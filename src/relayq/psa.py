@@ -16,20 +16,24 @@ total is one row. Row t of U_m comes from a 3x3 stencil product of rows
 t - 1 .. t + 1 of U_(m-1) and a step from row t + 1 of U_m, since Q0 keeps a
 state or lowers its total by one. All of these are solved before wave
 2m - t, the wave of row t of level m, so one wave solves a row of each of up
-to _WAVE_LEVELS levels at once, laid side by side, and each term is one
-array operation over the wave. The code fixes the order of every sum: an
-entry adds its stencil terms move by move, over the moves with a weight
-anywhere, and U_m(0, 0) is minus the row sums of level m, each a left fold
-along k, added from row m down. Neither the schedule nor numpy's reduction
-order moves a bit, so a level-by-level sweep gives the same coefficients.
+to _WAVE_LEVELS levels at once, laid side by side. The terms of the moves
+that share a change of total, and the row step's two, are each one strided
+product over the wave, and one reduction adds them all. The code fixes the
+order of every sum: an entry adds its stencil terms move by move, over the
+moves with a weight anywhere, then the row step's, and U_m(0, 0) is minus
+the row sums of level m, each a left fold along k, added from row m down.
+Neither the schedule nor numpy's reduction order moves a bit, so a
+level-by-level sweep gives the same coefficients.
 
 A solve sweeps the levels once into one coefficient array u[n, k, l] and
-reads each depth's series mass once, when the depth completes. One number
-bounds a solve: the last level its sweep may reach, MAX_OUTER_ITERATIONS.
-Depth n completes at level n + 2T, so the depth cap is
-MAX_OUTER_ITERATIONS - 2T. Beside the coefficient array the sweep holds its
-weights, one level and a ring of the four waves its stencil reads and writes,
-a few megabytes.
+reads each depth's series mass once, when the depth completes: entry
+(n, k, l) is solved at wave 2n + l, so depth n is read at wave 2n + T of the
+chunk that holds level n + 2T, its last level, and the sweep stops at the
+wave that completes the last depth the solve reads. One number bounds a
+solve: the last level its sweep may reach, MAX_OUTER_ITERATIONS, so the
+depth cap is MAX_OUTER_ITERATIONS - 2T. Beside the coefficient array the
+sweep holds its weights, one level and a ring of the four waves its stencil
+reads and writes, a few megabytes.
 """
 from __future__ import annotations
 
@@ -59,7 +63,12 @@ _SETTLED = 1e-6  # largest change an unconverged answer may have; the tests hold
 # largest balance residual of an answer where epsilon is smaller: answers within
 # 1e-6 of CA reach 6.3e-9, those far from it at a large G at least 7.2e-8
 _RESIDUAL_FLOOR = 2e-8
-_WAVE_LEVELS = 32  # levels a wave solves one row of each; bounds a wave's width
+# levels a wave solves one row of each; bounds a wave's width. Fewer waves
+# cost less per-call overhead, wider ones more memory traffic: 48 solves
+# rho = 0.4 - 0.9 at a = 1/2 about as fast as any of 24 - 80. The width
+# moves where a depth n is read, at wave 2n + T of the chunk that holds
+# level n + 2T, but not the level budget: MAX_OUTER_ITERATIONS - 2T depths
+_WAVE_LEVELS = 48
 
 
 def __getattr__(name: str):
@@ -124,8 +133,10 @@ class _Weights:
     whether l is 0, 1 or at least 2. Every weight is thus a product of two
     values of :func:`model.region_laws`, the laws of every state bit for bit,
     its moves (dk, dl) read as moves (dt, dk) = (2dk + dl, dk) in (total, k).
-    table[kind, t % 2] holds the rows t // 2 of the levels swept so far at one
-    pitch, zero beyond each row; only rows laid out commit pages.
+    table[t % 2, kind] holds the rows t // 2 of the levels swept so far at one
+    pitch, zero beyond each row; only rows laid out commit pages. Parity
+    first, the kinds of one parity lie at one stride apart, so a run of kinds
+    is one strided view of a wave's rows.
     """
 
     def __init__(self, G: float, a: float, last: int):
@@ -143,7 +154,7 @@ class _Weights:
         self.inv[1:] = 1.0 / (1.0 - self.q0[1:, 4])
         self.moves = tuple(np.flatnonzero(self.rhs.any(axis=0)).tolist())  # at most 7 of the 9
         self.last, cols = last, last // 2 + 1
-        self.table = _lazy_zeros((11, 2, cols * (cols + 2)))
+        self.table = _lazy_zeros((2, 11, cols * (cols + 2)))
         self.pitch = 0
 
     def rows(self, t0: int, t1: int) -> np.ndarray:
@@ -167,7 +178,7 @@ class _Weights:
         kinds = (*self.moves, 9, 10)  # the other moves have no weight anywhere
         laid = (m0 - 1) // 2 + 1 if old else 0  # rows of each parity below m0
         for kind in kinds:
-            for flat in self.table[kind]:
+            for flat in self.table[:, kind]:
                 # numpy copies the overlapping old rows aside before writing
                 block = flat[: laid * P].reshape(laid, P)
                 block[:, :old] = flat[: laid * old].reshape(laid, old)
@@ -175,14 +186,14 @@ class _Weights:
         for p in (0, 1):
             first = m0 + (p - m0) % 2
             if first <= m1:
-                table = self.table[:, p, first // 2 * P : ((m1 - p) // 2 + 1) * P].reshape(11, -1, P)
+                table = self.table[p, :, first // 2 * P : ((m1 - p) // 2 + 1) * P].reshape(11, -1, P)
                 for kind in kinds:
                     table[kind, :, : m1 // 2 + 1] = rows[kind, first - m0 : m1 - m0 + 1 : 2, : m1 // 2 + 1]
         self.pitch = P
 
 
 def _sweep(G: float, T: int, depth: int, a: float = 0.5):
-    """Yield (m, u) for the levels m = 0 .. depth + 2T.
+    """Yield (n, u) for the depths n = 0 .. depth, each once it is complete.
 
     Level m is U_m, the coefficient of theta^m in the equilibrium law, on the
     states of total t = 2k + l <= m. With c = (a^2 + (1-a)^2) / (2a(1-a)), so
@@ -197,28 +208,45 @@ def _sweep(G: float, T: int, depth: int, a: float = 0.5):
     held whole as the next chunk's boundary. The rows of a wave lie side by
     side at the chunk's pitch, one slot per level, in a ring of the waves
     w - 3 .. w, and the weights of rows t, t + 2, ... lie side by side in a
-    table of one parity of t, so each term of the stencil product and of the
-    row step is one array operation over the wave. Row 0 of level m comes
-    last, at wave 2m.
+    table of one parity of t. The moves that share a dt read sources at
+    consecutive k, so each such run, and the row step's two terms, is one
+    strided product over the wave, into one stack of terms that one
+    reduction adds up. Row 0 of level m comes last, at wave 2m.
 
     The order of every operation is fixed here, whatever the schedule: an
     entry adds the stencil terms move by move, over the moves with a weight
-    anywhere, then takes the row step. U_m(0, 0) is minus a running total of
-    the row sums of the other entries of level m, added as the waves
-    complete the rows t = m down to 0. Each row sum is a left fold along k,
-    so zeros beyond a row change no bit of the total, however many there
-    are. A level-by-level sweep that takes the same definitions thus gets
-    every bit of these coefficients.
+    anywhere, then the row step's two terms; the stack holds them in that
+    order and a reduction over its first axis folds them from the left.
+    U_m(0, 0) is minus a running total of the row sums of the other entries
+    of level m, added as the waves complete the rows t = m down to 0. Each
+    row sum is a left fold along k, so zeros beyond a row change no bit of
+    the total, however many there are. A level-by-level sweep that takes the
+    same definitions thus gets every bit of these coefficients.
 
     u[n, k, l] = U_(n+k+l)(k, l) for 0 <= n <= depth is one preallocated
-    array; entry (n, k, l) is solved at wave 2n + l, and depth n is complete
-    from level n + 2T on.
+    array. Entry (n, k, l) is solved at wave 2n + l, and the last level of
+    depth n is at most n + 2T, so depth n is complete at wave 2n + T of the
+    chunk that holds level n + 2T (at that chunk's first wave, if it starts
+    later), as no later chunk holds an entry of it: it is yielded there, and
+    the sweep ends at the wave that completes depth ``depth``. The consumer
+    runs between yields under the sweep's np.errstate, where overflow and
+    invalid operations pass silently.
     """
     last = depth + 2 * T
     L = _WAVE_LEVELS
     weights = _Weights(G, a, last)
     table, pitch = weights.table, last // 2 + 3
-    rhs, tap = np.empty(L * pitch), np.empty(L * pitch)
+    # per run of moves (dt - 1, dk - 1) that share dt and have consecutive
+    # dk: its rows of the stack of terms, its kinds of the weights, its
+    # length, the wave it reads, w - 3 + dt, as an index into back below, and
+    # the k shift of its first move; each next move reads one column lower
+    runs = []
+    for _, run in itertools.groupby(enumerate(weights.moves), lambda im: (im[1] // 3, im[1] - im[0])):
+        (i, move), *rest = run
+        count = 1 + len(rest)
+        runs.append((slice(i, i + count), slice(move, move + count), count, 2 - move // 3, 1 - move % 3))
+    K = len(weights.moves) + 2  # the moves, then the row step's two terms
+    terms, tap = np.empty(K * L * pitch), np.empty(L * pitch)
     # u, with room for a wave's view to step past k = 0 and k = T where the
     # mask of the write keeps it out; in_box[i, L + x] is 0 <= x + i <= T
     SN, SK = (T + 1) ** 2, T + 1
@@ -229,100 +257,102 @@ def _sweep(G: float, T: int, depth: int, a: float = 0.5):
     in_box = (in_box >= 0) & (in_box <= T)
     held = _lazy_zeros((last + 1, pitch))  # the boundary level by (t, k), at first U_0
     held[0, 0] = u[0, 0, 0] = 1.0
-    yield 0, u
+    n = 0  # the next depth to yield
+    if T == 0:  # depth 0 is level 0 alone
+        yield 0, u
+        n = 1
 
     m0 = 1
-    while m0 <= last:
-        m1 = min(last, m0 + L - 1)
-        weights.extend(m0, m1)
-        P, slots = weights.pitch, m1 - m0 + 2  # slot 0 replays the boundary; level m is slot m - m0 + 1
-        totals = np.zeros(m1 - m0 + 1)  # per level m - m0, the sum of its rows solved so far
-        # The ring holds the waves w - 3 .. w that the stencil reads and
-        # writes, wave v at the rows of v % 4; its edges keep views inside.
-        edge = (T + 2 * L) // P + 2
-        ring = _lazy_zeros(((2 * edge + 4 * slots) * P,))
-        plain = ring.reshape(-1, P)
+    # overflow near a diverging series is expected; the solver's monitor
+    # sees it through the mass increments and stops.
+    with np.errstate(over="ignore", invalid="ignore"):
+        while n <= depth:
+            m1 = min(last, m0 + L - 1)
+            weights.extend(m0, m1)
+            P, slots = weights.pitch, m1 - m0 + 2  # slot 0 replays the boundary; level m is slot m - m0 + 1
+            totals = np.zeros(m1 - m0 + 1)  # per level m - m0, the sum of its rows solved so far
+            # The ring holds the waves w - 3 .. w that the stencil reads and
+            # writes, wave v at the rows of v % 4; its edges keep views inside.
+            edge = (T + 2 * L) // P + 2
+            ring = _lazy_zeros(((2 * edge + 4 * slots) * P,))
+            plain = ring.reshape(-1, P)
 
-        def row(v: int, m: int) -> int:
-            """Row of the ring of wave v's slot for level m."""
-            return edge + v % 4 * slots + m - m0 + 1
+            def row(v: int, m: int) -> int:
+                """Row of the ring of wave v's slot for level m."""
+                return edge + v % 4 * slots + m - m0 + 1
 
-        plain[row(m0 - 1, m0 - 1)] = held[m0 - 1, :P]
-        # per move (dt - 1, dk - 1): its weights by parity of t, the wave it
-        # reads, w - 3 + dt, as an index into back below, and its k shift
-        terms = [(table[move, 0], table[move, 1], 2 - move // 3, 1 - move % 3) for move in weights.moves]
-        for w in range(m0, 2 * m1 + 1):
-            m_lo, m_hi = max(m0, (w + 1) // 2), min(m1, w)
-            rows = m_hi - m_lo + 1
-            span = rows * P
-            t_lo = 2 * m_lo - w
-            p, h = t_lo % 2, t_lo // 2 * P  # rows t_lo, t_lo + 2, ... of the weights
-            x = row(w, m_lo)
-            back = [row(w - ago, m_lo - 1) * P for ago in (1, 2, 3)]  # level m_lo - 1
-            out, acc, tmp = ring[x * P : x * P + span], rhs[:span], tap[:span]
-            with np.errstate(over="ignore", invalid="ignore"):
-                # overflow near a diverging series is expected; the solver's
-                # monitor sees it through the mass increments and stops.
+            plain[row(m0 - 1, m0 - 1)] = held[m0 - 1, :P]
+            for w in range(m0, 2 * m1 + 1):
+                m_lo, m_hi = max(m0, (w + 1) // 2), min(m1, w)
+                rows = m_hi - m_lo + 1
+                span = rows * P
+                t_lo = 2 * m_lo - w
+                by_kind = table[t_lo % 2]
+                h = t_lo // 2 * P  # rows t_lo, t_lo + 2, ... of the weights
+                x = row(w, m_lo)
+                back = [row(w - ago, m_lo - 1) * P for ago in (1, 2, 3)]  # level m_lo - 1
+                out, stack = ring[x * P : x * P + span], terms[: K * span].reshape(K, span)
                 # U_(m-1) at the source (t + 1 - dt, k + 1 - dk) of the move
-                # (dt - 1, dk - 1) into (t, k) was solved at wave w - 3 + dt.
-                for i, (*by_parity, at, shift) in enumerate(terms):
-                    s = back[at] + shift
-                    np.multiply(by_parity[p][h : h + span], ring[s : s + span], out=tmp if i else acc)
-                    if i:
-                        np.add(acc, tmp, out=acc)
-                # the row step, from row t + 1 of the same level at wave w - 1
-                s = back[0] + P
-                np.multiply(table[9, p, h : h + span], ring[s : s + span], out=out)
-                np.add(out, acc, out=out)
-                np.multiply(table[10, p, h : h + span], ring[s + 1 : s + 1 + span], out=tmp)
-                np.add(out, tmp, out=out)
-            # Beyond each row the weights are 0.0, so the entries are 0.0 times
-            # a source: 0.0 wherever the sources are, which holds from two past
-            # the row's end, where they are beyond their rows too, up to the
-            # last column, whose k + 1 read is the next slot's k = 0. Row
-            # t_lo + 2i ends at k = t_lo // 2 + i.
-            s = x * P + t_lo // 2 + 1
-            ring[s : s + rows * (P + 1)].reshape(rows, P + 1)[:, :2] = 0.0
-            out.reshape(rows, P)[:, -1] = 0.0
+                # (dt - 1, dk - 1) into (t, k) was solved at wave w - 3 + dt;
+                # the row step reads row t + 1 of the same level, at k and
+                # k + 1, from wave w - 1
+                for into, kinds, count, at, shift in runs:
+                    src = np.ndarray((count, span), float, ring, 8 * (back[at] + shift), (-8, 8))
+                    np.multiply(by_kind[kinds, h : h + span], src, out=stack[into])
+                src = np.ndarray((2, span), float, ring, 8 * (back[0] + P), (8, 8))
+                np.multiply(by_kind[9:11, h : h + span], src, out=stack[K - 2 :])
+                np.add.reduce(stack, axis=0, out=out)
+                # Beyond each row the weights are 0.0, so the entries are 0.0 times
+                # a source: 0.0 wherever the sources are, which holds from two past
+                # the row's end, where they are beyond their rows too, up to the
+                # last column, whose k + 1 read is the next slot's k = 0. Row
+                # t_lo + 2i ends at k = t_lo // 2 + i.
+                s = x * P + t_lo // 2 + 1
+                ring[s : s + rows * (P + 1)].reshape(rows, P + 1)[:, :2] = 0.0
+                out.reshape(rows, P)[:, -1] = 0.0
 
-            # each row's sum, a left fold, joins its level's total; row 0 of
-            # level w / 2, the level's last, is minus the sum of the others
-            if t_lo == 0:
-                out[0] = 0.0
-            cols = t_lo // 2 + rows  # the last row's length; only zeros lie beyond it
-            folds = tmp[: rows * cols].reshape(rows, cols)
-            np.cumsum(out.reshape(rows, P)[:, :cols], axis=1, out=folds)
-            level = totals[m_lo - m0 : m_hi - m0 + 1]
-            np.add(level, folds[:, -1], out=level)
-            if t_lo == 0:
-                out[0] = -level[0]
+                # each row's sum, a left fold, joins its level's total; row 0 of
+                # level w / 2, the level's last, is minus the sum of the others
+                if t_lo == 0:
+                    out[0] = 0.0
+                cols = t_lo // 2 + rows  # the last row's length; only zeros lie beyond it
+                folds = tap[: rows * cols].reshape(rows, cols)
+                np.cumsum(out.reshape(rows, P)[:, :cols], axis=1, out=folds)
+                level = totals[m_lo - m0 : m_hi - m0 + 1]
+                np.add(level, folds[:, -1], out=level)
+                if t_lo == 0:
+                    out[0] = -level[0]
 
-            # u[n, k, w - 2n] of level m = k + w - n: with i = m - m_lo, a
-            # sheared (i, n) view of the wave, kept to 0 <= k <= T by a mask
-            n_a = max(0, (w - T + 1) // 2, w - m_hi)
-            n_b = min(depth, w // 2, T + w - m_lo)
-            if n_a <= n_b:
-                k0, width = n_a + m_lo - w, n_b - n_a + 1
-                src = ring[x * P + k0 : x * P + k0 + rows * (P + 1)].reshape(rows, P + 1)[:, :width]
-                dst = np.ndarray((rows, width), float, u_held,
-                                 8 * (spare + n_a * SN + k0 * SK + w - 2 * n_a),
-                                 (8 * SK, 8 * (SN + SK - 2)))
-                np.copyto(dst, src, where=in_box[:rows, L + k0 : L + k0 + width])
+                # u[n, k, w - 2n] of level m = k + w - n: with i = m - m_lo, a
+                # sheared (i, n) view of the wave, kept to 0 <= k <= T by a mask
+                n_a = max(0, (w - T + 1) // 2, w - m_hi)
+                n_b = min(depth, w // 2, T + w - m_lo)
+                if n_a <= n_b:
+                    k0, width = n_a + m_lo - w, n_b - n_a + 1
+                    src = ring[x * P + k0 : x * P + k0 + rows * (P + 1)].reshape(rows, P + 1)[:, :width]
+                    dst = np.ndarray((rows, width), float, u_held,
+                                     8 * (spare + n_a * SN + k0 * SK + w - 2 * n_a),
+                                     (8 * SK, 8 * (SN + SK - 2)))
+                    np.copyto(dst, src, where=in_box[:rows, L + k0 : L + k0 + width])
 
-            # slot 0 replays the boundary level: row 2 m0 - 2 - w at wave w
-            t_held = 2 * m0 - 2 - w
-            if t_held >= -1:
-                plain[row(w, m0 - 1)] = held[t_held, :P] if t_held >= 0 else 0.0
-            if w % 2 and m0 <= w // 2 < m1:
-                # level (w - 1) / 2 ended at the last wave; its next level reads row -1 here
-                plain[row(w, w // 2)] = 0.0
-            if w >= m1:
-                # the chunk's last level is the next chunk's boundary
-                held[2 * m1 - w, :P] = plain[row(w, m1)]
-            if w % 2 == 0 and w // 2 >= m0:
-                yield w // 2, u
-        m0 = m1 + 1
-        ring = plain = out = src = None  # drop the chunk's ring, its views too, before the next
+                # slot 0 replays the boundary level: row 2 m0 - 2 - w at wave w
+                t_held = 2 * m0 - 2 - w
+                if t_held >= -1:
+                    plain[row(w, m0 - 1)] = held[t_held, :P] if t_held >= 0 else 0.0
+                if w % 2 and m0 <= w // 2 < m1:
+                    # level (w - 1) / 2 ended at the last wave; its next level reads row -1 here
+                    plain[row(w, w // 2)] = 0.0
+                if w >= m1:
+                    # the chunk's last level is the next chunk's boundary
+                    held[2 * m1 - w, :P] = plain[row(w, m1)]
+                # depth n is whole from wave 2n + T of the chunk that holds level n + 2T
+                while n <= depth and n + 2 * T <= m1 and 2 * n + T <= w:
+                    yield n, u
+                    n += 1
+                if n > depth:
+                    break
+            m0 = m1 + 1
+            ring = plain = out = src = None  # drop the chunk's ring, its views too, before the next
 
 
 def compute_coefficients(N_psa: int, T_psa: int, G: float, a: float = 0.5) -> np.ndarray:
@@ -363,10 +393,12 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
 
     One sweep of the levels writes the coefficients u(n, k, l) of every depth
     up to the cap into one array, and reads depth n's mass increment
-    sum_(k,l) theta^(n+k+l) u(n, k, l) once, at level n + 2T, where it
-    completes. The sweep stops at level MAX_OUTER_ITERATIONS at the latest,
-    so the cap is MAX_OUTER_ITERATIONS - 2T depths. The result keeps the
-    coefficients up to the depth it reports. Any attempt probability a works.
+    sum_(k,l) theta^(n+k+l) u(n, k, l) once, where it completes: at wave
+    2n + T of the chunk that holds level n + 2T. The sweep ends when the
+    solve stops reading, or at the wave that completes the cap, whose last
+    level is MAX_OUTER_ITERATIONS, so the cap is MAX_OUTER_ITERATIONS - 2T
+    depths. The result keeps the coefficients up to the depth it reports.
+    Any attempt probability a works.
 
     The stopping rule compares the truncated-grid mass of successive series
     depths: the solve converges ("epsilon") at the first depth whose relative
@@ -409,25 +441,22 @@ def solve(params: ModelParams, G: float = 1.0, epsilon: float = 1e-12) -> PsaSol
     stop_reason = "cap"
     tpow = theta ** np.arange(cap + 2 * T + 1)
     KL = np.add.outer(range(T_k + 1), range(T_l + 1))
-    for m, u in _sweep(G, T, cap, params.a):
-        n_done = m - 2 * T
-        if n_done < 0:
+    for n, u in _sweep(G, T, cap, params.a):
+        dS[n] = (tpow[n + KL] * u[n, : T_k + 1, : T_l + 1]).sum()
+        if n < 1:
             continue
-        dS[n_done] = (tpow[n_done + KL] * u[n_done, : T_k + 1, : T_l + 1]).sum()
-        if n_done < 1:
-            continue
-        running = float(dS[: n_done + 1].sum())
-        rel = abs(dS[n_done]) / abs(running) if running != 0.0 else math.inf
+        running = float(dS[: n + 1].sum())
+        rel = abs(dS[n]) / abs(running) if running != 0.0 else math.inf
         if not math.isfinite(rel):
             stop_reason = "divergence"
             break
         rel_hist.append(rel)
         if rel < epsilon:
-            stop_reason, best_n, best_rel = "epsilon", n_done, rel
+            stop_reason, best_n, best_rel = "epsilon", n, rel
             break
         if rel < best_rel:
-            best_n, best_rel = n_done, rel
-        elif n_done - best_n >= _IMPROVEMENT_PATIENCE:
+            best_n, best_rel = n, rel
+        elif n - best_n >= _IMPROVEMENT_PATIENCE:
             stop_reason = "divergence"
             break
     if not (stop_reason == "epsilon" or best_rel < _SETTLED):

@@ -594,6 +594,30 @@ def test_unwritable_out_path_is_a_usage_error(tmp_path, capsys):
     assert err.startswith("usage error: cannot write --out ") and err.count("\n") == 1
 
 
+def test_unwritable_out_path_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    """main checks the directory of --out before it runs the request, so a
+    path under a regular file costs no solve; a run that fails leaves no
+    file, since only emit opens it."""
+
+    def no_run(spec):
+        raise AssertionError("ran the request")
+
+    monkeypatch.setattr(cli, "run", no_run)
+    plain = tmp_path / "plain"
+    plain.write_text("")
+    for out in (plain / "x", plain / "sub" / "x"):
+        code, stdout, err = run_cli(["solve", "--method", "oracle", "--rho", "0.99", "--out", str(out)], capsys)
+        assert (code, stdout) == (2, "")
+        assert err.startswith("usage error: cannot write --out ") and err.count("\n") == 1
+
+
+def test_failed_run_leaves_no_out_file(tmp_path, capsys):
+    out = tmp_path / "made" / "grid.json"
+    code, _, err = run_cli(["solve", "--rho", "1.5", "--out", str(out)], capsys)
+    assert code == 3 and err.startswith("stability error")
+    assert out.parent.is_dir() and not out.exists()
+
+
 def test_compare_command(capsys):
     # the oracle reaches rho = 0.9, beyond the dense box it replaced
     for rho, a in (("0.4", "0.5"), ("0.9", "0.3")):

@@ -250,6 +250,26 @@ def test_wave_sweep_is_the_level_sweep_bit_for_bit(G, a):
     assert u.tobytes() == reference.tobytes()  # signed zeros too
 
 
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("G", [0.0, 1.0, 2.5])
+def test_sweep_yields_each_depth_complete(G, a):
+    """Each depth the sweep yields is already whole: its last entries, the
+    row l = T, are solved at wave 2n + T of the chunk that holds level
+    n + 2T, before the yield. U_m(k, l) is 0 below m = 2(k + l) - 1, so that
+    row is not all 0 from depth 2T - 1 on. With T past half a chunk, the
+    levels up to 6T fill four chunks, and the level n + 2T of some depth
+    past 2T opens one, so a yield one wave early, or in the chunk before,
+    reads a partial depth."""
+    T = psa._WAVE_LEVELS // 2 + 1
+    depth = 4 * T
+    reference = level_sweep(G, T, depth, a)
+    yielded = []
+    for n, u in psa._sweep(G, T, depth, a):
+        assert u[n].tobytes() == reference[n].tobytes(), n
+        yielded.append(n)
+    assert yielded == list(range(depth + 1))
+
+
 def test_coefficients_do_not_depend_on_numpy_buffer_size():
     """The sweep sums in an order of its own, so numpy's reduction buffer, a
     setting global to the process, changes no bit of the coefficients."""
@@ -323,15 +343,22 @@ def test_budget_refuses_near_saturation_before_the_sweep(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "rho, N, stop",
-    [(0.1, 13, "epsilon"), (0.4, 36, "epsilon"), (0.7, 98, "epsilon"), (0.9, 225, "cap")],
+    "rho, N, stop, G",
+    [
+        pytest.param(0.1, 13, "epsilon", 1.0, id="0.1-13-epsilon"),
+        pytest.param(0.4, 36, "epsilon", 1.0, id="0.4-36-epsilon"),
+        pytest.param(0.7, 98, "epsilon", 1.0, id="0.7-98-epsilon"),
+        pytest.param(0.9, 225, "cap", 1.0, id="0.9-225-cap"),
+        pytest.param(0.4, 119, "epsilon", 0.0, id="0.4-119-epsilon-G0"),
+    ],
 )
-def test_depth_and_stop_reason_pinned(rho, N, stop):
-    """Tripwire on the depth and stop reason at G = 1: a change to the
+def test_depth_and_stop_reason_pinned(rho, N, stop, G):
+    """Tripwire on the depth and stop reason, at G = 1 and, where the move
+    set lacks the moves that lower the total, at G = 0: a change to the
     recursion, the level budget or the stop rules that moves them shows
     here. Up to 0.7 the series stops well inside the budget; at 0.9 the
     budget ends it, and the best iterate lies below the cap."""
-    s = psa.solve(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5))
+    s = psa.solve(ModelParams(lam=lambda_for_load(rho, 0.5), a=0.5), G=G)
     assert (s.N_psa, s.diagnostics.stop_reason) == (N, stop)
     assert s.N_psa < psa.MAX_OUTER_ITERATIONS - 2 * s.T_psa
 
