@@ -6,10 +6,10 @@ alternately repairing the vertical-boundary error (which fixes a new gamma
 for the current delta) and the horizontal-boundary error (which fixes a new
 delta plus the l in {0, 1} boundary coefficients) produces a geometrically
 convergent series of product-form terms. The series gives every state
-outside the box [0,2]^2 at the origin; a direct linear solve of the balance
-equations on that box supplies (0,0), (0,1) and (0,2), which lie outside both
-series regimes, together with their neighbours, and a single normalization
-finishes the job.
+outside the box [0,2]^2 at the origin; the balance equations on that box,
+solved by the GTH elimination the oracle uses too, supply (0,0), (0,1) and
+(0,2), which lie outside both series regimes, together with their
+neighbours, and a single normalization finishes the job.
 
 The roots come from the kernel's algebra: kernel/gamma^2 is a convex cubic
 in delta/gamma, whose root Newton's method reaches monotonically from the
@@ -27,10 +27,9 @@ in closed form here, because they are the method. The leading term's 3x2
 boundary system and each repair step's 3x3 one share one solver, which
 accepts x only if ||M x - r||_2 <= 1e-9 ||r||_2; one evaluator reads both
 series forms from one table gamma_i^k. The inner-box equations are not
-closed forms: they come from the chain's inflow operator
-(:func:`relayq.model.transformed_inflows`, built from the one-step law),
-and the series values on the states around the box feed them through the
-operator's tap block.
+closed forms: one elimination of the chain's one-step matrix
+(:func:`relayq.model.box_matrix`, built from the one-step law) gives the
+box's response to the states around it, which the series values there feed.
 """
 
 from __future__ import annotations
@@ -43,7 +42,9 @@ import numpy as np
 
 from .errors import NumericsError, StabilityError
 from .grids import ProbabilityGrid, full
-from .model import ModelParams, transformed_inflows, truncation
+from .model import ModelParams, box_matrix, gth_stationary, truncation
+# not called here: benchmarks/tracing.py, its only user, patches this name
+from .model import transformed_inflows  # noqa: F401
 
 __all__ = [
     "CompensationSeries",
@@ -353,42 +354,41 @@ def _outside_box_mass(g, g1, dl, d, c, e):
 
 
 def _inner_box_system(params: ModelParams, B: int):
-    """Balance equations on the inner box [0,B]^2 and their taps on the states around it.
+    """The inner box [0,B]^2's response to the states around it.
 
-    Every source of an inner state lies in [0,B+1] x [0,B+2], the box of the
-    inflow operator Q. Returns A = I - Q[inner, inner], the tap block
-    Q[inner, outer], and the mask of inner states in that box (flattened as
-    k*(B+3)+l).
+    Every step into or out of an inner state stays in [0,B+1] x [0,B+2], the
+    box of :func:`relayq.model.box_matrix`. With the states around the inner box
+    first, one :func:`relayq.model.gth_stationary` elimination of the inner
+    ones gives R: row t holds the inner states' values per unit value at
+    around-state t, so the box is (values around it) @ R. Each exit from the
+    box is a sum of positive steps, so R is accurate entry by entry. Returns
+    R and the mask of inner states in that box (flattened as k*(B+3)+l).
     """
-    Q = transformed_inflows(params, B + 1, B + 2)
-    k, l = np.divmod(np.arange(Q.shape[0]), B + 3)
+    P = box_matrix(params, B + 1, B + 2)
+    k, l = np.divmod(np.arange(len(P)), B + 3)
     inner = (k <= B) & (l <= B)
-    Q = Q[inner]
-    return np.eye((B + 1) ** 2) - Q[:, inner], Q[:, ~inner], inner
+    order = np.argsort(inner, kind="stable")
+    return gth_stationary(P[np.ix_(order, order)], kept=int((~inner).sum())), inner
 
 
 def _last_term_share(
-    series: CompensationSeries, A: np.ndarray, taps: np.ndarray, inner: np.ndarray
+    series: CompensationSeries, R: np.ndarray, inner: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """Bound on the share of the inner box's mass that the series' last term n
     moves, and the box's values, flattened.
 
-    The box comes from its balance equations A x = taps @ (series values on
-    the states around it), solved once for the whole series and for its last
-    term. Outside the box the term's absolute mass is at most
+    The box is R applied to the series values on the states around it
+    (:func:`_inner_box_system`), once for the whole series and once for its
+    last term. Outside the box the term's absolute mass is at most
     :func:`_outside_box_mass` of |d_n|, |c_n| and |e0_n| + |e1_n|; inside it,
-    the term moves the box by that solve on the term's tap values. The term's
-    own values inside the box, which that solve overwrites, are not counted.
+    the term moves the box by R applied to the term's values around it. The
+    term's own values inside the box, which the box replaces, are not counted.
     The box holds the grid's largest entries and at most its mass.
     """
     s, n = series, series.n_terms
     last = CompensationSeries(s.gammas[n:], s.deltas[n:], s.d[n:], s.c[n:], s.e0[n:], s.e1[n:])
     k = np.arange(INNER_BOX + 2.0)
-    tap_values = [outer_values(x, k, INNER_BOX + 2).ravel()[~inner] for x in (series, last)]
-    try:
-        box, moved = np.linalg.solve(A, taps @ np.stack(tap_values, axis=1)).T
-    except np.linalg.LinAlgError as exc:
-        raise NumericsError(f"inner-box balance system is singular: {exc}") from exc
+    box, moved = np.stack([outer_values(x, k, INNER_BOX + 2).ravel()[~inner] for x in (series, last)]) @ R
     outside = _outside_box_mass(s.gammas[n], s.gammas[n + 1], s.deltas[n], abs(s.d[n]), abs(s.c[n]),
                                 abs(s.e0[n]) + abs(s.e1[n]))
     return float(outside + np.abs(moved).sum()) / abs(float(box.sum())), box
@@ -413,9 +413,10 @@ def converged_series(
     the inner box's unnormalized values, flattened, which :func:`solve` writes).
     """
     T_k, T_l, epsilon = truncation(params, epsilon)
-    system = _inner_box_system(params, INNER_BOX)
+    system = None
     # from step 1 on: at step 0 the last term is the whole series, which moves all of the box
     for series in itertools.islice(_series_steps(params), 1, _TERM_CAP + 1):
+        system = system or _inner_box_system(params, INNER_BOX)  # after the series' own refusals
         share, box = _last_term_share(series, *system)
         if share < epsilon:
             return series, (T_k, T_l), epsilon, share, box

@@ -19,5 +19,13 @@ class NumericsError(RelayQError):
     """A numerical routine failed (lost bracket, singular system, divergence)."""
 
 
+class UnreachableStateError(NumericsError):
+    """GTH elimination met the state with index ``state``, which cannot reach the states it keeps."""
+
+    def __init__(self, state: int) -> None:
+        super().__init__(f"state {state} cannot reach the kept states (reducible chain)")
+        self.state = state
+
+
 class GridError(RelayQError):
     """A probability grid is too small, unnormalized, or otherwise unusable."""

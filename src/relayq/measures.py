@@ -19,7 +19,7 @@ from .grids import ProbabilityGrid
 from .model import ModelParams
 from . import compensation
 # not called here: benchmarks/tracing.py, its only user, patches measures.gth_stationary
-from .oracle import gth_stationary  # noqa: F401
+from .model import gth_stationary  # noqa: F401
 
 __all__ = [
     "MeasureReport",

@@ -15,12 +15,12 @@ There is one slot rule, :func:`step`, and only this module turns it into
 laws: :func:`conditional_laws` sums it over the slot's draws given no arrival
 and given one, and each chain's law is their mix (1 - lam) Q0 + lam Q1. The
 transformed laws depend only on whether k = 0 and whether l is 0, 1 or at
-least 2: :func:`region_laws` holds the halves for these six regions, the
-power-series recursion reads them, and every box tiles their mix
-:func:`region_law` one step (dk, dl) at a time.
+least 2: :func:`region_laws` holds the halves for these six regions, from one
+:func:`step` on arrays, the power-series recursion reads them, and every box
+tiles their mix :func:`region_law` one step (dk, dl) at a time.
 :func:`box_matrix` writes the tiles into the dense matrix whose blocks the
-oracle's quasi-birth-death solve reads and, transposed as
-:func:`transformed_inflows`, of the compensation solver's inner box;
+oracle's quasi-birth-death solve reads and whose states around the
+compensation solver's inner box :func:`gth_stationary` reduces it to;
 :func:`balance_residuals` multiplies them with shifted slices of a grid.
 The scalar laws are the per-state reference the table is tested against.
 """
@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, StabilityError
+from .errors import GridError, StabilityError, UnreachableStateError
 
 __all__ = [
     "ModelParams",
@@ -47,6 +47,7 @@ __all__ = [
     "region_laws",
     "region_law",
     "box_matrix",
+    "gth_stationary",
     "transformed_inflows",
     "balance_residuals",
     "lambda_for_load",
@@ -253,13 +254,16 @@ def region_laws(a: float) -> np.ndarray:
     laws[arrived, min(k, 1), min(l, 2), dk + 1, dl + 2] is the probability of
     the step (dk, dl) out of (k, l) given ``arrived`` arrivals. A slot sees only
     whether the shorter relay is empty and whether the queues tie, differ by
-    one or by more, so the table matches every state bit for bit.
+    one or by more, so the table matches every state bit for bit. One
+    :func:`step` on arrays moves the six regions' states by the 16 draws, and
+    equal moves are added in draw order, as :func:`conditional_laws` adds them.
     """
+    draws, probs = zip(*_draws(a))
+    draws = np.array(draws).T  # rows: arrival, tie_to_q1, att1, att2
+    k, l = np.divmod(np.arange(6)[:, None], 3)  # one state (k, k + l) per region and row
+    i, j = step(k, k + l, *draws)
     laws = np.zeros((2, 2, 3, 3, 5))
-    for k, l in itertools.product(range(2), range(3)):
-        for arrived, half in enumerate(conditional_laws((k, l), a, transformed=True)):
-            for dk, dl, prob in half:
-                laws[arrived, k, l, dk + 1, dl + 2] = prob
+    np.add.at(laws, (draws[0].astype(int), k, l, np.minimum(i, j) - k + 1, abs(i - j) - l + 2), probs)
     return laws
 
 
@@ -299,6 +303,45 @@ def box_matrix(params: ModelParams, T_k: int, T_l: int) -> np.ndarray:
     for src, dst, w in _tiles(params, T_k, T_l):
         P[state[src], state[dst]] = w
     return P
+
+
+def gth_stationary(P: np.ndarray, kept: int = 1) -> np.ndarray:
+    """GTH state reduction of the chain P to its first ``kept`` states.
+
+    Subtraction-free elimination (Grassmann, Taksar & Heyman 1985) is
+    accurate entry by entry, however badly conditioned the chain
+    (O'Cinneide 1993). Eliminating state s touches only the window
+    [s - bw, s), where bw is the largest |row - col| over the nonzeros of P:
+    fill-in never leaves that band, so the cost is O(n*bw^2).
+
+    Row i of the result is the chain's visits to each eliminated state per
+    visit to kept state i, P_KE (I - P_EE)^-1; only the kept states' rows
+    may sum to less than one. With ``kept`` = 1 it is instead P's normalized
+    stationary vector, state 0 included.
+    Every eliminated state must reach a kept one; otherwise
+    :class:`UnreachableStateError` names one that cannot. The lowest such
+    state reaches only states above it, so its censored row is exactly 0.0
+    below the diagonal, while no pivot is zero when every state reaches a
+    kept one.
+    """
+    A = np.array(P, dtype=float)
+    n = A.shape[0]
+    rows, cols = np.nonzero(A)
+    bw = int(np.abs(rows - cols).max(initial=0))
+    departing = np.zeros(n)
+    for s in range(n - 1, kept - 1, -1):
+        w = slice(max(s - bw, 0), s)
+        tot = A[s, w].sum()
+        if tot <= 0.0:
+            raise UnreachableStateError(s)
+        departing[s] = tot
+        A[s, w] /= tot
+        A[w, w] += np.outer(A[w, s], A[s, w])
+    visits = np.eye(kept, n)
+    for s in range(kept, n):
+        w = slice(max(s - bw, 0), s)
+        visits[:, s] = (visits[:, w] @ A[w, s]) / departing[s]
+    return visits[0] / visits.sum() if kept == 1 else visits[:, kept:]
 
 
 def transformed_inflows(params: ModelParams, T_k: int, T_l: int) -> np.ndarray:

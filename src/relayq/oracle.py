@@ -10,7 +10,8 @@ with the mass of every step to l > cut folded back into its self-loop, so
 only the phase is truncated, at twice the column that matches the box's
 level T_k in mass. The CLI reports it on the box [0,T_k] x [0,T_l] of
 :func:`relayq.model.truncation`, the box rule of CA and PSA too, so the three
-routes report the same box at the same epsilon. GTH state reduction solves the
+routes report the same box at the same epsilon. GTH state reduction
+(:func:`relayq.model.gth_stationary`, CA's inner-box solver too) solves the
 chain censored on levels 0 and 1; it fails exactly when a state cannot reach
 (0, 0).
 """
@@ -22,13 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GridError, NumericsError, StabilityError
+from .errors import GridError, NumericsError, StabilityError, UnreachableStateError
 from .grids import ProbabilityGrid, full
-from .model import ModelParams, box_matrix
+from .model import ModelParams, box_matrix, gth_stationary
 # not called here: benchmarks/tracing.py, its only user, patches this name
 from .model import transformed_transition_distribution  # noqa: F401
 
-__all__ = ["QBDChain", "build", "stationary", "gth_stationary"]
+__all__ = ["QBDChain", "build", "stationary"]
 
 
 def __getattr__(name: str):
@@ -99,57 +100,13 @@ def build(params: ModelParams, T: int, T_l: int) -> QBDChain:
     return QBDChain(T=T, T_l=T_l, R=R, boundary=np.block([[B00, B01], [A2, A1 + R @ A2]]))
 
 
-class _Unreachable(NumericsError):
-    """GTH met the state with index ``state``, which cannot reach state 0."""
-
-    def __init__(self, state: int) -> None:
-        super().__init__(f"state {state} cannot reach state 0 (reducible chain)")
-        self.state = state
-
-
-def gth_stationary(P: np.ndarray) -> np.ndarray:
-    """Stationary vector of a row-stochastic matrix by GTH state reduction.
-
-    Subtraction-free elimination gives componentwise accurate results even for
-    badly conditioned chains. Eliminating state s touches only the window
-    [s - bw, s), where bw is the largest |row - col| over the nonzeros of P:
-    fill-in never leaves that band, so the cost is O(n*bw^2).
-
-    The chain must have one closed class holding state 0, that is, every
-    state must reach state 0; otherwise a ``NumericsError`` names the index of
-    a state that cannot. The lowest-indexed such state reaches only states
-    above it, so its censored row is exactly 0.0 below the diagonal and the
-    elimination stops there if not before, while no pivot is zero when every
-    state reaches 0.
-    """
-    A = np.array(P, dtype=float)
-    n = A.shape[0]
-    rows, cols = np.nonzero(A)
-    bw = int(np.abs(rows - cols).max(initial=0))
-    departing = np.zeros(n)
-    for s in range(n - 1, 0, -1):
-        w = slice(max(s - bw, 0), s)
-        tot = A[s, w].sum()
-        if tot <= 0.0:
-            raise _Unreachable(s)
-        departing[s] = tot
-        A[s, w] /= tot
-        A[w, w] += np.outer(A[w, s], A[s, w])
-    pi = np.zeros(n)
-    pi[0] = 1.0
-    for s in range(1, n):
-        w = slice(max(s - bw, 0), s)
-        pi[s] = (pi[w] @ A[w, s]) / departing[s]
-    return pi / pi.sum()
-
-
 def stationary(chain: QBDChain) -> ProbabilityGrid:
     """Stationary law on the box [0,T] x [0,T_l], zero beyond the cut, through ProbabilityGrid.finished."""
     n = chain.R.shape[0]
     m = min(n, chain.T_l + 1)  # the columns the grid holds
     try:
         pi = gth_stationary(chain.boundary)
-    except _Unreachable as exc:
+    except UnreachableStateError as exc:
         k, l = divmod(exc.state, n)
         raise NumericsError(f"chain is reducible: state ({k}, {l}) cannot reach the origin (0, 0)") from None
     resid = float(np.max(np.abs(pi @ chain.boundary - pi)))

@@ -1,4 +1,5 @@
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from relayq import compensation as ca
 from relayq import oracle
 from relayq.errors import NumericsError, StabilityError
-from relayq.model import ModelParams, balance_residuals, lambda_for_load, max_interior_residual, truncation
+from relayq.model import (
+    ModelParams, balance_residuals, box_matrix, lambda_for_load, max_interior_residual, truncation
+)
 from conftest import maxnorm, random_stable_params
 
 
@@ -437,30 +440,54 @@ def test_solve_at_light_load(monkeypatch, rho, a):
     assert max_interior_residual(deep.grid.values, params) < 1e-15
 
 
-@pytest.mark.parametrize(
-    "rho, a",
-    [
-        (0.1, 0.5),
-        (0.01, 0.5),
-        *(pytest.param(rho, a, marks=pytest.mark.xfail(strict=True, reason="the inner box's scale at light load "
-          "(open FOUND line on compensation.solve)")) for rho, a in [(1e-4, 0.3), (1e-5, 0.5), (1e-6, 0.5)]),
-    ],
-)
+@pytest.mark.parametrize("rho, a", [(0.1, 0.5), (0.01, 0.5), (1e-4, 0.3), (1e-5, 0.5), (1e-6, 0.5)])
 def test_light_load_tail_follows_the_oracle(rho, a):
     """Outside the inner box [0,2]^2, CA's grid follows the oracle's to 1e-3
-    relative, tiny as its entries are. At light loads it does not: the box's
-    outflow, about rho^5 of its mass, lies below the round-off of its O(1)
-    diagonal, which sets the box's scale and sign against the series. At
-    rho = 1e-5 (a = 1/2) and 1e-4 (a = 0.3) the box's sum comes out
-    negative, and normalization clips every series entry to 0.0; at
-    rho = 1e-6, (3, 0) reads 1.0e-22 against the oracle's 1.0e-36. The
-    max-norm distance stays below 1e-16."""
+    relative, tiny as its entries are. The box's outflow is about rho^5 of
+    its mass: an LU solve of I - Q lost it in the round-off of the O(1)
+    diagonal, so at rho = 1e-5 (a = 1/2) and 1e-4 (a = 0.3) the box's sum
+    came out negative and normalization clipped every series entry to 0.0,
+    and at rho = 1e-6, (3, 0) read 1.0e-22 against the oracle's 1.0e-36,
+    while the max-norm distance stayed below 1e-16."""
     p = ModelParams(lam=lambda_for_load(rho, a), a=a)
     grid = ca.solve(p).grid.values
     reference = oracle.stationary(oracle.build(p, grid.shape[0] - 1, grid.shape[1] - 1)).values
     outside = np.ones(grid.shape, bool)
     outside[: ca.INNER_BOX + 1, : ca.INNER_BOX + 1] = False
     assert np.all(np.abs(grid[outside] - reference[outside]) <= 1e-3 * reference[outside])
+
+
+def _exact_box_response(params):
+    """The inner box's response to each state around it, by exact rational
+    elimination of x = Q_in x + Q_taps v for every unit v, from the float
+    entries of box_matrix. The diagonal 1 - Q_in[s, s] is formed exactly, as
+    the sum of the steps out of s: an inner state's steps all stay in the
+    matrix, whose float rows miss one by rounding alone."""
+    B = ca.INNER_BOX
+    Q = [[Fraction(q) for q in row] for row in box_matrix(params, B + 1, B + 2).T]
+    k, l = np.divmod(np.arange(len(Q)), B + 3)
+    box, taps = np.flatnonzero((k <= B) & (l <= B)), np.flatnonzero((k > B) | (l > B))
+    exits = {s: sum(Q[t][s] for t in range(len(Q)) if t != s) for s in box}
+    rows = [[exits[s] if s == r else -Q[s][r] for r in box] + [Q[s][t] for t in taps] for s in box]
+    n = len(box)
+    for c in range(n):
+        rows[c] = [x / rows[c][c] for x in rows[c]]  # column diagonally dominant: no zero pivot
+        for i in range(n):
+            if i != c and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[c])]
+    return np.array([[float(x) for x in row[n:]] for row in rows]).T
+
+
+@pytest.mark.parametrize("a", [0.3, 0.5])
+@pytest.mark.parametrize("rho", [1e-3, 1e-4, 1e-6, 1e-8, 1e-12])
+def test_inner_box_response_is_exact_at_light_load(rho, a):
+    """Each entry of the box's response R lies within 1e-13 relative of the
+    rational solve, though the box leaks only about rho^5 of its mass: an LU
+    solve of I - Q lost that leak in the round-off of the O(1) diagonal."""
+    p = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    R, _ = ca._inner_box_system(p, ca.INNER_BOX)
+    np.testing.assert_allclose(R, _exact_box_response(p), rtol=1e-13, atol=0)
 
 
 @pytest.mark.parametrize("a", [0.3, 0.5])
@@ -478,12 +505,12 @@ def _box_limited_share(series, params, T):
     """The guard that evaluated the grid twice: sum |grid(n) - grid(n - 1)|
     over [0,T]^2, as a share of |sum grid(n)|, each grid with its own box."""
     B = ca.INNER_BOX
-    A, taps, inner = ca._inner_box_system(params, B)
+    R, inner = ca._inner_box_system(params, B)
     side = max(T, B + 2)
 
     def grid(s):
         vals = ca.outer_values(s, np.arange(side + 1.0), side)
-        box = np.linalg.solve(A, taps @ vals[: B + 2, : B + 3].ravel()[~inner])
+        box = vals[: B + 2, : B + 3].ravel()[~inner] @ R
         vals[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
         return vals[: T + 1, : T + 1]
 

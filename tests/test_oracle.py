@@ -5,7 +5,7 @@ import pytest
 
 from relayq import compensation, oracle
 from relayq.errors import GridError, NumericsError, RelayQError, StabilityError
-from relayq.model import ModelParams, lambda_for_load, truncation
+from relayq.model import ModelParams, gth_stationary, lambda_for_load, truncation
 from conftest import maxnorm, original_box, push_forward, random_stable_params, transformed_box
 
 
@@ -125,6 +125,47 @@ def test_banded_gth_matches_dense_elimination(base_params):
     matrices.append(_corner_matrix(12, np.random.default_rng(5)))
     for P in matrices:
         np.testing.assert_allclose(oracle.gth_stationary(P), _dense_gth(P), rtol=1e-14, atol=0)
+
+
+def _stationary_without_kept(P):
+    """The banded elimination as it was before it could keep more than state 0."""
+    A = np.array(P, dtype=float)
+    n = A.shape[0]
+    rows, cols = np.nonzero(A)
+    bw = int(np.abs(rows - cols).max(initial=0))
+    departing = np.zeros(n)
+    for s in range(n - 1, 0, -1):
+        w = slice(max(s - bw, 0), s)
+        departing[s] = A[s, w].sum()
+        A[s, w] /= departing[s]
+        A[w, w] += np.outer(A[w, s], A[s, w])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for s in range(1, n):
+        w = slice(max(s - bw, 0), s)
+        pi[s] = (pi[w] @ A[w, s]) / departing[s]
+    return pi / pi.sum()
+
+
+def test_gth_keeping_one_state_is_the_stationary_vector_bit_for_bit(base_params):
+    rng = np.random.default_rng(7)
+    matrices = [oracle.build(p, 20, 20).boundary for p in (base_params, *random_stable_params(rng, 4))]
+    matrices += [transformed_box(base_params, 13), _corner_matrix(40, rng)]
+    for P in matrices:
+        assert np.array_equal(gth_stationary(P), _stationary_without_kept(P))
+
+
+@pytest.mark.parametrize("n, kept", [(6, 2), (12, 4), (20, 11), (30, 29)])
+def test_gth_keeping_states_gives_their_visits_to_the_rest(n, kept):
+    """Row i is the eliminated states' visits per visit to kept state i,
+    P_KE (I - P_EE)^-1, on chains whose kept states leak 10 % to 50 % a step."""
+    rng = np.random.default_rng(n)
+    P = rng.uniform(size=(n, n))
+    K, E = slice(0, kept), slice(kept, n)
+    P /= P.sum(axis=1, keepdims=True)
+    P[K] *= rng.uniform(0.5, 0.9, kept)[:, None]
+    visits = np.linalg.solve((np.eye(n - kept) - P[E, E]).T, P[K, E].T).T
+    np.testing.assert_allclose(gth_stationary(P, kept), visits, rtol=1e-12, atol=0)
 
 
 def test_chain_that_never_enters_origin_reports_state(base_params):
