@@ -248,7 +248,7 @@ def run(spec: RunSpec) -> dict:
         if spec.lam is None:
             raise UsageError("vs-single-server needs --lambda")
         lam = _resolve_params(spec).lam
-        a_grid = tuple(np.round(np.arange(0.05, 1.0, 0.05), 10))
+        a_grid = np.round(np.arange(0.05, 1.0, 0.05), 10).tolist()
         comp = measures.single_server_comparison(lam, a_grid, epsilon=spec.epsilon)
         # SingleServerRow's field order is the column order
         rows = [asdict(r) for r in comp.rows]

@@ -24,12 +24,13 @@ once, on its grid.
 
 The kernel and the boundary equations behind the coefficients are written
 in closed form here, because they are the method. The leading term's 3x2
-boundary system and each repair step's 3x3 one share one solver, which
-accepts x only if ||M x - r||_2 <= 1e-9 ||r||_2; one evaluator reads both
-series forms from one table gamma_i^k. The inner-box equations are not
-closed forms: one elimination of the chain's one-step matrix
-(:func:`relayq.model.box_matrix`, built from the one-step law) gives the
-box's response to the states around it, which the series values there feed.
+boundary system and each repair step's 3x3 one share one solver, an LU
+solve of their last rows, one per unknown, accepted only if, over all rows,
+||M x - r||_2 <= 1e-9 ||r||_2; one evaluator reads both series forms from
+one table gamma_i^k. The inner-box equations are not closed forms: one
+elimination of the chain's one-step matrix (:func:`relayq.model.box_matrix`,
+built from the one-step law) gives the box's response to the states around
+it, which the series values there feed.
 """
 
 from __future__ import annotations
@@ -221,14 +222,14 @@ def _solve_rows(M: np.ndarray, r: np.ndarray, what: str) -> np.ndarray:
     """Solve a boundary system M x = r, whose rows differ in scale by powers of gamma.
 
     Each row is divided by its largest entry (one that underflowed is 0/0
-    and raises); a square M is solved directly, a taller one by least
-    squares. Any failure, or ||M x - r||_2 > 1e-9 ||r||_2, is a NumericsError.
+    and raises); x solves the last rows, one per unknown. Any failure, or
+    ||M x - r||_2 > 1e-9 ||r||_2 over every row, is a NumericsError.
     """
     try:
         with np.errstate(divide="raise", invalid="raise"):
             scale = np.max(np.abs(M), axis=1)
             M, r = M / scale[:, None], r / scale
-        x = np.linalg.solve(M, r) if M.shape[0] == M.shape[1] else np.linalg.lstsq(M, r, rcond=None)[0]
+        x = np.linalg.solve(M[-M.shape[1]:], r[-M.shape[1]:])
     except (FloatingPointError, np.linalg.LinAlgError) as exc:
         raise NumericsError(f"{what} unsolvable: {exc}") from exc
     resid = float(np.linalg.norm(M @ x - r))
@@ -244,9 +245,9 @@ def leading_boundary_coefficients(
 
     Three horizontal balance equations constrain two unknowns; the system is
     consistent precisely because gamma0 = rho^2 (the level-crossing argument
-    behind the starting value). Solved by least squares with a consistency
-    check, so parameter points where the geometry degenerates are reported
-    instead of silently mis-solved.
+    behind the starting value). Rows l = 1, 2 fix (e0, e1): the terms of their
+    determinant -gamma^3 [(p_fwd + 2 gamma p_dep) p_dep + (1 - p_hold - p_both) p_both]
+    share one sign at a stable load. Row l = 0, near minus row l = 1, is checked.
     """
     M = _horizontal_rows(gamma0, params)
     r = _product_term_rows(gamma0, delta0, params) * d0 * delta0**2
@@ -439,11 +440,9 @@ def solve(params: ModelParams, epsilon: float = 1e-12) -> CompensationResult:
     B = INNER_BOX
     grid_un = outer_values(series, np.arange(T_k + 1.0), T_l)
     grid_un[: B + 1, : B + 1] = box.reshape(B + 1, B + 1)
-    grid_un /= float(grid_un.sum())
     # round-off guard: the construction is sign-definite, anything below is noise
-    floor = -1e-13 * float(grid_un.max())
-    if float(grid_un.min()) < floor:
-        raise NumericsError(f"normalized grid has negative entry {grid_un.min():.3e}")
+    if float(grid_un.min()) < -1e-13 * float(grid_un.max()):
+        raise NumericsError(f"grid has negative entry {grid_un.min():.3e} against its largest {grid_un.max():.3e}")
 
     return CompensationResult(
         series=series,

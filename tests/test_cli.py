@@ -719,6 +719,24 @@ def test_ca_refusal_at_a_light_load_is_one_line():
     assert out.stderr.startswith("numerical failure: horizontal repair system")
 
 
+def test_ca_floor_is_the_repair_system(capsys):
+    """CA answers down to rho = 1e-46; at 1e-50 the d column of the horizontal
+    repair system underflows to zeros and the solve exits 4 with one line."""
+    code, _, err = run_cli(["solve", "--rho", "1e-50"], capsys)
+    assert code == 4
+    assert err.splitlines() == [err.strip()]
+    assert err.startswith("numerical failure: horizontal repair system")
+
+
+@pytest.mark.parametrize("lam, expected", [("1e-20", 0), ("1e-60", 4)])
+def test_vs_single_server_reaches_ca_with_python_floats(lam, expected, capsys):
+    """The attempt probabilities are Python floats, so a refusal names its
+    root as a plain float, not as numpy's repr np.float64(...)."""
+    code, _, err = run_cli(["vs-single-server", "--lambda", lam], capsys)
+    assert code == expected
+    assert "np.float64(" not in err
+
+
 def test_decay_command(capsys):
     code, out, _ = run_cli(["decay", "--rho", "0.4", "--a", "0.5"], capsys)
     assert code == 0

@@ -457,6 +457,39 @@ def test_light_load_tail_follows_the_oracle(rho, a):
     assert np.all(np.abs(grid[outside] - reference[outside]) <= 1e-3 * reference[outside])
 
 
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("rho", [1e-16, 1e-20, 1e-30, 1e-40])
+def test_ca_answers_below_the_least_squares_floor(rho, a):
+    """Below rho = 1e-15 the leading boundary system's rows l = 0 and 1, row
+    scaled, tend to +-[O(rho), -1]; a least-squares solve dropped that small
+    singular value and refused every such load as inconsistent. Outside the
+    inner box CA follows the oracle to 1e-12 relative wherever the oracle's
+    entry is at least 1e-250: below that, CA's products d gamma^k delta^l and
+    the oracle's powers of R underflow at different entries."""
+    p = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    grid = ca.solve(p).grid.values
+    reference = oracle.stationary(oracle.build(p, grid.shape[0] - 1, grid.shape[1] - 1)).values
+    compared = reference >= 1e-250
+    compared[: ca.INNER_BOX + 1, : ca.INNER_BOX + 1] = False
+    assert compared.any()
+    np.testing.assert_allclose(grid[compared], reference[compared], rtol=1e-12, atol=0)
+
+
+@pytest.mark.parametrize("a", [0.1, 0.5, 0.9])
+@pytest.mark.parametrize("rho", [1e-16, 1e-30, 1e-45])
+def test_leading_boundary_coefficients_are_the_exact_solve_of_rows_1_and_2(rho, a):
+    """(e0, e1) lie within 1e-14 relative of the rational solve of the rows
+    l = 1, 2 of the leading boundary system, built from its float entries."""
+    p = ModelParams(lam=lambda_for_load(rho, a), a=a)
+    g0 = ca.initial_gamma(p)
+    d0 = ca.delta_root(g0, p)
+    (_, (m10, m11), (m20, m21)) = [[Fraction(x) for x in row] for row in ca._horizontal_rows(g0, p)]
+    _, r1, r2 = (Fraction(x) for x in ca._product_term_rows(g0, d0, p) * d0**2)
+    det = m10 * m21 - m11 * m20
+    exact = [float((r1 * m21 - m11 * r2) / det), float((m10 * r2 - r1 * m20) / det)]
+    np.testing.assert_allclose(ca.leading_boundary_coefficients(g0, d0, 1.0, p), exact, rtol=1e-14, atol=0)
+
+
 def _exact_box_response(params):
     """The inner box's response to each state around it, by exact rational
     elimination of x = Q_in x + Q_taps v for every unit v, from the float
